@@ -47,7 +47,13 @@ from .grid import (
     set_ring,
 )
 from .lifting import LiftingState, _grad_lap_dP, init_lifting, parabolic_lift_step
-from .linsolve import DIRECT, SolverConfig, heat_solve_interior, project_divergence_free
+from .linsolve import (
+    DIRECT,
+    SolverConfig,
+    SolverError,
+    heat_solve_interior,
+    project_divergence_free,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -295,7 +301,8 @@ def run(
 
     Also tracks the scalar series feeding the higher-order checks: |dt d_P|,
     |grad lap d_P| and |g|, sampled on the same grid of times.  Aborts with
-    the last good state if the fields stop being finite.
+    the last good state if a step fails (including a linear solve that misses
+    its tolerance) or the fields stop being finite.
     """
     if t_end <= s0.t:
         raise ValueError("t_end must exceed the initial time")
@@ -343,6 +350,10 @@ def run(
             s_next = step(s)
         except (ValueError, FloatingPointError) as exc:
             aborted, reason = True, f"step failed at t={s.t:.6g}: {exc}"
+            break
+        except SolverError as exc:
+            aborted = True
+            reason = f"step failed at t={s.t:.6g}: SolverError: {exc} (residual {exc.residual:.6g})"
             break
         if not np.all(np.isfinite(s_next.v.data)) or not np.all(np.isfinite(s_next.d.data)):
             aborted, reason = True, f"non-finite state at t={s_next.t:.6g}"

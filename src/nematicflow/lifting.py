@@ -35,7 +35,14 @@ from .grid import (
     quad_weights,
     set_ring,
 )
-from .linsolve import DIRECT, PoissonProblem, SolverConfig, heat_step, solve_poisson_dirichlet
+from .linsolve import (
+    DIRECT,
+    PoissonProblem,
+    SolverConfig,
+    harmonic_extension,
+    heat_step,
+    solve_poisson_dirichlet,
+)
 
 
 @dataclass
@@ -55,7 +62,10 @@ class LiftingState:
 
 
 def elliptic_lift(trace: BoundaryTrace, cfg: SolverConfig = DIRECT) -> VectorField2D:
-    """Discrete-harmonic extension of ring values (componentwise Poisson solve)."""
+    """Discrete-harmonic extension of ring values: both components in one
+    direct solve, or one cg Poisson solve per component."""
+    if cfg.method == "direct":
+        return harmonic_extension(trace)
     g = trace.grid
     zero_rhs = ScalarField2D.zeros(g)
     comps = []

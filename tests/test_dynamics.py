@@ -276,6 +276,34 @@ class TestRun:
         assert "t=" in summary.abort_reason
         assert np.all(np.isfinite(summary.final.d.data))
 
+    def test_abort_on_solver_error(self):
+        # a cg projection allowed one iteration cannot reach its tolerance
+        from nematicflow.linsolve import SolverConfig
+
+        g = Grid(16, 16)
+        forcing = constant_forcing(g)
+        d0 = bump_director(g, forcing, amplitude=0.5)
+        s = init(make_divergence_free_velocity(g, 3, 0.3), d0, forcing, PhysParams(), dt=1e-3)
+        s = replace(s, solver=SolverConfig(method="cg", max_iter=1))
+        summary = run(s, t_end=5 * s.dt, sample_every=1)
+        assert summary.aborted
+        assert summary.n_steps == 0
+        assert "SolverError: cg failed to converge" in summary.abort_reason
+        assert "residual" in summary.abort_reason
+        assert summary.final is s
+
+    def test_fine_grid_scenario_steps(self):
+        # 128^2 set-up used to fail on an absolute Poisson residual test
+        from nematicflow.harness.scenarios import Scenario, generate_scenario
+
+        sc = Scenario(name="fine", family="autonomous", nx=128, ny=128, kappa=0.0, dt=1e-4)
+        gen = generate_scenario(sc)
+        summary = run(gen.state, t_end=3 * gen.state.dt, sample_every=1)
+        assert not summary.aborted
+        assert summary.n_steps == 3
+        assert np.all(np.isfinite(summary.final.v.data))
+        assert np.all(np.isfinite(summary.final.d.data))
+
     def test_cfl_warning(self, caplog):
         g = Grid(16, 16)
         forcing = constant_forcing(g)

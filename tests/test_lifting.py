@@ -20,7 +20,14 @@ from nematicflow.lifting import (
     parabolic_lift_step,
     shifted_fields,
 )
-from nematicflow.linsolve import _lap_matrix
+from nematicflow.linsolve import (
+    ITERATIVE,
+    POISSON_BACKWARD_ERROR,
+    PoissonProblem,
+    _lap_matrix,
+    poisson_backward_error,
+    solve_poisson_dirichlet,
+)
 
 
 def decaying_boundary(grid, gamma=2.0, a_h=0.3, kappa=0.3):
@@ -64,6 +71,30 @@ class TestEllipticLift:
             b = -_bc_contribution(g, trace.component(k)).ravel()
             dense = np.linalg.solve(L, b).reshape(g.nx - 2, g.ny - 2)
             assert np.max(np.abs(lift.data[k][1:-1, 1:-1] - dense)) < 1e-10
+
+
+    @pytest.mark.parametrize("nx, ny, lx, ly", [(16, 16, 1.0, 1.0), (33, 20, 2.0, 1.0), (128, 128, 1.0, 1.0)])
+    def test_batched_equals_componentwise_poisson(self, nx, ny, lx, ly):
+        g = Grid(nx, ny, lx, ly)
+        rng = np.random.default_rng(nx + ny)
+        trace = BoundaryTrace(g, rng.uniform(-1, 1, (g.n_boundary, 2)))
+        lift = elliptic_lift(trace)
+        zero = np.zeros((nx - 2, ny - 2))
+        for k in range(2):
+            ref = solve_poisson_dirichlet(
+                PoissonProblem(g, VectorField2D.zeros(g).component(k), dirichlet=trace.component(k))
+            )
+            assert np.max(np.abs(lift.data[k] - ref.data)) <= 1e-14 * np.max(np.abs(ref.data))
+            # the one-time exactness check that replaces a per-call residual test
+            assert poisson_backward_error(g, lift.data[k], zero) <= POISSON_BACKWARD_ERROR
+            assert np.array_equal(extract_ring(lift.data[k]), trace.component(k))
+
+    def test_cg_path_agrees(self):
+        g = Grid(16, 12)
+        s = boundary_arclength(g)
+        phi = np.pi * s / s.max()
+        trace = BoundaryTrace(g, np.stack([np.cos(phi), np.sin(phi)], axis=1))
+        assert np.max(np.abs(elliptic_lift(trace, ITERATIVE).data - elliptic_lift(trace).data)) < 1e-7
 
 
 class TestParabolicLift:

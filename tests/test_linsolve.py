@@ -14,9 +14,11 @@ from nematicflow.grid import (
 from nematicflow.linsolve import (
     DIRECT,
     ITERATIVE,
+    POISSON_BACKWARD_ERROR,
     PoissonProblem,
     SolverConfig,
     SolverError,
+    _div_matrix,
     _lap_matrix,
     heat_step,
     project_divergence_free,
@@ -91,6 +93,27 @@ class TestPoissonDirichlet:
         )
         rel = np.max(np.abs(a.data - b.data)) / np.max(np.abs(a.data))
         assert rel < 1e-8
+
+    @pytest.mark.parametrize("nx, ny, lx, ly", [(128, 128, 1.0, 1.0), (96, 130, 1.0, 2.0)])
+    def test_fine_grid_within_backward_error(self, nx, ny, lx, ly):
+        # the harmonic extension of a constant has a zero right-hand side; its
+        # bare residual (~1e-8 at 128^2) grows like h^-2 and is pure rounding
+        g = Grid(nx, ny, lx, ly)
+        sol = solve_poisson_dirichlet(
+            PoissonProblem(g, ScalarField2D.zeros(g), dirichlet=np.ones(g.n_boundary))
+        )
+        assert np.max(np.abs(sol.data - 1.0)) < 1e-12
+
+    def test_inexact_solve_rejected(self, monkeypatch):
+        import nematicflow.linsolve as ls
+
+        exact = ls.poisson_solve_interior
+        monkeypatch.setattr(ls, "poisson_solve_interior", lambda g, b: exact(g, b) * (1 + 1e-9))
+        g = Grid(32, 32)
+        trace = ring_of(g, lambda x, y: np.sin(3 * x) + y)
+        with pytest.raises(SolverError, match="poisson residual") as err:
+            solve_poisson_dirichlet(PoissonProblem(g, ScalarField2D.zeros(g), dirichlet=trace))
+        assert err.value.residual > POISSON_BACKWARD_ERROR
 
     def test_problem_validation(self):
         g = Grid(8, 8)
@@ -242,6 +265,32 @@ class TestProjection:
         _, pi = project_divergence_free(u)
         w = quad_weights(g)
         assert abs(np.sum(w * pi.data)) < 1e-12
+
+    @pytest.mark.parametrize(
+        "nx, ny, lx, ly",
+        [(8, 8, 1.0, 1.0), (10, 14, 2.0, 1.0), (9, 8, 1.0, 1.0), (12, 11, 1.0, 1.5),
+         (9, 9, 1.0, 1.0), (11, 13, 1.5, 1.0)],
+    )
+    def test_against_dense_pseudoinverse_oracle(self, nx, ny, lx, ly):
+        # v = u - D^T pinv(D D^T) D u on interior unknowns; pinv gives the
+        # minimum-norm multiplier on odd-odd grids as well
+        g = Grid(nx, ny, lx, ly)
+        u = self._random_interior(g, seed=nx * ny)
+        mx, my = nx - 2, ny - 2
+        D = _div_matrix(g).toarray()
+        u_int = u.data[:, 1:-1, 1:-1].reshape(2 * mx * my)
+        lam = np.linalg.pinv(D @ D.T) @ (D @ u_int)
+        v_ref = (u_int - D.T @ lam).reshape(2, mx, my)
+        v, pi = project_divergence_free(u)
+        scale = np.max(np.abs(v_ref))
+        assert np.max(np.abs(v.data[:, 1:-1, 1:-1] - v_ref)) <= 1e-13 * scale
+        assert np.array_equal(v.data[:, [0, -1], :], u.data[:, [0, -1], :])
+        assert np.array_equal(v.data[:, :, [0, -1]], u.data[:, :, [0, -1]])
+        pi_ref = np.zeros(g.shape)
+        pi_ref[1:-1, 1:-1] = -lam.reshape(mx, my)
+        w = quad_weights(g)
+        pi_ref -= np.sum(w * pi_ref) / np.sum(w)
+        assert np.max(np.abs(pi.data - pi_ref)) <= 1e-13 * np.max(np.abs(pi_ref))
 
     def test_direct_and_cg_agree(self):
         g = Grid(12, 12)
