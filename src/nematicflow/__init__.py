@@ -17,10 +17,7 @@ from .grid import (
     laplacian,
 )
 from .linsolve import (
-    DIRECT,
-    ITERATIVE,
     PoissonProblem,
-    SolverConfig,
     SolverError,
     heat_step,
     project_divergence_free,

@@ -33,7 +33,7 @@ from .grid import (
     _lap_interior,
     quad_weights,
 )
-from .linsolve import DIRECT, PoissonProblem, SolverConfig, solve_poisson_dirichlet
+from .linsolve import PoissonProblem, solve_poisson_dirichlet
 
 if TYPE_CHECKING:
     from .dynamics import SimState
@@ -73,14 +73,7 @@ def _lap_sq(grid: Grid, data: np.ndarray) -> float:
     return float(total)
 
 
-def interior_l2(grid: Grid, data: np.ndarray) -> float:
-    """Plain-sum L2 over interior nodes (used for residual-type quantities)."""
-    comps = data if data.ndim == 3 else data[None]
-    cell = grid.hx * grid.hy
-    return float(np.sqrt(cell * sum(np.sum(c[1:-1, 1:-1] ** 2) for c in comps)))
-
-
-def norms(field: ScalarField2D | VectorField2D, kind: str, cfg: SolverConfig = DIRECT) -> float:
+def norms(field: ScalarField2D | VectorField2D, kind: str) -> float:
     """Discrete L2 / H1 / H2 / Hminus1 norm of a field."""
     g = field.grid
     data = field.data
@@ -95,9 +88,8 @@ def norms(field: ScalarField2D | VectorField2D, kind: str, cfg: SolverConfig = D
         zero = np.zeros(g.n_boundary)
         total = 0.0
         for c in comps:
-            rep = solve_poisson_dirichlet(
-                PoissonProblem(g, ScalarField2D(g, -c), dirichlet=zero), cfg
-            )
+            problem = PoissonProblem(g, ScalarField2D(g, -c), dirichlet=zero)
+            rep = solve_poisson_dirichlet(problem)
             total += edge_seminorm_sq(g, rep.data)
         return float(np.sqrt(total))
     raise ValueError(f"unknown norm kind {kind!r}")
@@ -107,11 +99,11 @@ def grad_norm(field: ScalarField2D | VectorField2D) -> float:
     return float(np.sqrt(edge_seminorm_sq(field.grid, field.data)))
 
 
-def dual_norm(field: VectorField2D | None, cfg: SolverConfig = DIRECT) -> float:
+def dual_norm(field: VectorField2D | None) -> float:
     """Budget surrogate for the dual (V*) norm of a body force."""
     if field is None:
         return 0.0
-    return norms(field, "Hminus1", cfg)
+    return norms(field, "Hminus1")
 
 
 # ---------------------------------------------------------------------------

@@ -47,17 +47,9 @@ from .grid import (
     set_ring,
 )
 from .lifting import LiftingState, _grad_lap_dP, init_lifting, parabolic_lift_step
-from .linsolve import (
-    DIRECT,
-    SolverConfig,
-    SolverError,
-    heat_solve_interior,
-    project_divergence_free,
-)
+from .linsolve import SolverError, heat_solve_interior, project_divergence_free
 
 logger = logging.getLogger(__name__)
-
-MAXNORM_SLACK = 5e-3  # tolerated overshoot of |d| above 1
 
 
 class SetupError(ValueError):
@@ -145,7 +137,6 @@ class SimState:
     params: PhysParams
     dt: float
     forcing: Forcing
-    solver: SolverConfig = DIRECT
 
 
 def default_dt(grid: Grid, params: PhysParams) -> float:
@@ -160,7 +151,6 @@ def init(
     forcing: Forcing,
     params: PhysParams,
     dt: float | None = None,
-    solver: SolverConfig = DIRECT,
 ) -> SimState:
     """Validate compatibility, project the initial velocity, build the liftings."""
     g = v0.grid
@@ -184,15 +174,15 @@ def init(
     for k in range(2):  # pin the trace bitwise so shifted fields vanish exactly
         set_ring(d0.data[k], h0[:, k])
 
-    v_proj, pi0 = project_divergence_free(v0, solver)
-    lifting = init_lifting(BoundaryTrace(g, h0), solver)
+    v_proj, pi0 = project_divergence_free(v0)
+    lifting = init_lifting(BoundaryTrace(g, h0))
     if dt is None:
         dt = default_dt(g, params)
     if dt <= 0:
         raise SetupError("dt must be positive")
     return SimState(
         t=0.0, v=v_proj, d=d0, pi=pi0, lifting=lifting,
-        params=params, dt=dt, forcing=forcing, solver=solver,
+        params=params, dt=dt, forcing=forcing,
     )
 
 
@@ -230,9 +220,7 @@ def step(s: SimState) -> SimState:
     if s.forcing.static_trace:
         lift1 = replace(s.lifting, t=t1)
     else:
-        lift1 = parabolic_lift_step(
-            s.lifting, BoundaryTrace(g, s.forcing.boundary(t1)), dt, s.solver
-        )
+        lift1 = parabolic_lift_step(s.lifting, BoundaryTrace(g, s.forcing.boundary(t1)), dt)
 
     # 2. director update on the shifted unknown (zero trace)
     gl_fac = (d[0][inner] ** 2 + d[1][inner] ** 2 - 1.0) / p.eps**2
@@ -265,7 +253,7 @@ def step(s: SimState) -> SimState:
     u_star[:, 1:-1, 1:-1] = heat_solve_interior(g, rhs_v, p.nu * dt)
 
     # 4. projection
-    v_new, pi_new = project_divergence_free(VectorField2D(g, u_star), s.solver)
+    v_new, pi_new = project_divergence_free(VectorField2D(g, u_star))
 
     return replace(s, t=t1, v=v_new, d=d_new, pi=pi_new, lifting=lift1)
 

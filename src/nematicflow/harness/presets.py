@@ -24,7 +24,6 @@ from ..diagnostics import (
 from ..dynamics import RunSummary, run
 from ..grid import VectorField2D
 from ..lifting import appendix_diagnostics, evolve_lifting, write_lifting_csv
-from ..linsolve import DIRECT, SolverConfig
 from ..majorant import MajorantProblem, solve_majorant, write_majorant_csv
 from ..steady import Equilibrium, energy_script
 from ..lifting import elliptic_lift
@@ -85,7 +84,7 @@ def _max_principle_check(records: list[EnergyRecord]) -> CheckResult:
 # presets
 
 
-def energy_law_autonomous(cfg: SolverConfig = DIRECT) -> ExperimentResult:
+def energy_law_autonomous() -> ExperimentResult:
     """Discrete energy law, autonomous data: the lifted energy must dissipate
     step by step with residual below 1e-8 (1 + E_hat(0))."""
     sc = Scenario(
@@ -99,7 +98,7 @@ def energy_law_autonomous(cfg: SolverConfig = DIRECT) -> ExperimentResult:
         sample_every=1,
         seed=11,
     )
-    gen = generate_scenario(sc, cfg)
+    gen = generate_scenario(sc)
     summary = run(gen.state, sc.t_end, sample_every=1)
     recs = summary.records
     e0 = recs[0].E_hat
@@ -117,7 +116,7 @@ def energy_law_autonomous(cfg: SolverConfig = DIRECT) -> ExperimentResult:
     return ExperimentResult(sc.name, checks, recs, summary, gen, gen.reference)
 
 
-def omega_limit(cfg: SolverConfig = DIRECT) -> ExperimentResult:
+def omega_limit() -> ExperimentResult:
     """Long autonomous run: velocity gradient and stationary residual vanish,
     and the final director matches the steady solve of the same trace."""
     sc = Scenario(
@@ -131,7 +130,7 @@ def omega_limit(cfg: SolverConfig = DIRECT) -> ExperimentResult:
         sample_every=20,
         seed=5,
     )
-    gen = generate_scenario(sc, cfg)
+    gen = generate_scenario(sc)
     summary = run(gen.state, sc.t_end, sample_every=sc.sample_every, reference=gen.reference.psi)
     recs = summary.records
     final = summary.final
@@ -151,7 +150,7 @@ def omega_limit(cfg: SolverConfig = DIRECT) -> ExperimentResult:
     return ExperimentResult(sc.name, checks, recs, summary, gen, gen.reference)
 
 
-def rate_gamma2(cfg: SolverConfig = DIRECT) -> ExperimentResult:
+def rate_gamma2() -> ExperimentResult:
     """Non-autonomous convergence with rate, gamma = 2: the trajectory must
     converge to the steady state of h_inf and the fitted tail exponent of the
     L2 distance must reach the predicted theta'/(1-2 theta')."""
@@ -171,7 +170,7 @@ def rate_gamma2(cfg: SolverConfig = DIRECT) -> ExperimentResult:
         sample_every=100,
         seed=13,
     )
-    gen = generate_scenario(sc, cfg)
+    gen = generate_scenario(sc)
     summary = run(gen.state, sc.t_end, sample_every=sc.sample_every, reference=gen.reference.psi)
     recs = summary.records
     report = convergence_report(
@@ -200,7 +199,7 @@ def rate_gamma2(cfg: SolverConfig = DIRECT) -> ExperimentResult:
     return ExperimentResult(sc.name, checks, recs, summary, gen, gen.reference, extras)
 
 
-def lifting_check(cfg: SolverConfig = DIRECT) -> ExperimentResult:
+def lifting_check() -> ExperimentResult:
     """Lifting decay estimates under a gamma = 2 boundary family."""
     sc = Scenario(
         name="lifting-check",
@@ -216,7 +215,7 @@ def lifting_check(cfg: SolverConfig = DIRECT) -> ExperimentResult:
     )
     grid = sc.grid
     forcing = make_forcing(sc, grid)
-    history = evolve_lifting(grid, forcing.boundary, sc.t_end, sc.dt, sc.sample_every, cfg)
+    history = evolve_lifting(grid, forcing.boundary, sc.t_end, sc.dt, sc.sample_every)
     report = appendix_diagnostics(history, gamma=sc.gamma, dedpt_tol=1e-6)
     a8 = report.checks["A8"]
     checks = [
@@ -234,7 +233,7 @@ def lifting_check(cfg: SolverConfig = DIRECT) -> ExperimentResult:
     return ExperimentResult(sc.name, checks, extras={"report": report, "history_len": len(history)})
 
 
-def minimizer_perturbation(cfg: SolverConfig = DIRECT) -> ExperimentResult:
+def minimizer_perturbation() -> ExperimentResult:
     """Lyapunov stability of a local minimizer under small perturbations and
     small non-autonomous magnitudes."""
     sc = Scenario(
@@ -251,7 +250,7 @@ def minimizer_perturbation(cfg: SolverConfig = DIRECT) -> ExperimentResult:
         sample_every=20,
         seed=3,
     )
-    gen = generate_scenario(sc, cfg)
+    gen = generate_scenario(sc)
     psi_star = gen.reference
     v0_norm = norms(gen.state.v, "L2")
     d0_dist = norms(
@@ -260,7 +259,7 @@ def minimizer_perturbation(cfg: SolverConfig = DIRECT) -> ExperimentResult:
     summary = run(gen.state, sc.t_end, sample_every=sc.sample_every, reference=psi_star.psi)
     recs = summary.records
     sup_dist = max(r.dist_d_H1 for r in recs)
-    d_star_e = elliptic_lift(gen.forcing.h_inf, cfg)
+    d_star_e = elliptic_lift(gen.forcing.h_inf)
     script_final = energy_script(summary.final.d, d_star_e, sc.params.eps)
     checks = [
         _check_le("generated |v0|", v0_norm, sc.sigma1),
@@ -276,7 +275,7 @@ def minimizer_perturbation(cfg: SolverConfig = DIRECT) -> ExperimentResult:
     return ExperimentResult(sc.name, checks, recs, summary, gen, psi_star)
 
 
-def majorant_closed_form(cfg: SolverConfig = DIRECT) -> ExperimentResult:
+def majorant_closed_form() -> ExperimentResult:
     """Blow-up horizon of the majorant ODE against the separable closed form."""
     exact = 0.5 * np.log(2.0)
     sol = solve_majorant(MajorantProblem(c_star=1.0, y0=1.0), dt=1e-3, y_cap=1e6)
@@ -329,7 +328,7 @@ class RunManifest:
 
 
 def run_experiment(
-    name: str, out_dir: str | Path | None = None, cfg: SolverConfig = DIRECT
+    name: str, out_dir: str | Path | None = None
 ) -> tuple[ExperimentResult, RunManifest]:
     """Execute a preset and persist records, snapshots and the manifest."""
     if name not in PRESETS:
@@ -337,7 +336,7 @@ def run_experiment(
     out = Path(out_dir) if out_dir is not None else output_root() / name
     out.mkdir(parents=True, exist_ok=True)
     start = time.perf_counter()
-    result = PRESETS[name](cfg)
+    result = PRESETS[name]()
     elapsed = time.perf_counter() - start
 
     outputs = []

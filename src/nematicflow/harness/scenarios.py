@@ -41,7 +41,7 @@ from ..grid import (
     set_ring,
 )
 from ..lifting import boundary_h_half, boundary_l2, elliptic_lift
-from ..linsolve import DIRECT, PoissonProblem, SolverConfig, solve_poisson_dirichlet
+from ..linsolve import PoissonProblem, solve_poisson_dirichlet
 from ..steady import Equilibrium, newton_refine, solve_gradient_flow
 
 FAMILIES = ("autonomous", "polynomial-decay", "minimizer-perturbation")
@@ -183,9 +183,9 @@ def _smooth_bump(grid: Grid, rng: np.random.Generator, modes: int = 3) -> np.nda
     return out / peak if peak > 0 else out
 
 
-def _harmonic_angle(grid: Grid, ring_angle: np.ndarray, cfg: SolverConfig) -> np.ndarray:
+def _harmonic_angle(grid: Grid, ring_angle: np.ndarray) -> np.ndarray:
     sol = solve_poisson_dirichlet(
-        PoissonProblem(grid, ScalarField2D.zeros(grid), dirichlet=ring_angle), cfg
+        PoissonProblem(grid, ScalarField2D.zeros(grid), dirichlet=ring_angle)
     )
     return sol.data
 
@@ -194,14 +194,14 @@ def _unit_director(angle: np.ndarray, grid: Grid) -> VectorField2D:
     return VectorField2D(grid, np.stack([np.cos(angle), np.sin(angle)]))
 
 
-def make_initial_director(sc: Scenario, forcing: Forcing, cfg: SolverConfig = DIRECT) -> VectorField2D:
+def make_initial_director(sc: Scenario, forcing: Forcing) -> VectorField2D:
     """Unit-length initial director compatible with h(0): angle field built from
     the harmonic extension of the boundary angle plus a seeded interior bump."""
     grid = forcing.grid
     rng = np.random.default_rng(sc.seed)
     h0 = forcing.boundary(0.0)
     ring_angle = np.unwrap(np.arctan2(h0[:, 1], h0[:, 0]))
-    angle = _harmonic_angle(grid, ring_angle, cfg)
+    angle = _harmonic_angle(grid, ring_angle)
     if sc.d0_perturbation != 0.0:
         angle = angle + sc.d0_perturbation * _smooth_bump(grid, rng)
     d0 = _unit_director(angle, grid)
@@ -216,27 +216,25 @@ def _clip_unit_ball(d: np.ndarray) -> np.ndarray:
     return d * factor[None]
 
 
-def reference_equilibrium(
-    sc: Scenario, forcing: Forcing, cfg: SolverConfig = DIRECT, tol: float = 1e-11
-) -> Equilibrium:
+def reference_equilibrium(sc: Scenario, forcing: Forcing, tol: float = 1e-11) -> Equilibrium:
     """Steady state for the asymptotic trace, shared by reports and presets."""
-    lift = elliptic_lift(forcing.h_inf, cfg)
+    lift = elliptic_lift(forcing.h_inf)
     lift = VectorField2D(lift.grid, _clip_unit_ball(lift.data))
     for k in range(2):
         set_ring(lift.data[k], forcing.h_inf.values[:, k])
-    eq = solve_gradient_flow(forcing.h_inf, lift, sc.params, tol=1e-4, cfg=cfg)
-    return newton_refine(eq, sc.params, tol=tol, cfg=cfg)
+    eq = solve_gradient_flow(forcing.h_inf, lift, sc.params, tol=1e-4)
+    return newton_refine(eq, sc.params, tol=tol)
 
 
-def generate_scenario(sc: Scenario, cfg: SolverConfig = DIRECT) -> GeneratedScenario:
+def generate_scenario(sc: Scenario) -> GeneratedScenario:
     """Build the ready-to-run (state, forcing, rate) triple plus the reference
     equilibrium of the asymptotic boundary data."""
     grid = sc.grid
     forcing = make_forcing(sc, grid)
-    reference = reference_equilibrium(sc, forcing, cfg)
+    reference = reference_equilibrium(sc, forcing)
 
     if sc.family == "minimizer-perturbation":
-        d0 = _perturbed_minimizer_director(sc, forcing, reference, cfg)
+        d0 = _perturbed_minimizer_director(sc, forcing, reference)
         v0 = make_divergence_free_velocity(grid, sc.seed + 1, amplitude=sc.sigma1)
         # |v0| <= sigma1 in L2, the natural smallness measure for kinetic energy
         from ..diagnostics import norms
@@ -245,16 +243,16 @@ def generate_scenario(sc: Scenario, cfg: SolverConfig = DIRECT) -> GeneratedScen
         if l2 > 0.95 * sc.sigma1:
             v0 = VectorField2D(grid, v0.data * (0.95 * sc.sigma1 / l2))
     else:
-        d0 = make_initial_director(sc, forcing, cfg)
+        d0 = make_initial_director(sc, forcing)
         v0 = make_divergence_free_velocity(grid, sc.seed + 1, amplitude=sc.v0_amplitude)
 
-    state = init(v0, d0, forcing, sc.params, dt=sc.dt, solver=cfg)
+    state = init(v0, d0, forcing, sc.params, dt=sc.dt)
     rate = None if sc.family == "autonomous" else RateModel.for_gamma(sc.gamma)
     return GeneratedScenario(sc, state, forcing, rate, reference)
 
 
 def _perturbed_minimizer_director(
-    sc: Scenario, forcing: Forcing, reference: Equilibrium, cfg: SolverConfig
+    sc: Scenario, forcing: Forcing, reference: Equilibrium
 ) -> VectorField2D:
     """psi* plus the lift of (h(0) - h_inf) plus a zero-trace bump, shrunk until
     the H1 distance to psi* fits within sigma2."""
@@ -263,8 +261,8 @@ def _perturbed_minimizer_director(
     grid = forcing.grid
     rng = np.random.default_rng(sc.seed + 2)
     h0 = forcing.boundary(0.0)
-    lift0 = elliptic_lift(BoundaryTrace(grid, h0), cfg)
-    lift_inf = elliptic_lift(forcing.h_inf, cfg)
+    lift0 = elliptic_lift(BoundaryTrace(grid, h0))
+    lift_inf = elliptic_lift(forcing.h_inf)
     shift = lift0.data - lift_inf.data
     bump = np.stack([_smooth_bump(grid, rng), _smooth_bump(grid, rng)])
     amp = sc.sigma2

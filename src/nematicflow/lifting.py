@@ -27,7 +27,6 @@ from .diagnostics import FitError, edge_seminorm_sq, fit_decay_exponent
 from .grid import (
     BoundaryTrace,
     Grid,
-    ScalarField2D,
     VectorField2D,
     _lap_interior,
     boundary_segment_weights,
@@ -35,14 +34,10 @@ from .grid import (
     quad_weights,
     set_ring,
 )
-from .linsolve import (
-    DIRECT,
-    PoissonProblem,
-    SolverConfig,
-    harmonic_extension,
-    heat_step,
-    solve_poisson_dirichlet,
-)
+from .linsolve import harmonic_extension, heat_step
+
+# Not called here: benchmarks/tracing.py wraps this module's binding.
+from .linsolve import solve_poisson_dirichlet
 
 
 @dataclass
@@ -61,45 +56,30 @@ class LiftingState:
     t: float
 
 
-def elliptic_lift(trace: BoundaryTrace, cfg: SolverConfig = DIRECT) -> VectorField2D:
-    """Discrete-harmonic extension of ring values: both components in one
-    direct solve, or one cg Poisson solve per component."""
-    if cfg.method == "direct":
-        return harmonic_extension(trace)
-    g = trace.grid
-    zero_rhs = ScalarField2D.zeros(g)
-    comps = []
-    for k in range(2):
-        sol = solve_poisson_dirichlet(
-            PoissonProblem(g, zero_rhs, dirichlet=trace.component(k)), cfg
-        )
-        comps.append(sol.data)
-    return VectorField2D(g, np.stack(comps))
+# Discrete-harmonic extension of ring values: both components in one direct solve.
+elliptic_lift = harmonic_extension
 
 
-def init_lifting(d0_trace: BoundaryTrace, cfg: SolverConfig = DIRECT) -> LiftingState:
+def init_lifting(d0_trace: BoundaryTrace) -> LiftingState:
     """Initial lifting state: d_P(0) equals the harmonic extension of the initial trace.
 
     The three lifting fields start as the same object; steps replace them
     rather than mutate, and the shared identity lets diagnostics skip
     recomputation while the data remains autonomous.
     """
-    dE0 = elliptic_lift(d0_trace, cfg)
+    dE0 = elliptic_lift(d0_trace)
     zero = VectorField2D.zeros(d0_trace.grid)
     return LiftingState(dE=dE0, dP=dE0, dE0=dE0, dt_dP=zero, dt_dE=zero, t=0.0)
 
 
 def parabolic_lift_step(
-    state: LiftingState,
-    trace_next: BoundaryTrace,
-    dt: float,
-    cfg: SolverConfig = DIRECT,
+    state: LiftingState, trace_next: BoundaryTrace, dt: float
 ) -> LiftingState:
     """Advance d_P by one backward-Euler heat step and refresh d_E."""
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
-    dP_new = heat_step(state.dP, trace_next, dt, cfg)
-    dE_new = elliptic_lift(trace_next, cfg)
+    dP_new = heat_step(state.dP, trace_next, dt)
+    dE_new = elliptic_lift(trace_next)
     g = state.dP.grid
     dt_dP = VectorField2D(g, (dP_new.data - state.dP.data) / dt)
     dt_dE = VectorField2D(g, (dE_new.data - state.dE.data) / dt)
@@ -149,16 +129,6 @@ def _segment_lengths(grid: Grid) -> np.ndarray:
     return np.hypot(np.diff(x, append=x[0]), np.diff(y, append=y[0]))
 
 
-def boundary_h_minus_half(
-    grid: Grid, values: np.ndarray, cfg: SolverConfig = DIRECT
-) -> float:
-    """Computable stand-in for the H^(-1/2) boundary norm: the L2 norm of the
-    harmonic extension of the ring values."""
-    lift = elliptic_lift(BoundaryTrace(grid, values), cfg)
-    w = quad_weights(grid)
-    return float(np.sqrt(np.sum(w * (lift.data[0] ** 2 + lift.data[1] ** 2))))
-
-
 # ---------------------------------------------------------------------------
 # stand-alone lifting evolution (no flow), used by the lifting checks
 
@@ -169,16 +139,15 @@ def evolve_lifting(
     t_end: float,
     dt: float,
     sample_every: int = 1,
-    cfg: SolverConfig = DIRECT,
 ) -> list[LiftingState]:
     """March both liftings under a time-dependent trace; return sampled states."""
     trace0 = BoundaryTrace(grid, boundary_fn(0.0))
-    state = init_lifting(trace0, cfg)
+    state = init_lifting(trace0)
     history = [state]
     n_steps = int(round(t_end / dt))
     for k in range(1, n_steps + 1):
         t_next = k * dt
-        state = parabolic_lift_step(state, BoundaryTrace(grid, boundary_fn(t_next)), dt, cfg)
+        state = parabolic_lift_step(state, BoundaryTrace(grid, boundary_fn(t_next)), dt)
         if k % sample_every == 0:
             history.append(state)
     return history

@@ -4,19 +4,18 @@ Provides Dirichlet Poisson solves, backward-Euler heat steps, the velocity
 projection enforcing the discrete incompressibility constraint, and a Stokes
 residual diagnostic.
 
-Every constant-coefficient operator on the default ("direct") path is a
-Kronecker sum of 1-D matrices, so it is solved exactly by diagonalizing each
-1-D factor once per grid (tensor-product diagonalization: Lynch, Rice &
-Thomas, Numer. Math. 6, 1964).  A solve is then two small matrix products
-into the eigenbasis, a diagonal scaling and two products back; the bases and
-eigenvalues are cached per grid.
+Every constant-coefficient operator is a Kronecker sum of 1-D matrices, so
+it is solved exactly by diagonalizing each 1-D factor once per grid
+(tensor-product diagonalization: Lynch, Rice & Thomas, Numer. Math. 6,
+1964).  A solve is then two small matrix products into the eigenbasis, a
+diagonal scaling and two products back; the bases and eigenvalues are cached
+per grid.
 
 * The Dirichlet operators (5-point Laplacian, I - dt lap) are diagonal in the
   discrete sine basis, applied as dense sine-transform matrices, which beat
   FFTs at these sizes.
 * The projection operator is diagonalized by ``numpy.linalg.eigh`` of its two
   1-D factors (below).
-* Only the pure-Neumann problem keeps a cached sparse LU factorization.
 
 The projection is the exact discrete Leray projector for the central
 difference divergence with the boundary values held fixed: it solves the
@@ -37,9 +36,6 @@ nodes).  That eigenvalue is set to zero and its reciprocal to zero, which
 yields the minimum-norm multiplier; with u = 0 on the ring the right-hand
 side is orthogonal to that mode, so the divergence of the result sits at
 rounding level rather than truncation error.
-
-The iterative ("cg") path assembles the sparse operators instead and pins
-the checkerboard mode.
 """
 
 from __future__ import annotations
@@ -49,7 +45,6 @@ from functools import lru_cache
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .grid import (
     BoundaryTrace,
@@ -81,48 +76,23 @@ class SolverError(RuntimeError):
         self.residual = residual
 
 
-@dataclass(frozen=True)
-class SolverConfig:
-    tol: float = 1e-10
-    max_iter: int = 10_000
-    method: str = "direct"  # "direct" (banded sparse LU) or "cg"
-
-    def __post_init__(self) -> None:
-        if not (0.0 < self.tol <= 1e-4):
-            raise ValueError(f"tol must lie in (0, 1e-4], got {self.tol}")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be >= 1")
-        if self.method not in ("direct", "cg"):
-            raise ValueError(f"unknown method {self.method!r}")
-
-
-DIRECT = SolverConfig()
-ITERATIVE = SolverConfig(tol=1e-9, method="cg")
-
-
 @dataclass
 class PoissonProblem:
-    """Poisson problem lap u = rhs with Dirichlet trace or pure Neumann data.
+    """Poisson problem lap u = rhs with Dirichlet data.
 
-    ``dirichlet`` holds CCW-ordered scalar ring values; ``neumann=True``
-    selects the zero-flux pressure-type problem, which requires the discrete
-    mean of ``rhs`` to vanish (compatibility) and returns a zero-mean field.
+    ``dirichlet`` holds CCW-ordered scalar ring values.
     """
 
     grid: Grid
     rhs: ScalarField2D
-    dirichlet: np.ndarray | None = None
-    neumann: bool = False
+    dirichlet: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.neumann == (self.dirichlet is not None):
-            raise ValueError("exactly one of dirichlet trace or neumann flag required")
-        if self.dirichlet is not None:
-            self.dirichlet = np.asarray(self.dirichlet, dtype=float)
-            if self.dirichlet.shape != (self.grid.n_boundary,):
-                raise ValueError(
-                    f"trace length {self.dirichlet.shape} != ({self.grid.n_boundary},)"
-                )
+        self.dirichlet = np.asarray(self.dirichlet, dtype=float)
+        if self.dirichlet.shape != (self.grid.n_boundary,):
+            raise ValueError(
+                f"trace length {self.dirichlet.shape} != ({self.grid.n_boundary},)"
+            )
 
 
 # ---------------------------------------------------------------------------
@@ -130,7 +100,8 @@ class PoissonProblem:
 
 
 def _lap_matrix(grid: Grid) -> sp.csr_matrix:
-    """5-point Laplacian on interior nodes, Dirichlet boundary eliminated."""
+    """5-point Laplacian on interior nodes, Dirichlet boundary eliminated
+    (the linear part of the Newton Jacobian in ``steady``)."""
     mx, my = grid.nx - 2, grid.ny - 2
     ex = np.ones(mx)
     ey = np.ones(my)
@@ -167,78 +138,10 @@ def _with_trace(grid: Grid, interior: np.ndarray, trace: BoundaryTrace) -> Vecto
     return VectorField2D(grid, out)
 
 
-def _neumann_matrix(grid: Grid) -> sp.csr_matrix:
-    """Graph Laplacian on all nodes (missing neighbors dropped): symmetric,
-    kernel = constants."""
-    nx, ny = grid.nx, grid.ny
-    n = nx * ny
-    idx = np.arange(n).reshape(nx, ny)
-    rows, cols, vals = [], [], []
-
-    def add_pairs(a, b, w):
-        rows.extend(a.ravel())
-        cols.extend(b.ravel())
-        vals.extend(np.full(a.size, w))
-        rows.extend(a.ravel())
-        cols.extend(a.ravel())
-        vals.extend(np.full(a.size, -w))
-        rows.extend(b.ravel())
-        cols.extend(a.ravel())
-        vals.extend(np.full(b.size, w))
-        rows.extend(b.ravel())
-        cols.extend(b.ravel())
-        vals.extend(np.full(b.size, -w))
-
-    add_pairs(idx[:-1, :], idx[1:, :], 1.0 / grid.hx**2)
-    add_pairs(idx[:, :-1], idx[:, 1:], 1.0 / grid.hy**2)
-    return sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
-
-
-def _div_matrix(grid: Grid) -> sp.csr_matrix:
-    """Central-difference divergence at interior nodes acting on interior
-    velocity unknowns (ring velocities are data, not unknowns)."""
-    mx, my = grid.nx - 2, grid.ny - 2
-    n_int = mx * my
-    idx = np.arange(n_int).reshape(mx, my)
-    rows, cols, vals = [], [], []
-
-    def add(r, c, w, comp):
-        rows.extend(r.ravel())
-        cols.extend((c + comp * n_int).ravel())
-        vals.extend(np.full(r.size, w))
-
-    # d/dx of component 1: node (i, j) couples to (i+1, j) and (i-1, j)
-    add(idx[:-1, :], idx[1:, :], 1.0 / (2 * grid.hx), 0)
-    add(idx[1:, :], idx[:-1, :], -1.0 / (2 * grid.hx), 0)
-    # d/dy of component 2
-    add(idx[:, :-1], idx[:, 1:], 1.0 / (2 * grid.hy), 1)
-    add(idx[:, 1:], idx[:, :-1], -1.0 / (2 * grid.hy), 1)
-    return sp.csr_matrix((vals, (rows, cols)), shape=(n_int, 2 * n_int))
-
-
-def projection_kernel(grid: Grid) -> np.ndarray | None:
-    """Null vector of D D^T (unit-normalized), present iff nx and ny are odd."""
-    if grid.nx % 2 == 0 or grid.ny % 2 == 0:
-        return None
-    mx, my = grid.nx - 2, grid.ny - 2
-    k = np.zeros((mx, my))
-    k[::2, ::2] = 1.0  # interior index 0 is grid index 1: odd-odd nodes
-    k = k.ravel()
-    return k / np.linalg.norm(k)
-
-
 # ---------------------------------------------------------------------------
-# factorization / eigensystem caches
+# eigensystem caches
 
 _cache: dict[tuple, object] = {}
-
-
-def _factorized(key: tuple, build) -> spla.SuperLU:
-    got = _cache.get(key)
-    if got is None:
-        got = spla.splu(build().tocsc())
-        _cache[key] = got
-    return got
 
 
 def clear_cache() -> None:
@@ -331,14 +234,6 @@ def poisson_solve_interior(grid: Grid, b_int: np.ndarray) -> np.ndarray:
     return _dst_solve(grid, b_int, _dst_denominator(grid, "poisson"))
 
 
-def _cg_solve(A: sp.spmatrix, b: np.ndarray, cfg: SolverConfig) -> np.ndarray:
-    x, info = spla.cg(A, b, rtol=cfg.tol, atol=0.0, maxiter=cfg.max_iter)
-    if info > 0:
-        res = float(np.linalg.norm(A @ x - b) / max(1.0, np.linalg.norm(b)))
-        raise SolverError(f"cg failed to converge in {cfg.max_iter} iterations", res)
-    return x
-
-
 # ---------------------------------------------------------------------------
 # public solves
 
@@ -358,80 +253,39 @@ def poisson_backward_error(grid: Grid, u: np.ndarray, rhs_int: np.ndarray) -> fl
     return float(res / scale) if scale > 0 else 0.0
 
 
-def solve_poisson_dirichlet(problem: PoissonProblem, cfg: SolverConfig = DIRECT) -> ScalarField2D:
+def solve_poisson_dirichlet(problem: PoissonProblem) -> ScalarField2D:
     """Solve lap u = rhs; Dirichlet boundary nodes carry the trace exactly.
 
-    The direct solve is checked against the backward-error bound
-    ``POISSON_BACKWARD_ERROR``; the cg solve stops at ``cfg.tol`` relative
-    residual and raises ``SolverError`` if it does not get there.
+    The solve is checked against the backward-error bound
+    ``POISSON_BACKWARD_ERROR`` and raises ``SolverError`` above it.
     """
     g = problem.grid
-    if problem.neumann:
-        return _solve_poisson_neumann(problem, cfg)
     rhs_int = problem.rhs.data[1:-1, 1:-1]
     b = rhs_int - _bc_contribution(g, problem.dirichlet)
-    if cfg.method == "direct":
-        u_int = poisson_solve_interior(g, b)
-    else:
-        A = -_lap_matrix(g)  # SPD form for cg
-        u_int = _cg_solve(A, -b.ravel(), cfg).reshape(b.shape)
     out = np.zeros(g.shape)
-    out[1:-1, 1:-1] = u_int
+    out[1:-1, 1:-1] = poisson_solve_interior(g, b)
     set_ring(out, problem.dirichlet)
-    if cfg.method == "direct":
-        ratio = poisson_backward_error(g, out, rhs_int)
-        if ratio > POISSON_BACKWARD_ERROR:
-            raise SolverError(
-                f"poisson residual above tolerance: {ratio:.3g} > {POISSON_BACKWARD_ERROR:g} "
-                "units of (mx + my) eps (|lap_h| max|u| + max|rhs|)",
-                ratio,
-            )
+    ratio = poisson_backward_error(g, out, rhs_int)
+    if ratio > POISSON_BACKWARD_ERROR:
+        raise SolverError(
+            f"poisson residual above tolerance: {ratio:.3g} > {POISSON_BACKWARD_ERROR:g} "
+            "units of (mx + my) eps (|lap_h| max|u| + max|rhs|)",
+            ratio,
+        )
     return ScalarField2D(g, out)
 
 
-def _solve_poisson_neumann(problem: PoissonProblem, cfg: SolverConfig) -> ScalarField2D:
-    g = problem.grid
-    b = problem.rhs.data.ravel()
-    nrm = np.linalg.norm(b)
-    mean = abs(b.sum()) / b.size
-    if nrm > 0 and mean > 1e-8 * nrm:
-        raise SolverError("pure-Neumann rhs violates zero-mean compatibility", float(mean))
-    n = b.size
-    pin = sp.csr_matrix(([1.0], ([0], [0])), shape=(n, n))
-    if cfg.method == "direct":
-        lu = _factorized((g.key, "neumann"), lambda: (_neumann_matrix(g) + pin))
-        u = lu.solve(b)
-    else:
-        A = -(_neumann_matrix(g) + pin)
-        u = _cg_solve(A, -b, cfg)
-    u -= u.mean()
-    return ScalarField2D(g, u.reshape(g.shape))
-
-
-def heat_step(
-    u: VectorField2D,
-    trace: BoundaryTrace,
-    dt: float,
-    cfg: SolverConfig = DIRECT,
-) -> VectorField2D:
+def heat_step(u: VectorField2D, trace: BoundaryTrace, dt: float) -> VectorField2D:
     """One backward-Euler heat step: (I - dt lap) u_new = u, u_new = trace on the ring."""
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
     g = u.grid
     if trace.grid != g:
         raise ValueError("trace grid mismatch")
-    mx, my = g.nx - 2, g.ny - 2
     b = u.data[:, 1:-1, 1:-1].copy()
     if np.any(trace.values):
         b += dt * _bc_contribution(g, trace.values)
-    if cfg.method == "direct":
-        sol = heat_solve_interior(g, b, dt)
-    else:
-        A = (sp.identity(mx * my) - dt * _lap_matrix(g)).tocsr()
-        sol = np.stack(
-            [_cg_solve(A, b[k].ravel(), cfg).reshape(mx, my) for k in range(2)]
-        )
-    return _with_trace(g, sol, trace)
+    return _with_trace(g, heat_solve_interior(g, b, dt), trace)
 
 
 def harmonic_extension(trace: BoundaryTrace) -> VectorField2D:
@@ -444,9 +298,7 @@ def harmonic_extension(trace: BoundaryTrace) -> VectorField2D:
     return _with_trace(g, poisson_solve_interior(g, -_bc_contribution(g, trace.values)), trace)
 
 
-def project_divergence_free(
-    u: VectorField2D, cfg: SolverConfig = DIRECT
-) -> tuple[VectorField2D, ScalarField2D]:
+def project_divergence_free(u: VectorField2D) -> tuple[VectorField2D, ScalarField2D]:
     """Project onto discretely divergence-free fields, keeping ring values fixed.
 
     Returns (v, pi) with div_h v = 0 at interior nodes to solver precision and
@@ -454,7 +306,6 @@ def project_divergence_free(
     normalized to zero mean).
     """
     g = u.grid
-    mx, my = g.nx - 2, g.ny - 2
     hx2, hy2 = 2.0 * g.hx, 2.0 * g.hy
     ud = u.data
 
@@ -463,22 +314,9 @@ def project_divergence_free(
         ud[1, 1:-1, 2:] - ud[1, 1:-1, :-2]
     ) / hy2
 
-    if cfg.method == "direct":
-        qx, qy, inv = _projection_eigensystem(g)
-        lam = qx @ ((qx.T @ div @ qy) * inv) @ qy.T
-    else:
-        kern = projection_kernel(g)
-        D = _div_matrix(g)
-        A = (D @ D.T).tolil()
-        if kern is not None:
-            j = int(np.argmax(np.abs(kern)))
-            A[j, j] += 1.0  # pin the checkerboard mode
-        lam = _cg_solve(A.tocsr(), div.ravel(), cfg)
-        if kern is not None:
-            lam = lam - kern * (kern @ lam)
-
+    qx, qy, inv = _projection_eigensystem(g)
     lam_pad = np.zeros(g.shape)
-    lam_pad[1:-1, 1:-1] = lam.reshape(mx, my)
+    lam_pad[1:-1, 1:-1] = qx @ ((qx.T @ div @ qy) * inv) @ qy.T
 
     v = ud.copy()
     # v_int -= D^T lam  (D^T lam is minus the zero-extension central gradient)

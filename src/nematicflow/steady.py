@@ -42,7 +42,7 @@ from .grid import (
 )
 from .dynamics import PhysParams
 from .lifting import elliptic_lift
-from .linsolve import DIRECT, SolverConfig, _lap_matrix
+from .linsolve import _lap_matrix
 
 
 class DegenerateCriticalPointError(RuntimeError):
@@ -85,10 +85,9 @@ def _make_equilibrium(
     params: PhysParams,
     converged: bool,
     iterations: int,
-    cfg: SolverConfig,
     h_inf: BoundaryTrace,
 ) -> Equilibrium:
-    d_star = elliptic_lift(h_inf, cfg)
+    d_star = elliptic_lift(h_inf)
     return Equilibrium(
         psi=psi,
         residual=stationary_residual(psi, params.eps),
@@ -105,7 +104,6 @@ def solve_gradient_flow(
     params: PhysParams,
     tol: float = 1e-8,
     max_iter: int = 400_000,
-    cfg: SolverConfig = DIRECT,
     energy_history: list | None = None,
 ) -> Equilibrium:
     """Relax d_tau = lap d - f(d) with frozen trace until the residual meets tol."""
@@ -136,7 +134,7 @@ def solve_gradient_flow(
             if res <= tol:
                 converged = True
                 break
-    return _make_equilibrium(VectorField2D(g, d), params, converged, it, cfg, h_inf)
+    return _make_equilibrium(VectorField2D(g, d), params, converged, it, h_inf)
 
 
 def _jacobian(grid: Grid, d: np.ndarray, eps: float) -> sp.csc_matrix:
@@ -162,7 +160,6 @@ def newton_refine(
     params: PhysParams,
     tol: float = 1e-12,
     max_iter: int = 25,
-    cfg: SolverConfig = DIRECT,
     basin_radius: float = 1e-2,
 ) -> Equilibrium:
     """Newton iteration on -lap psi + f(psi) = 0 with the trace held fixed."""
@@ -199,7 +196,7 @@ def newton_refine(
         res = stationary_residual(VectorField2D(g, d), params.eps)
         it += 1
     return _make_equilibrium(
-        VectorField2D(g, d), params, res <= tol, e.iterations + it, cfg, h_inf
+        VectorField2D(g, d), params, res <= tol, e.iterations + it, h_inf
     )
 
 
@@ -234,7 +231,6 @@ def local_minimizer_check(
     delta: float = 0.05,
     seed: int = 0,
     use_eigensolver: bool = False,
-    cfg: SolverConfig = DIRECT,
 ) -> MinimizerVerdict:
     """Probe script_E around psi with random zero-trace perturbations of H1 size
     at most delta; saddle is declared on any strict energy descent."""
@@ -246,7 +242,7 @@ def local_minimizer_check(
     h_inf = BoundaryTrace(
         g, np.stack([extract_ring(e.psi.data[k]) for k in range(2)], axis=1)
     )
-    d_star = elliptic_lift(h_inf, cfg)
+    d_star = elliptic_lift(h_inf)
     base = energy_script(e.psi, d_star, params.eps)
     if delta == 0.0 or n_probe == 0:
         return MinimizerVerdict("minimizer-consistent", float("nan"), 0.0)

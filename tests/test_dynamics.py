@@ -276,20 +276,26 @@ class TestRun:
         assert "t=" in summary.abort_reason
         assert np.all(np.isfinite(summary.final.d.data))
 
-    def test_abort_on_solver_error(self):
-        # a cg projection allowed one iteration cannot reach its tolerance
-        from nematicflow.linsolve import SolverConfig
+    def test_abort_on_solver_error(self, monkeypatch):
+        # a projection that fails its residual check inside step()
+        import nematicflow.dynamics as dyn
+        from nematicflow.linsolve import SolverError
 
         g = Grid(16, 16)
         forcing = constant_forcing(g)
         d0 = bump_director(g, forcing, amplitude=0.5)
         s = init(make_divergence_free_velocity(g, 3, 0.3), d0, forcing, PhysParams(), dt=1e-3)
-        s = replace(s, solver=SolverConfig(method="cg", max_iter=1))
+
+        def failing_projection(u):
+            raise SolverError("projection failed", 3.5)
+
+        monkeypatch.setattr(dyn, "project_divergence_free", failing_projection)
         summary = run(s, t_end=5 * s.dt, sample_every=1)
         assert summary.aborted
         assert summary.n_steps == 0
-        assert "SolverError: cg failed to converge" in summary.abort_reason
+        assert "SolverError: projection failed" in summary.abort_reason
         assert "residual" in summary.abort_reason
+        assert "(residual 3.5)" in summary.abort_reason
         assert summary.final is s
 
     def test_fine_grid_scenario_steps(self):

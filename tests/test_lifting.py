@@ -21,7 +21,6 @@ from nematicflow.lifting import (
     shifted_fields,
 )
 from nematicflow.linsolve import (
-    ITERATIVE,
     POISSON_BACKWARD_ERROR,
     PoissonProblem,
     _lap_matrix,
@@ -88,13 +87,6 @@ class TestEllipticLift:
             # the one-time exactness check that replaces a per-call residual test
             assert poisson_backward_error(g, lift.data[k], zero) <= POISSON_BACKWARD_ERROR
             assert np.array_equal(extract_ring(lift.data[k]), trace.component(k))
-
-    def test_cg_path_agrees(self):
-        g = Grid(16, 12)
-        s = boundary_arclength(g)
-        phi = np.pi * s / s.max()
-        trace = BoundaryTrace(g, np.stack([np.cos(phi), np.sin(phi)], axis=1))
-        assert np.max(np.abs(elliptic_lift(trace, ITERATIVE).data - elliptic_lift(trace).data)) < 1e-7
 
 
 class TestParabolicLift:

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from nematicflow.grid import (
     BoundaryTrace,
@@ -12,17 +13,13 @@ from nematicflow.grid import (
     quad_weights,
 )
 from nematicflow.linsolve import (
-    DIRECT,
-    ITERATIVE,
     POISSON_BACKWARD_ERROR,
     PoissonProblem,
-    SolverConfig,
     SolverError,
-    _div_matrix,
     _lap_matrix,
+    _projection_eigensystem,
     heat_step,
     project_divergence_free,
-    projection_kernel,
     solve_poisson_dirichlet,
     stokes_residual,
 )
@@ -35,20 +32,27 @@ def ring_of(grid, fn):
     return fn(ii * grid.hx, jj * grid.hy)
 
 
-class TestSolverConfig:
-    def test_tol_range(self):
-        with pytest.raises(ValueError):
-            SolverConfig(tol=1e-3)
-        with pytest.raises(ValueError):
-            SolverConfig(tol=0.0)
+def _div_matrix(grid: Grid) -> sp.csr_matrix:
+    """Dense-oracle builder: central-difference divergence at interior nodes
+    acting on interior velocity unknowns (ring velocities are data, not
+    unknowns)."""
+    mx, my = grid.nx - 2, grid.ny - 2
+    n_int = mx * my
+    idx = np.arange(n_int).reshape(mx, my)
+    rows, cols, vals = [], [], []
 
-    def test_max_iter(self):
-        with pytest.raises(ValueError):
-            SolverConfig(max_iter=0)
+    def add(r, c, w, comp):
+        rows.extend(r.ravel())
+        cols.extend((c + comp * n_int).ravel())
+        vals.extend(np.full(r.size, w))
 
-    def test_method_names(self):
-        with pytest.raises(ValueError):
-            SolverConfig(method="banana")
+    # d/dx of component 1: node (i, j) couples to (i+1, j) and (i-1, j)
+    add(idx[:-1, :], idx[1:, :], 1.0 / (2 * grid.hx), 0)
+    add(idx[1:, :], idx[:-1, :], -1.0 / (2 * grid.hx), 0)
+    # d/dy of component 2
+    add(idx[:, :-1], idx[:, 1:], 1.0 / (2 * grid.hy), 1)
+    add(idx[:, 1:], idx[:, :-1], -1.0 / (2 * grid.hy), 1)
+    return sp.csr_matrix((vals, (rows, cols)), shape=(n_int, 2 * n_int))
 
 
 class TestPoissonDirichlet:
@@ -82,18 +86,6 @@ class TestPoissonDirichlet:
         sol = solve_poisson_dirichlet(PoissonProblem(g, rhs, dirichlet=np.zeros(g.n_boundary)))
         assert np.max(np.abs(sol.data - exact)) < 5e-3
 
-    def test_direct_and_cg_agree(self):
-        g = Grid(24, 24)
-        rng = np.random.default_rng(5)
-        rhs = ScalarField2D(g, rng.standard_normal(g.shape))
-        trace = ring_of(g, lambda x, y: np.sin(3 * x) + y)
-        a = solve_poisson_dirichlet(PoissonProblem(g, rhs, dirichlet=trace), DIRECT)
-        b = solve_poisson_dirichlet(
-            PoissonProblem(g, rhs, dirichlet=trace), SolverConfig(tol=1e-12, method="cg", max_iter=20000)
-        )
-        rel = np.max(np.abs(a.data - b.data)) / np.max(np.abs(a.data))
-        assert rel < 1e-8
-
     @pytest.mark.parametrize("nx, ny, lx, ly", [(128, 128, 1.0, 1.0), (96, 130, 1.0, 2.0)])
     def test_fine_grid_within_backward_error(self, nx, ny, lx, ly):
         # the harmonic extension of a constant has a zero right-hand side; its
@@ -117,26 +109,10 @@ class TestPoissonDirichlet:
 
     def test_problem_validation(self):
         g = Grid(8, 8)
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):  # the Dirichlet trace is required
             PoissonProblem(g, ScalarField2D.zeros(g))
         with pytest.raises(ValueError):
             PoissonProblem(g, ScalarField2D.zeros(g), dirichlet=np.zeros(3))
-
-
-class TestPoissonNeumann:
-    def test_zero_mean_output(self):
-        g = Grid(12, 12)
-        rng = np.random.default_rng(0)
-        rhs = rng.standard_normal(g.shape)
-        rhs -= rhs.mean()
-        sol = solve_poisson_dirichlet(PoissonProblem(g, ScalarField2D(g, rhs), neumann=True))
-        assert abs(sol.data.mean()) < 1e-12
-
-    def test_incompatible_rhs_rejected(self):
-        g = Grid(12, 12)
-        rhs = np.ones(g.shape)  # mean far from zero
-        with pytest.raises(SolverError, match="compatibility"):
-            solve_poisson_dirichlet(PoissonProblem(g, ScalarField2D(g, rhs), neumann=True))
 
 
 class TestHeatStep:
@@ -197,26 +173,23 @@ class TestProjection:
         v, _ = project_divergence_free(u)
         assert np.max(np.abs(divergence(v).data[1:-1, 1:-1])) <= 1e-10
 
-    def test_pinned_kernel_grid(self):
-        g = Grid(9, 9)  # odd-odd: checkerboard kernel must be pinned
-        assert projection_kernel(g) is not None
-        u = self._random_interior(g, seed=1)
-        v, _ = project_divergence_free(u)
-        assert np.max(np.abs(divergence(v).data[1:-1, 1:-1])) <= 1e-10
-
-    def test_kernel_vector_is_null(self):
-        from nematicflow.linsolve import _div_matrix
-
-        g = Grid(9, 11)
-        assert projection_kernel(g) is not None
-        D = _div_matrix(g)
-        A = D @ D.T
-        k = projection_kernel(g)
-        assert np.max(np.abs(A @ k)) < 1e-12
-
-    def test_even_grid_has_no_kernel(self):
-        assert projection_kernel(Grid(8, 8)) is None
-        assert projection_kernel(Grid(9, 8)) is None
+    @pytest.mark.parametrize("nx, ny", [(8, 8), (9, 8), (9, 9), (9, 11)])
+    def test_checkerboard_kernel(self, nx, ny):
+        # D D^T is singular exactly on odd-odd grids, with the checkerboard on
+        # odd-odd nodes as its one null mode, which gets a zero reciprocal
+        g = Grid(nx, ny)
+        odd_odd = nx % 2 == 1 and ny % 2 == 1
+        inv = _projection_eigensystem(g)[2]
+        assert np.count_nonzero(inv == 0.0) == int(odd_odd)
+        if odd_odd:
+            k = np.zeros((nx - 2, ny - 2))
+            k[::2, ::2] = 1.0  # interior index 0 is grid index 1
+            k = k.ravel() / np.linalg.norm(k)
+            D = _div_matrix(g)
+            assert np.max(np.abs(D @ (D.T @ k))) < 1e-12
+            u = self._random_interior(g, seed=1)
+            v, _ = project_divergence_free(u)
+            assert np.max(np.abs(divergence(v).data[1:-1, 1:-1])) <= 1e-10
 
     def test_idempotent(self):
         g = Grid(16, 16)
@@ -291,13 +264,6 @@ class TestProjection:
         w = quad_weights(g)
         pi_ref -= np.sum(w * pi_ref) / np.sum(w)
         assert np.max(np.abs(pi.data - pi_ref)) <= 1e-13 * np.max(np.abs(pi_ref))
-
-    def test_direct_and_cg_agree(self):
-        g = Grid(12, 12)
-        u = self._random_interior(g, seed=6)
-        v1, _ = project_divergence_free(u, DIRECT)
-        v2, _ = project_divergence_free(u, SolverConfig(tol=1e-12, method="cg", max_iter=20000))
-        assert np.max(np.abs(v1.data - v2.data)) < 1e-8
 
 
 class TestStokesResidual:

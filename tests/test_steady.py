@@ -201,9 +201,8 @@ class TestMinimizerCheck:
         trace = BoundaryTrace.constant(g, (0.0, 0.0))
         psi = VectorField2D.zeros(g)
         from nematicflow.steady import _make_equilibrium
-        from nematicflow.linsolve import DIRECT
 
-        eq = _make_equilibrium(psi, params, True, 0, DIRECT, trace)
+        eq = _make_equilibrium(psi, params, True, 0, trace)
         assert eq.residual < 1e-14
         verdict = local_minimizer_check(
             eq, params, n_probe=16, delta=0.05, seed=0, use_eigensolver=True
