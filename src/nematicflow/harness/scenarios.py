@@ -155,15 +155,14 @@ def make_forcing(sc: Scenario, grid: Grid | None = None) -> Forcing:
     h, h_t, h_inf = _angle_functions(sc, grid)
     if sc.family == "autonomous":
         return Forcing.autonomous_trace(grid, BoundaryTrace(grid, h(0.0)))
-    forcing = Forcing(
+    return Forcing(
         grid,
         h,
         _body_force(sc, grid),
         h_inf=BoundaryTrace(grid, h_inf),
         gamma=sc.gamma,
+        boundary_rate=h_t,
     )
-    forcing.boundary_rate = h_t  # analytic h_t, used by the hypothesis checker
-    return forcing
 
 
 # ---------------------------------------------------------------------------
@@ -222,7 +221,7 @@ def reference_equilibrium(sc: Scenario, forcing: Forcing, tol: float = 1e-11) ->
     lift = VectorField2D(lift.grid, _clip_unit_ball(lift.data))
     for k in range(2):
         set_ring(lift.data[k], forcing.h_inf.values[:, k])
-    eq = solve_gradient_flow(forcing.h_inf, lift, sc.params, tol=1e-4)
+    eq = solve_gradient_flow(forcing.h_inf, lift, sc.params, tol=tol)
     return newton_refine(eq, sc.params, tol=tol)
 
 
@@ -316,7 +315,7 @@ def check_hypotheses(
     g = forcing.grid
     if forcing.is_autonomous:
         return []
-    rate_fn = getattr(forcing, "boundary_rate", None)
+    rate_fn = forcing.boundary_rate
     t = np.linspace(0.0, t_max, n_samples)
 
     def series(fn):
@@ -355,13 +354,13 @@ def check_hypotheses(
                             "pointwise |h - h_inf| in the H3/2 surrogate")
         )
 
-    if forcing._body is not None:
+    if forcing.body_force(0.0) is not None:
         from ..grid import quad_weights
 
         w = quad_weights(g)
 
         def g_l2_sq(tt):
-            arr = forcing._body(tt)
+            arr = forcing.body_force(tt).data
             return float(np.sum(w * (arr[0] ** 2 + arr[1] ** 2)))
 
         gsq = series(g_l2_sq)

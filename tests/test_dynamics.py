@@ -54,6 +54,46 @@ class TestForcing:
         with pytest.raises(ValueError, match="exceeds 1"):
             Forcing(g, lambda t: np.full((g.n_boundary, 2), 1.0))  # |h| = sqrt(2)
 
+    def test_moving_trace_checked_at_every_step(self):
+        # |h| = 1.5 only on 0.4 < t < 0.6: the constructor, reading t = 0,
+        # accepts it, and the run stops at the first step that reads it
+        g = Grid(16, 16)
+        trace = BoundaryTrace.constant(g, (1.0, 0.0))
+
+        def h(t):
+            return trace.values * (1.5 if 0.4 < t < 0.6 else 1.0)
+
+        forcing = Forcing(g, h)
+        d0 = bump_director(g, forcing, amplitude=0.2)
+        s = init(VectorField2D.zeros(g), d0, forcing, PhysParams(), dt=0.03)
+        summary = run(s, t_end=1.0, sample_every=1)
+        assert summary.aborted
+        assert "|h| exceeds 1 at t=0.42" in summary.abort_reason
+        assert "max |h| = 1.5" in summary.abort_reason
+        assert summary.n_steps == 13
+        assert summary.final.t < 0.4
+
+    def test_static_trace_checked_once_at_construction(self):
+        g = Grid(8, 8)
+        with pytest.raises(ValueError, match="exceeds 1 at t=0"):
+            Forcing.autonomous_trace(g, BoundaryTrace.constant(g, (1.5, 0.0)))
+
+        trace = BoundaryTrace.constant(g, (1.0, 0.0))
+        reads = []
+
+        def h(t):
+            reads.append(t)
+            return trace.values
+
+        forcing = Forcing(g, h, static_trace=True)
+        assert reads == [0.0]
+        d0 = bump_director(g, forcing, amplitude=0.2)
+        s = init(VectorField2D.zeros(g), d0, forcing, PhysParams(), dt=1e-3)
+        n_reads = len(reads)
+        summary = run(s, t_end=10 * s.dt, sample_every=1)
+        assert summary.n_steps == 10
+        assert len(reads) == n_reads  # the step loop never re-reads a static trace
+
 
 class TestInit:
     def test_nonzero_boundary_velocity_rejected(self):
