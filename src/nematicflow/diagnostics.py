@@ -30,7 +30,9 @@ from .grid import (
     Grid,
     ScalarField2D,
     VectorField2D,
-    _lap_interior,
+    interior_dx,
+    interior_dy,
+    interior_lap,
     quad_weights,
 )
 from .linsolve import PoissonProblem, solve_poisson_dirichlet
@@ -45,32 +47,20 @@ if TYPE_CHECKING:
 
 
 def _l2_sq(grid: Grid, data: np.ndarray) -> float:
-    w = quad_weights(grid)
-    if data.ndim == 3:
-        return float(sum(np.sum(w * data[k] ** 2) for k in range(data.shape[0])))
-    return float(np.sum(w * data**2))
+    return float(np.vdot(quad_weights(grid) * data, data))
 
 
 def edge_seminorm_sq(grid: Grid, data: np.ndarray) -> float:
     """Edge-difference Dirichlet form, exact SBP partner of the 5-point Laplacian."""
-    comps = data if data.ndim == 3 else data[None]
-    total = 0.0
-    cx = grid.hy / grid.hx
-    cy = grid.hx / grid.hy
-    for c in comps:
-        total += cx * np.sum((c[1:, :] - c[:-1, :]) ** 2)
-        total += cy * np.sum((c[:, 1:] - c[:, :-1]) ** 2)
-    return float(total)
+    ex = data[..., 1:, :] - data[..., :-1, :]
+    ey = data[..., :, 1:] - data[..., :, :-1]
+    return float(grid.hy / grid.hx * np.vdot(ex, ex) + grid.hx / grid.hy * np.vdot(ey, ey))
 
 
 def _lap_sq(grid: Grid, data: np.ndarray) -> float:
-    comps = data if data.ndim == 3 else data[None]
-    cell = grid.hx * grid.hy
-    total = 0.0
-    for c in comps:
-        lap = _lap_interior(c, grid.hx, grid.hy)
-        total += cell * np.sum(lap[1:-1, 1:-1] ** 2)
-    return float(total)
+    """Interior |lap_h u|^2 summed over cells, for a field or a (c, nx, ny) stack."""
+    lap = interior_lap(data, grid.hx, grid.hy)
+    return float(grid.hx * grid.hy * np.vdot(lap, lap))
 
 
 def norms(field: ScalarField2D | VectorField2D, kind: str) -> float:
@@ -132,48 +122,36 @@ class EnergyRecord:
 CSV_COLUMNS = [f.name for f in fields(EnergyRecord)]
 
 
-def _lap_int(w: np.ndarray, hx: float, hy: float) -> np.ndarray:
-    return (w[2:, 1:-1] - 2.0 * w[1:-1, 1:-1] + w[:-2, 1:-1]) / hx**2 + (
-        w[1:-1, 2:] - 2.0 * w[1:-1, 1:-1] + w[1:-1, :-2]
-    ) / hy**2
-
-
 def energy_record(state: "SimState", reference: VectorField2D | None = None) -> EnergyRecord:
     """Sample every scalar diagnostic from a simulation state (pure function)."""
     g = state.v.grid
     p = state.params
+    lift = state.lifting
     d = state.d.data
     v = state.v.data
     hx, hy = g.hx, g.hy
-    inner = (slice(1, -1), slice(1, -1))
     cell = hx * hy
     w = quad_weights(g)
 
-    d_hat = d - state.lifting.dE.data
-    kinetic = 0.5 * float(np.sum(w * (v[0] ** 2 + v[1] ** 2)))
+    d_hat = d - lift.dE.data
+    kinetic = 0.5 * _l2_sq(g, v)
     elastic_hat = 0.5 * edge_seminorm_sq(g, d_hat)
     mag_sq = d[0] ** 2 + d[1] ** 2
-    potential = float(np.sum(w * (mag_sq - 1.0) ** 2)) / (4.0 * p.eps**2)
+    bulk = mag_sq - 1.0
+    potential = float(np.vdot(w * bulk, bulk)) / (4.0 * p.eps**2)
     e_hat = kinetic + elastic_hat + potential
 
-    gl_fac = (mag_sq[inner] - 1.0) / p.eps**2
-    f_int = gl_fac[None] * d[:, 1:-1, 1:-1]
-    res_hat_sq = 0.0
-    res_stat_sq = 0.0
-    for k in range(2):
-        rh = _lap_int(d_hat[k], hx, hy) - f_int[k]
-        res_hat_sq += float(np.sum(rh**2))
-        rs = _lap_int(d[k], hx, hy) - f_int[k]
-        res_stat_sq += float(np.sum(rs**2))
-
-    if state.lifting.dP is state.lifting.dE:
+    # interior residuals lap(d - l) - f(d) for l = d_E, 0 and d_P
+    f_int = (bulk[1:-1, 1:-1] / p.eps**2) * d[:, 1:-1, 1:-1]
+    res_hat = interior_lap(d_hat, hx, hy) - f_int
+    res_hat_sq = float(np.vdot(res_hat, res_hat))
+    res_stat = interior_lap(d, hx, hy) - f_int
+    res_stat_sq = float(np.vdot(res_stat, res_stat))
+    if lift.dP is lift.dE:
         res_tilde_sq = res_hat_sq
     else:
-        d_tilde = d - state.lifting.dP.data
-        res_tilde_sq = sum(
-            float(np.sum((_lap_int(d_tilde[k], hx, hy) - f_int[k]) ** 2))
-            for k in range(2)
-        )
+        res_tilde = interior_lap(d - lift.dP.data, hx, hy) - f_int
+        res_tilde_sq = float(np.vdot(res_tilde, res_tilde))
 
     grad_v_sq = edge_seminorm_sq(g, v)
     d2 = p.nu * grad_v_sq + cell * res_hat_sq
@@ -182,19 +160,16 @@ def energy_record(state: "SimState", reference: VectorField2D | None = None) -> 
     if state.forcing.is_autonomous:
         r_t = 0.0
     else:
-        dt_de = state.lifting.dt_dE.data
-        nd = float(np.sqrt(np.sum(w * (dt_de[0] ** 2 + dt_de[1] ** 2))))
+        nd = float(np.sqrt(_l2_sq(g, lift.dt_dE.data)))
         gfield = state.forcing.body_force(state.t)
         r_t = 0.5 * nd**2 + nd + dual_norm(gfield) ** 2
 
-    div = (v[0, 2:, 1:-1] - v[0, :-2, 1:-1]) / (2 * hx) + (
-        v[1, 1:-1, 2:] - v[1, 1:-1, :-2]
-    ) / (2 * hy)
-    div_norm = float(np.sqrt(cell * np.sum(div**2)))
+    div = interior_dx(v[0], hx) + interior_dy(v[1], hy)
+    div_norm = float(np.sqrt(cell * np.vdot(div, div)))
 
     if reference is not None:
         diff = d - reference.data
-        l2_sq = float(np.sum(w * (diff[0] ** 2 + diff[1] ** 2)))
+        l2_sq = _l2_sq(g, diff)
         dist_l2 = float(np.sqrt(l2_sq))
         dist_h1 = float(np.sqrt(l2_sq + edge_seminorm_sq(g, diff)))
     else:

@@ -42,7 +42,10 @@ from .grid import (
     VectorField2D,
     _ddx,
     _ddy,
+    elastic_stress_divergence,
     extract_ring,
+    interior_dx,
+    interior_dy,
     quad_weights,
     set_ring,
 )
@@ -191,20 +194,6 @@ def init(
     )
 
 
-def _dx_i(w: np.ndarray, hx: float) -> np.ndarray:
-    return (w[2:, 1:-1] - w[:-2, 1:-1]) / (2.0 * hx)
-
-
-def _dy_i(w: np.ndarray, hy: float) -> np.ndarray:
-    return (w[1:-1, 2:] - w[1:-1, :-2]) / (2.0 * hy)
-
-
-def _lap_i(w: np.ndarray, hx: float, hy: float) -> np.ndarray:
-    return (w[2:, 1:-1] - 2.0 * w[1:-1, 1:-1] + w[:-2, 1:-1]) / hx**2 + (
-        w[1:-1, 2:] - 2.0 * w[1:-1, 1:-1] + w[1:-1, :-2]
-    ) / hy**2
-
-
 def step(s: SimState) -> SimState:
     """Advance one time step; boundary/trace invariants are restored exactly.
 
@@ -216,9 +205,11 @@ def step(s: SimState) -> SimState:
     dt = s.dt
     t1 = s.t + dt
     hx, hy = g.hx, g.hy
-    inner = (slice(1, -1), slice(1, -1))
+    inner = (slice(None), slice(1, -1), slice(1, -1))
     v = s.v.data
     d = s.d.data
+    v_int = v[inner]
+    d_int = d[inner]
 
     # 1. liftings.  With a static trace the parabolic lifting equals the
     # elliptic one for all time, so only the clock moves.
@@ -228,34 +219,27 @@ def step(s: SimState) -> SimState:
         lift1 = parabolic_lift_step(s.lifting, BoundaryTrace(g, s.forcing.boundary(t1)), dt)
 
     # 2. director update on the shifted unknown (zero trace)
-    gl_fac = (d[0][inner] ** 2 + d[1][inner] ** 2 - 1.0) / p.eps**2
-    rhs_d = np.empty((2, g.nx - 2, g.ny - 2))
-    for k in range(2):
-        adv = v[0][inner] * _dx_i(d[k], hx) + v[1][inner] * _dy_i(d[k], hy)
-        rhs_d[k] = (d[k][inner] - s.lifting.dE.data[k][inner]) + dt * (
-            -adv - p.eta * gl_fac * d[k][inner] - lift1.dt_dE.data[k][inner]
-        )
+    gl_fac = (d_int[0] ** 2 + d_int[1] ** 2 - 1.0) / p.eps**2
+    adv = v_int[0] * interior_dx(d, hx) + v_int[1] * interior_dy(d, hy)
+    rhs_d = (d_int - s.lifting.dE.data[inner]) + dt * (
+        -adv - p.eta * gl_fac * d_int - lift1.dt_dE.data[inner]
+    )
     src = s.forcing.director_source(t1)
     if src is not None:
-        rhs_d += dt * src[:, 1:-1, 1:-1]
-    d_hat_int = heat_solve_interior(g, rhs_d, p.eta * dt)
+        rhs_d += dt * src[inner]
     d_new_data = lift1.dE.data.copy()  # ring stays exactly h(t1)
-    d_new_data[:, 1:-1, 1:-1] += d_hat_int
+    d_new_data[inner] += heat_solve_interior(g, rhs_d, p.eta * dt)
     d_new = VectorField2D(g, d_new_data)
 
     # 3. velocity predictor, viscous term implicit, stress on the new director
-    lap_d = [_lap_i(d_new_data[k], hx, hy) for k in range(2)]
-    rhs_v = np.empty((2, g.nx - 2, g.ny - 2))
-    stress0 = lap_d[0] * _dx_i(d_new_data[0], hx) + lap_d[1] * _dx_i(d_new_data[1], hx)
-    stress1 = lap_d[0] * _dy_i(d_new_data[0], hy) + lap_d[1] * _dy_i(d_new_data[1], hy)
-    for k, stress_k in enumerate((stress0, stress1)):
-        adv = v[0][inner] * _dx_i(v[k], hx) + v[1][inner] * _dy_i(v[k], hy)
-        rhs_v[k] = v[k][inner] + dt * (-adv - p.lam * stress_k)
+    stress = elastic_stress_divergence(d_new).data[inner]
+    adv = v_int[0] * interior_dx(v, hx) + v_int[1] * interior_dy(v, hy)
+    rhs_v = v_int + dt * (-adv - p.lam * stress)
     gf = s.forcing.body_force(t1)
     if gf is not None:
-        rhs_v += dt * gf.data[:, 1:-1, 1:-1]
+        rhs_v += dt * gf.data[inner]
     u_star = np.zeros((2, *g.shape))
-    u_star[:, 1:-1, 1:-1] = heat_solve_interior(g, rhs_v, p.nu * dt)
+    u_star[inner] = heat_solve_interior(g, rhs_v, p.nu * dt)
 
     # 4. projection
     v_new, pi_new = project_divergence_free(VectorField2D(g, u_star))

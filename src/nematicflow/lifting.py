@@ -23,21 +23,26 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .diagnostics import FitError, edge_seminorm_sq, fit_decay_exponent
+from .diagnostics import FitError, _lap_sq, edge_seminorm_sq, fit_decay_exponent
 from .grid import (
     BoundaryTrace,
     Grid,
     VectorField2D,
-    _lap_interior,
     boundary_segment_weights,
     extract_ring,
+    interior_lap,
     quad_weights,
-    set_ring,
 )
-from .linsolve import harmonic_extension, heat_step
+from .linsolve import (
+    _bc_contribution,
+    _with_trace,
+    harmonic_extension,
+    heat_solve_interior,
+    poisson_solve_interior,
+)
 
-# Not called here: benchmarks/tracing.py wraps this module's binding.
-from .linsolve import solve_poisson_dirichlet
+# Not called here: benchmarks/tracing.py wraps these bindings of this module.
+from .linsolve import heat_step, solve_poisson_dirichlet
 
 
 @dataclass
@@ -75,12 +80,19 @@ def init_lifting(d0_trace: BoundaryTrace) -> LiftingState:
 def parabolic_lift_step(
     state: LiftingState, trace_next: BoundaryTrace, dt: float
 ) -> LiftingState:
-    """Advance d_P by one backward-Euler heat step and refresh d_E."""
+    """Advance d_P by one backward-Euler heat step and refresh d_E.
+
+    The ring contribution of ``trace_next`` is built once and shared by the
+    heat step (as in ``heat_step``) and the harmonic extension (as in
+    ``harmonic_extension``).
+    """
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
-    dP_new = heat_step(state.dP, trace_next, dt)
-    dE_new = elliptic_lift(trace_next)
     g = state.dP.grid
+    bc = _bc_contribution(g, trace_next.values)
+    dP_int = heat_solve_interior(g, state.dP.data[:, 1:-1, 1:-1] + dt * bc, dt)
+    dP_new = _with_trace(g, dP_int, trace_next)
+    dE_new = _with_trace(g, poisson_solve_interior(g, -bc), trace_next)
     dt_dP = VectorField2D(g, (dP_new.data - state.dP.data) / dt)
     dt_dE = VectorField2D(g, (dE_new.data - state.dE.data) / dt)
     return LiftingState(
@@ -189,13 +201,9 @@ def _grad_lap_dP(state: LiftingState) -> float:
     """Edge seminorm of lap d_P, with the ring of the Laplacian field filled by
     the trace velocity (the Laplacian of d_P - d_E equals h_t on the ring)."""
     g = state.dP.grid
-    diff = state.dP.data - state.dE.data
-    out = np.zeros_like(diff)
-    for k in range(2):
-        lap = _lap_interior(diff[k], g.hx, g.hy)
-        set_ring(lap, extract_ring(state.dt_dP.data[k]))
-        out[k] = lap
-    return float(np.sqrt(edge_seminorm_sq(g, out)))
+    lap = state.dt_dP.data.copy()
+    lap[:, 1:-1, 1:-1] = interior_lap(state.dP.data - state.dE.data, g.hx, g.hy)
+    return float(np.sqrt(edge_seminorm_sq(g, lap)))
 
 
 def lifting_series(history: Sequence[LiftingState]) -> dict[str, np.ndarray]:
@@ -216,7 +224,7 @@ def lifting_series(history: Sequence[LiftingState]) -> dict[str, np.ndarray]:
             np.sqrt(
                 _l2_field(g, s.dP.data - s.dE.data) ** 2
                 + edge_seminorm_sq(g, s.dP.data - s.dE.data)
-                + _lap_sq_vec(g, s.dP.data - s.dE.data)
+                + _lap_sq(g, s.dP.data - s.dE.data)
             )
             for s in history
         ]
@@ -242,15 +250,6 @@ def lifting_series(history: Sequence[LiftingState]) -> dict[str, np.ndarray]:
         "grad_lap_dP": gradlap,
         "ht_h12_sq": ht_h12_sq,
     }
-
-
-def _lap_sq_vec(grid: Grid, data: np.ndarray) -> float:
-    cell = grid.hx * grid.hy
-    total = 0.0
-    for k in range(data.shape[0]):
-        lap = _lap_interior(data[k], grid.hx, grid.hy)
-        total += cell * np.sum(lap[1:-1, 1:-1] ** 2)
-    return float(total)
 
 
 def _exp_weighted_integral(t: np.ndarray, s: np.ndarray) -> np.ndarray:

@@ -48,6 +48,7 @@ from .grid import (
     bulk_potential_F,
     extract_ring,
     integrate,
+    interior_lap,
 )
 from .dynamics import PhysParams
 from .lifting import elliptic_lift
@@ -86,10 +87,7 @@ def energy_script(psi: VectorField2D, d_star_E: VectorField2D, eps: float) -> fl
 def _stationary_defect(grid: Grid, d: np.ndarray, eps: float) -> np.ndarray:
     """-lap_h d + f(d) at interior nodes, shape (2, mx, my)."""
     c = d[:, 1:-1, 1:-1]
-    lap = (d[:, 2:, 1:-1] - 2.0 * c + d[:, :-2, 1:-1]) / grid.hx**2 + (
-        d[:, 1:-1, 2:] - 2.0 * c + d[:, 1:-1, :-2]
-    ) / grid.hy**2
-    return ((c[0] ** 2 + c[1] ** 2 - 1.0) / eps**2) * c - lap
+    return ((c[0] ** 2 + c[1] ** 2 - 1.0) / eps**2) * c - interior_lap(d, grid.hx, grid.hy)
 
 
 def _defect_norm(grid: Grid, r: np.ndarray) -> float:

@@ -18,3 +18,26 @@ def test_benchmark_modules_import_and_tracer_installs(monkeypatch):
         pass
     for owner, attr, *_ in tracing.WRAPPED:
         assert owner.__dict__[attr].__name__ != "traced", f"{attr} left wrapped"
+
+
+def test_run_samples_through_the_energy_record_binding(monkeypatch):
+    # benchmarks/workloads.py keeps the states its checks read by wrapping
+    # dynamics.energy_record; run must hand every sampled state to it once
+    from nematicflow import dynamics
+    from nematicflow.harness.scenarios import Scenario, generate_scenario
+
+    state = generate_scenario(Scenario(name="x", nx=16, ny=16, seed=1)).state
+    seen = []
+    original = dynamics.energy_record
+
+    def counting(s, reference=None):
+        seen.append(s)
+        return original(s, reference)
+
+    monkeypatch.setattr(dynamics, "energy_record", counting)
+    summary = dynamics.run(state, 9.5 * state.dt, sample_every=2)
+    assert summary.n_steps == 10
+    assert len(seen) == 6  # the initial state plus every second of ten steps
+    assert seen[0] is state
+    assert len({id(s) for s in seen}) == 6
+    assert [s.t for s in seen] == [r.t for r in summary.records]

@@ -265,6 +265,91 @@ class TestStep:
         assert e1 / e2 >= 1.6  # O(dt + h^2): halving both at least ~halves error
 
 
+def _reference_step(s):
+    """One step assembled component by component, with the two lifting solves
+    done by ``heat_step`` and ``harmonic_extension`` separately."""
+    from nematicflow.lifting import LiftingState
+    from nematicflow.linsolve import (
+        harmonic_extension,
+        heat_solve_interior,
+        heat_step,
+        project_divergence_free,
+    )
+
+    g = s.v.grid
+    p, dt = s.params, s.dt
+    hx, hy = g.hx, g.hy
+    t1 = s.t + dt
+    inner = (slice(1, -1), slice(1, -1))
+
+    def dx(w):
+        return (w[2:, 1:-1] - w[:-2, 1:-1]) / (2.0 * hx)
+
+    def dy(w):
+        return (w[1:-1, 2:] - w[1:-1, :-2]) / (2.0 * hy)
+
+    def lap(w):
+        return (w[2:, 1:-1] - 2.0 * w[1:-1, 1:-1] + w[:-2, 1:-1]) / hx**2 + (
+            w[1:-1, 2:] - 2.0 * w[1:-1, 1:-1] + w[1:-1, :-2]
+        ) / hy**2
+
+    trace = BoundaryTrace(g, s.forcing.boundary(t1))
+    lift = s.lifting
+    dP = heat_step(lift.dP, trace, dt)
+    dE = harmonic_extension(trace)
+    lift1 = LiftingState(
+        dE=dE, dP=dP, dE0=lift.dE0, t=t1,
+        dt_dP=VectorField2D(g, (dP.data - lift.dP.data) / dt),
+        dt_dE=VectorField2D(g, (dE.data - lift.dE.data) / dt),
+    )
+    v, d = s.v.data, s.d.data
+    gl = (d[0][inner] ** 2 + d[1][inner] ** 2 - 1.0) / p.eps**2
+    rhs_d = np.empty((2, g.nx - 2, g.ny - 2))
+    for k in range(2):
+        adv = v[0][inner] * dx(d[k]) + v[1][inner] * dy(d[k])
+        rhs_d[k] = (d[k][inner] - lift.dE.data[k][inner]) + dt * (
+            -adv - p.eta * gl * d[k][inner] - lift1.dt_dE.data[k][inner]
+        )
+    d_new = lift1.dE.data.copy()
+    d_new[:, 1:-1, 1:-1] += heat_solve_interior(g, rhs_d, p.eta * dt)
+    lap_d = [lap(d_new[k]) for k in range(2)]
+    stress = [
+        lap_d[0] * dx(d_new[0]) + lap_d[1] * dx(d_new[1]),
+        lap_d[0] * dy(d_new[0]) + lap_d[1] * dy(d_new[1]),
+    ]
+    gf = s.forcing.body_force(t1).data
+    rhs_v = np.empty((2, g.nx - 2, g.ny - 2))
+    for k in range(2):
+        adv = v[0][inner] * dx(v[k]) + v[1][inner] * dy(v[k])
+        rhs_v[k] = v[k][inner] + dt * (-adv - p.lam * stress[k]) + dt * gf[k][inner]
+    u_star = np.zeros((2, *g.shape))
+    u_star[:, 1:-1, 1:-1] = heat_solve_interior(g, rhs_v, p.nu * dt)
+    v_new, pi_new = project_divergence_free(VectorField2D(g, u_star))
+    return replace(s, t=t1, v=v_new, d=VectorField2D(g, d_new), pi=pi_new, lifting=lift1)
+
+
+class TestStepAgainstReference:
+    def test_twenty_steps_match_per_component_step(self):
+        from nematicflow.harness.scenarios import Scenario, generate_scenario
+
+        sc = Scenario(
+            name="x", family="polynomial-decay", nx=24, ny=20, ly=0.8, a_h=0.3,
+            a_g=0.2, kappa=0.3, d0_perturbation=0.4, v0_amplitude=0.3, dt=2e-3, seed=4,
+        )
+        s = ref = generate_scenario(sc).state
+        assert not s.forcing.static_trace and s.forcing.body_force(0.0) is not None
+        for _ in range(20):
+            s, ref = step(s), _reference_step(ref)
+        assert s.t == ref.t
+        for name in ("v", "d", "pi"):
+            got, want = getattr(s, name).data, getattr(ref, name).data
+            assert np.max(np.abs(got - want)) <= 1e-12, name
+        for name in ("dE", "dP", "dt_dP", "dt_dE"):
+            got, want = getattr(s.lifting, name).data, getattr(ref.lifting, name).data
+            assert np.max(np.abs(got - want)) <= 1e-12, name
+        assert np.max(np.abs(s.lifting.dt_dP.data)) > 1e-3  # the trace moves
+
+
 class TestRun:
     def test_record_count(self):
         g = Grid(16, 16)

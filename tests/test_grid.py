@@ -7,6 +7,9 @@ from nematicflow.grid import (
     Grid,
     ScalarField2D,
     VectorField2D,
+    _ddx,
+    _ddy,
+    _lap_interior,
     bulk_potential_F,
     divergence,
     elastic_stress_divergence,
@@ -14,6 +17,9 @@ from nematicflow.grid import (
     ginzburg_landau_f,
     gradient,
     integrate,
+    interior_dx,
+    interior_dy,
+    interior_lap,
     laplacian,
     set_ring,
 )
@@ -132,6 +138,55 @@ class TestLaplacian:
             laplacian(f, BoundaryMode.dirichlet(np.ones(5)))
 
 
+def _stencil_reference(u, hx, hy):
+    """Node-by-node interior (dx, dy, lap) of one (nx, ny) field."""
+    nx, ny = u.shape
+    dx = np.empty((nx - 2, ny - 2))
+    dy = np.empty_like(dx)
+    lap = np.empty_like(dx)
+    for i in range(1, nx - 1):
+        for j in range(1, ny - 1):
+            dx[i - 1, j - 1] = (u[i + 1, j] - u[i - 1, j]) / (2.0 * hx)
+            dy[i - 1, j - 1] = (u[i, j + 1] - u[i, j - 1]) / (2.0 * hy)
+            lap[i - 1, j - 1] = (u[i + 1, j] - 2.0 * u[i, j] + u[i - 1, j]) / hx**2 + (
+                u[i, j + 1] - 2.0 * u[i, j] + u[i, j - 1]
+            ) / hy**2
+    return dx, dy, lap
+
+
+class TestInteriorStencils:
+    @pytest.mark.parametrize("shape", [(8, 8), (9, 11), (33, 20)])
+    @pytest.mark.parametrize("stacked", [False, True])
+    def test_match_full_array_operators(self, shape, stacked):
+        g = Grid(*shape, lx=1.3, ly=0.7)
+        rng = np.random.default_rng(sum(shape))
+        u = rng.standard_normal((2, *shape) if stacked else shape)
+        comps = u if stacked else u[None]
+        inner = (slice(1, -1), slice(1, -1))
+
+        def close(got, want):
+            scale = np.max(np.abs(want))
+            assert got.shape == want.shape
+            assert np.max(np.abs(got - want)) <= 1e-14 * scale
+
+        m = (comps.shape[0], g.nx - 2, g.ny - 2)
+        got_dx = interior_dx(u, g.hx).reshape(m)
+        got_dy = interior_dy(u, g.hy).reshape(m)
+        got_lap = interior_lap(u, g.hx, g.hy).reshape(m)
+        for k, c in enumerate(comps):
+            close(got_dx[k], _ddx(c, g.hx)[inner])
+            close(got_dy[k], _ddy(c, g.hy)[inner])
+            close(got_lap[k], _lap_interior(c, g.hx, g.hy)[inner])
+            ref_dx, ref_dy, ref_lap = _stencil_reference(c, g.hx, g.hy)
+            close(got_dx[k], ref_dx)
+            close(got_dy[k], ref_dy)
+            close(got_lap[k], ref_lap)
+        full = _lap_interior(u, g.hx, g.hy)
+        assert full.shape == u.shape
+        assert np.all(full[..., 0, :] == 0) and np.all(full[..., -1, :] == 0)
+        assert np.all(full[..., :, 0] == 0) and np.all(full[..., :, -1] == 0)
+
+
 class TestElasticStress:
     def test_constant_director(self):
         g = Grid(12, 12)
@@ -157,6 +212,16 @@ class TestElasticStress:
             assert np.max(np.abs(out.data[1])) < 1e-12
         assert errs[0] < 50 * Grid(32, 32).hx ** 2
         assert 4.0 * 0.8 <= errs[0] / errs[1] <= 4.0 * 1.2
+
+    def test_interior_formula_and_zero_ring(self):
+        g = Grid(9, 11, lx=1.3, ly=0.7)
+        d = VectorField2D(g, np.random.default_rng(5).standard_normal((2, *g.shape)))
+        out = elastic_stress_divergence(d).data
+        (dx0, dy0, lap0), (dx1, dy1, lap1) = (_stencil_reference(c, g.hx, g.hy) for c in d.data)
+        want = np.stack([lap0 * dx0 + lap1 * dx1, lap0 * dy0 + lap1 * dy1])
+        assert np.max(np.abs(out[:, 1:-1, 1:-1] - want)) <= 1e-14 * np.max(np.abs(want))
+        for k in range(2):
+            assert np.all(extract_ring(out[k]) == 0.0)
 
     def test_zero_when_discretely_harmonic(self):
         # lap d == 0 discretely implies the stress vanishes identically
