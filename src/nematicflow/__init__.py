@@ -4,7 +4,6 @@ time-dependent Dirichlet boundary data and decaying external force."""
 __version__ = "0.1.0"
 
 from .grid import (
-    BoundaryMode,
     BoundaryTrace,
     Grid,
     ScalarField2D,
@@ -22,7 +21,6 @@ from .linsolve import (
     heat_step,
     project_divergence_free,
     solve_poisson_dirichlet,
-    stokes_residual,
 )
 from .lifting import (
     LiftingState,

@@ -47,6 +47,7 @@ from .grid import (
     interior_dx,
     interior_dy,
     quad_weights,
+    random_sine_series,
     set_ring,
 )
 from .lifting import LiftingState, _grad_lap_dP, init_lifting, parabolic_lift_step
@@ -262,10 +263,6 @@ class RunSummary:
     abort_reason: str | None = None
     aux: dict | None = None  # time series for the higher-order checks
 
-    @property
-    def sample_times(self) -> np.ndarray:
-        return np.array([r.t for r in self.records])
-
 
 def run(
     s0: SimState,
@@ -367,14 +364,9 @@ def make_divergence_free_velocity(
     ring component vanishes; the tangential ring values are zeroed (the
     analytic profile vanishes there already up to truncation).
     """
-    rng = np.random.default_rng(seed)
+    zeta = random_sine_series(grid, np.random.default_rng(seed), modes)
     X, Y = grid.mesh()
     xn, yn = X / grid.lx, Y / grid.ly
-    zeta = np.zeros(grid.shape)
-    for kx in range(1, modes + 1):
-        for ky in range(1, modes + 1):
-            c = rng.standard_normal() / (kx**2 + ky**2)
-            zeta += c * np.sin(np.pi * kx * xn) * np.sin(np.pi * ky * yn)
     zeta *= (xn * (1 - xn) * yn * (1 - yn)) ** 2  # flatten near the walls
     v = np.zeros((2, *grid.shape))
     v[0] = _ddy(zeta, grid.hy)

@@ -18,7 +18,7 @@ the director field.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -226,27 +226,6 @@ class BoundaryTrace:
         return self.values[:, k]
 
 
-@dataclass(frozen=True)
-class BoundaryMode:
-    """Boundary handling for the Laplacian stencil.
-
-    ``interior()`` evaluates the 5-point stencil against the field's own
-    boundary values; ``dirichlet(values)`` substitutes the supplied
-    CCW-ordered ring values instead.  Output boundary nodes are always 0.
-    """
-
-    kind: str
-    values: np.ndarray | None = field(default=None, compare=False)
-
-    @classmethod
-    def interior(cls) -> "BoundaryMode":
-        return cls("interior")
-
-    @classmethod
-    def dirichlet(cls, values: np.ndarray) -> "BoundaryMode":
-        return cls("dirichlet", np.asarray(values, dtype=float))
-
-
 # ---------------------------------------------------------------------------
 # difference operators
 
@@ -308,24 +287,10 @@ def _lap_interior(data: np.ndarray, hx: float, hy: float) -> np.ndarray:
     return out
 
 
-def laplacian(f: ScalarField2D, bc: BoundaryMode | None = None) -> ScalarField2D:
-    """5-point Laplacian; Dirichlet mode evaluates against supplied ring values."""
+def laplacian(f: ScalarField2D) -> ScalarField2D:
+    """5-point Laplacian at interior nodes; boundary nodes of the output are 0."""
     g = f.grid
-    if bc is None or bc.kind == "interior":
-        return ScalarField2D(g, _lap_interior(f.data, g.hx, g.hy))
-    if bc.kind != "dirichlet":
-        raise ValueError(f"unknown boundary mode {bc.kind!r}")
-    if bc.values is None or bc.values.shape != (g.n_boundary,):
-        got = None if bc.values is None else bc.values.shape
-        raise ValueError(f"dirichlet trace must have shape ({g.n_boundary},), got {got}")
-    work = f.data.copy()
-    set_ring(work, bc.values)
-    return ScalarField2D(g, _lap_interior(work, g.hx, g.hy))
-
-
-def vector_laplacian(u: VectorField2D) -> VectorField2D:
-    g = u.grid
-    return VectorField2D(g, _lap_interior(u.data, g.hx, g.hy))
+    return ScalarField2D(g, _lap_interior(f.data, g.hx, g.hy))
 
 
 def elastic_stress_divergence(d: VectorField2D) -> VectorField2D:
@@ -385,3 +350,22 @@ def quad_weights(grid: Grid) -> np.ndarray:
 
 def integrate(f: ScalarField2D) -> float:
     return float(np.sum(quad_weights(f.grid) * f.data))
+
+
+# ---------------------------------------------------------------------------
+# random smooth fields
+
+
+def random_sine_series(grid: Grid, rng: np.random.Generator, modes: int) -> np.ndarray:
+    """sum_{kx, ky <= modes} c sin(pi kx x/lx) sin(pi ky y/ly), c ~ N(0, 1)/(kx^2 + ky^2).
+
+    A smooth scalar with zero ring values; coefficients are drawn kx-major.
+    """
+    X, Y = grid.mesh()
+    xn, yn = X / grid.lx, Y / grid.ly
+    out = np.zeros(grid.shape)
+    for kx in range(1, modes + 1):
+        for ky in range(1, modes + 1):
+            c = rng.standard_normal() / (kx**2 + ky**2)
+            out += c * np.sin(np.pi * kx * xn) * np.sin(np.pi * ky * yn)
+    return out

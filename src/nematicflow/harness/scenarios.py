@@ -38,11 +38,12 @@ from ..grid import (
     ScalarField2D,
     VectorField2D,
     boundary_arclength,
+    random_sine_series,
     set_ring,
 )
 from ..lifting import boundary_h_half, boundary_l2, elliptic_lift
 from ..linsolve import PoissonProblem, solve_poisson_dirichlet
-from ..steady import Equilibrium, newton_refine, solve_gradient_flow
+from ..steady import NEWTON_BASIN, Equilibrium, newton_refine, solve_gradient_flow
 
 FAMILIES = ("autonomous", "polynomial-decay", "minimizer-perturbation")
 
@@ -171,13 +172,7 @@ def make_forcing(sc: Scenario, grid: Grid | None = None) -> Forcing:
 
 def _smooth_bump(grid: Grid, rng: np.random.Generator, modes: int = 3) -> np.ndarray:
     """Smooth scalar with zero ring values, max amplitude 1."""
-    X, Y = grid.mesh()
-    xn, yn = X / grid.lx, Y / grid.ly
-    out = np.zeros(grid.shape)
-    for kx in range(1, modes + 1):
-        for ky in range(1, modes + 1):
-            c = rng.standard_normal() / (kx**2 + ky**2)
-            out += c * np.sin(np.pi * kx * xn) * np.sin(np.pi * ky * yn)
+    out = random_sine_series(grid, rng, modes)
     peak = np.max(np.abs(out))
     return out / peak if peak > 0 else out
 
@@ -216,12 +211,13 @@ def _clip_unit_ball(d: np.ndarray) -> np.ndarray:
 
 
 def reference_equilibrium(sc: Scenario, forcing: Forcing, tol: float = 1e-11) -> Equilibrium:
-    """Steady state for the asymptotic trace, shared by reports and presets."""
+    """Steady state for the asymptotic trace, shared by reports and presets:
+    the relaxation brings the lift into Newton's basin, Newton reaches tol."""
     lift = elliptic_lift(forcing.h_inf)
     lift = VectorField2D(lift.grid, _clip_unit_ball(lift.data))
     for k in range(2):
         set_ring(lift.data[k], forcing.h_inf.values[:, k])
-    eq = solve_gradient_flow(forcing.h_inf, lift, sc.params, tol=tol)
+    eq = solve_gradient_flow(forcing.h_inf, lift, sc.params, tol=NEWTON_BASIN)
     return newton_refine(eq, sc.params, tol=tol)
 
 

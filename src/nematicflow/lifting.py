@@ -23,15 +23,13 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .diagnostics import FitError, _lap_sq, edge_seminorm_sq, fit_decay_exponent
+from .diagnostics import FitError, _l2_sq, _lap_sq, edge_seminorm_sq, fit_decay_exponent
 from .grid import (
     BoundaryTrace,
     Grid,
     VectorField2D,
     boundary_segment_weights,
-    extract_ring,
     interior_lap,
-    quad_weights,
 )
 from .linsolve import (
     _bc_contribution,
@@ -192,11 +190,6 @@ class AppendixReport:
         return all(c.passed for c in self.checks.values())
 
 
-def _l2_field(grid: Grid, data: np.ndarray) -> float:
-    w = quad_weights(grid)
-    return float(np.sqrt(sum(np.sum(w * data[k] ** 2) for k in range(data.shape[0]))))
-
-
 def _grad_lap_dP(state: LiftingState) -> float:
     """Edge seminorm of lap d_P, with the ring of the Laplacian field filled by
     the trace velocity (the Laplacian of d_P - d_E equals h_t on the ring)."""
@@ -209,46 +202,20 @@ def _grad_lap_dP(state: LiftingState) -> float:
 def lifting_series(history: Sequence[LiftingState]) -> dict[str, np.ndarray]:
     """Scalar time series needed by the decay checks, computed per sample."""
     g = history[0].dP.grid
-    t = np.array([s.t for s in history])
-    h1 = np.array(
-        [
-            np.sqrt(
-                _l2_field(g, s.dP.data - s.dE.data) ** 2
-                + edge_seminorm_sq(g, s.dP.data - s.dE.data)
-            )
-            for s in history
-        ]
-    )
-    h2 = np.array(
-        [
-            np.sqrt(
-                _l2_field(g, s.dP.data - s.dE.data) ** 2
-                + edge_seminorm_sq(g, s.dP.data - s.dE.data)
-                + _lap_sq(g, s.dP.data - s.dE.data)
-            )
-            for s in history
-        ]
-    )
-    dtdp = np.array([_l2_field(g, s.dt_dP.data) for s in history])
-    dtde_sq = np.array([_l2_field(g, s.dt_dE.data) ** 2 for s in history])
-    gradlap = np.array([_grad_lap_dP(s) for s in history])
-    ht_h12_sq = np.array(
-        [
-            boundary_h_half(
-                g, np.stack([extract_ring(s.dt_dP.data[0]), extract_ring(s.dt_dP.data[1])], axis=1)
-            )
-            ** 2
-            for s in history
-        ]
-    )
+    diffs = (s.dP.data - s.dE.data for s in history)
+    h1_sq, lap_sq = np.array(
+        [(_l2_sq(g, x) + edge_seminorm_sq(g, x), _lap_sq(g, x)) for x in diffs]
+    ).T
     return {
-        "t": t,
-        "dPdE_h1": h1,
-        "dPdE_h2": h2,
-        "dt_dP": dtdp,
-        "dt_dE_sq": dtde_sq,
-        "grad_lap_dP": gradlap,
-        "ht_h12_sq": ht_h12_sq,
+        "t": np.array([s.t for s in history]),
+        "dPdE_h1": np.sqrt(h1_sq),
+        "dPdE_h2": np.sqrt(h1_sq + lap_sq),
+        "dt_dP": np.sqrt([_l2_sq(g, s.dt_dP.data) for s in history]),
+        "dt_dE_sq": np.array([_l2_sq(g, s.dt_dE.data) for s in history]),
+        "grad_lap_dP": np.array([_grad_lap_dP(s) for s in history]),
+        "ht_h12_sq": np.array(
+            [boundary_h_half(g, BoundaryTrace.from_field(s.dt_dP).values) ** 2 for s in history]
+        ),
     }
 
 

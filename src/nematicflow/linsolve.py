@@ -1,8 +1,7 @@
 """Elliptic and parabolic solves on the node-centered grid.
 
-Provides Dirichlet Poisson solves, backward-Euler heat steps, the velocity
-projection enforcing the discrete incompressibility constraint, and a Stokes
-residual diagnostic.
+Provides Dirichlet Poisson solves, backward-Euler heat steps and the velocity
+projection enforcing the discrete incompressibility constraint.
 
 Every constant-coefficient operator is a Kronecker sum of 1-D matrices, so
 it is solved exactly by diagonalizing each 1-D factor once per grid
@@ -44,7 +43,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-import scipy.sparse as sp
 
 from .grid import (
     BoundaryTrace,
@@ -96,18 +94,7 @@ class PoissonProblem:
 
 
 # ---------------------------------------------------------------------------
-# matrix assembly (interior unknowns, row-major i-major ordering)
-
-
-def _lap_matrix(grid: Grid) -> sp.csr_matrix:
-    """5-point Laplacian on interior nodes, Dirichlet boundary eliminated
-    (the linear part of the Newton Jacobian in ``steady``)."""
-    mx, my = grid.nx - 2, grid.ny - 2
-    ex = np.ones(mx)
-    ey = np.ones(my)
-    dxx = sp.diags([ex[:-1], -2.0 * ex, ex[:-1]], [-1, 0, 1]) / grid.hx**2
-    dyy = sp.diags([ey[:-1], -2.0 * ey, ey[:-1]], [-1, 0, 1]) / grid.hy**2
-    return (sp.kron(dxx, sp.identity(my)) + sp.kron(sp.identity(mx), dyy)).tocsr()
+# Dirichlet ring data
 
 
 def _bc_contribution(grid: Grid, ring_values: np.ndarray) -> np.ndarray:
@@ -323,11 +310,3 @@ def project_divergence_free(u: VectorField2D) -> tuple[VectorField2D, ScalarFiel
     w = quad_weights(g)
     pi = pi - np.sum(w * pi) / np.sum(w)
     return VectorField2D(g, v), ScalarField2D(g, pi)
-
-
-def stokes_residual(v: VectorField2D, pi: ScalarField2D, rhs: VectorField2D) -> float:
-    """L2 norm of the discrete Stokes residual -lap v + grad pi - rhs (interior)."""
-    g = v.grid
-    grad_pi = np.stack([interior_dx(pi.data, g.hx), interior_dy(pi.data, g.hy)])
-    r = -interior_lap(v.data, g.hx, g.hy) + grad_pi - rhs.data[:, 1:-1, 1:-1]
-    return float(np.sqrt(g.hx * g.hy * np.vdot(r, r)))

@@ -13,23 +13,25 @@ with d*_E the harmonic extension of h_inf, is the natural Lyapunov candidate;
 E and script_E differ by a quantity that depends only on the trace, so they
 rank equilibria identically.  Both are reported.
 
-The solver chain is a stabilized linearly implicit relaxation followed by
-Newton refinement.  The relaxation is the scheme of Shen & Yang, "Numerical
-approximations of Allen-Cahn and Cahn-Hilliard equations", DCDS-A 28 (2010),
-taken with an infinite time step and written as a defect correction:
+The solver relaxes into Newton's basin, then runs Newton-MINRES.  The
+relaxation is the stabilized linearly implicit scheme of Shen & Yang, DCDS-A
+28 (2010), with an infinite time step, as a defect correction:
 
     R(d) = -lap_h d + f(d)   at interior nodes,
     d   <- d - (S - lap_h)^-1 R(d),     S = 1/eps^2.
 
-The stabilization S = L/2, with L = max|f'| = 2/eps^2 on |d| <= 1, keeps E
-decreasing, and each correction contracts every mode by at most
-|S - f'|/(S + mu_1), so the iteration count does not grow with the grid.
-The solve is the cached sine-basis heat kernel; the correction has zero
-trace, so no ring term enters.  Newton (quadratic near a nondegenerate root)
-finishes whatever the relaxation leaves.  An empirical local-minimizer check
-probes script_E along random smooth zero-trace directions and reports the
-smallest Rayleigh quotient of the linearized operator -lap + f'(psi) over the
-probe set.
+S = L/2, with L = max|f'| = 2/eps^2 on |d| <= 1, keeps E decreasing, and a
+correction contracts every mode by at most |S - f'|/(S + mu_1): the count
+does not grow with the grid, but it grows like 1/eps^2.  The solve is the
+cached sine-basis heat kernel (the correction has zero trace).
+
+Below the residual ``NEWTON_BASIN`` Newton takes over, Jacobian-free as in
+Knoll & Keyes, J. Comput. Phys. 193 (2004): J = -lap_h + f'(psi) is applied
+by the interior stencil plus the pointwise 2x2 block of f'.  J is symmetric
+but indefinite at saddles, so each step is solved by MINRES (Paige &
+Saunders, SINUM 12, 1975), preconditioned by the same (S - lap_h)^-1 solve.
+A local-minimizer check probes script_E along random smooth zero-trace
+directions and reports the smallest Rayleigh quotient of J among them.
 """
 
 from __future__ import annotations
@@ -37,8 +39,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .diagnostics import edge_seminorm_sq
 from .grid import (
@@ -46,19 +46,27 @@ from .grid import (
     Grid,
     VectorField2D,
     bulk_potential_F,
-    extract_ring,
     integrate,
     interior_lap,
+    random_sine_series,
 )
 from .dynamics import PhysParams
 from .lifting import elliptic_lift
-from .linsolve import _lap_matrix, heat_solve_interior
+from .linsolve import EPS, heat_solve_interior
 
 # Corrections with neither a new smallest residual nor a new lowest energy
 # after which the relaxation stops (at the rounding floor the iterate only
 # jitters).  Far from equilibrium the residual can rise for dozens of
 # corrections while the energy falls, so a falling energy is progress too.
 STALL_ITERATIONS = 5
+# Residual below which Newton takes over from the relaxation.
+NEWTON_BASIN = 1e-2
+# Relative preconditioned residual at which MINRES stops (far above its
+# rounding floor, about 1e-13), and its iteration cap; the cap is far above
+# the counts the preconditioner gives (at most 25 per Newton step on grids
+# from 32^2 to 256^2 and eps down to 0.05), so reaching it is stagnation.
+MINRES_TOL = 1e-10
+MINRES_MAX_ITER = 200
 
 
 class DegenerateCriticalPointError(RuntimeError):
@@ -137,8 +145,7 @@ def solve_gradient_flow(
     if tol <= 0:
         raise ValueError("tol must be positive")
     g = d_init.grid
-    ring = np.stack([extract_ring(d_init.data[k]) for k in range(2)], axis=1)
-    if np.max(np.abs(ring - h_inf.values)) > 1e-10:
+    if np.max(np.abs(BoundaryTrace.from_field(d_init).values - h_inf.values)) > 1e-10:
         raise ValueError("d_init trace must equal h_inf")
 
     stab = 1.0 / params.eps**2
@@ -164,21 +171,76 @@ def solve_gradient_flow(
     return _make_equilibrium(VectorField2D(g, best), params, best_res <= tol, it, h_inf)
 
 
-def _jacobian(grid: Grid, d: np.ndarray, eps: float) -> sp.csc_matrix:
-    """-lap + f'(psi) on interior nodes, component-major ordering."""
-    L = _lap_matrix(grid)
-    d1 = d[0, 1:-1, 1:-1].ravel()
-    d2 = d[1, 1:-1, 1:-1].ravel()
-    sq = d1**2 + d2**2 - 1.0
-    a11 = (sq + 2.0 * d1 * d1) / eps**2
-    a12 = (2.0 * d1 * d2) / eps**2
-    a22 = (sq + 2.0 * d2 * d2) / eps**2
-    return sp.bmat(
-        [
-            [-L + sp.diags(a11), sp.diags(a12)],
-            [sp.diags(a12), -L + sp.diags(a22)],
-        ],
-        format="csc",
+def _linearization(grid: Grid, d: np.ndarray, eps: float):
+    """w -> (-lap_h + f'(psi)) w on (2, mx, my) interior arrays with zero trace.
+
+    f'(psi) w = ((|psi|^2 - 1) w + 2 (psi . w) psi) / eps^2, the pointwise 2x2
+    block of the penalization; the operator is symmetric.
+    """
+    c = d[:, 1:-1, 1:-1]
+    sq = c[0] ** 2 + c[1] ** 2 - 1.0
+
+    def apply(w: np.ndarray) -> np.ndarray:
+        ring = np.pad(w, ((0, 0), (1, 1), (1, 1)))
+        pointwise = (sq * w + 2.0 * (c[0] * w[0] + c[1] * w[1]) * c) / eps**2
+        return pointwise - interior_lap(ring, grid.hx, grid.hy)
+
+    return apply
+
+
+def _minres(apply_a, apply_m, b: np.ndarray) -> np.ndarray:
+    """Preconditioned MINRES for A x = b: A symmetric, possibly indefinite;
+    ``apply_m`` an SPD approximation of A^-1.
+
+    Converged when the residual r = b - A x, in the norm sqrt(r . M r), is
+    below ``MINRES_TOL`` times its initial value.  Stagnation, meaning b has a
+    part outside the range of A (a singular linearization), raises: the cap
+    ``MINRES_MAX_ITER``, a Lanczos breakdown, or a recurred residual that meets
+    the tolerance while the true one does not (with rounding, a singular A has
+    an eigenvalue near eps |A|, which Lanczos eventually resolves, and x blows
+    up).
+    """
+    x = np.zeros_like(b)
+    r1 = r2 = b
+    y = apply_m(b)
+    beta1 = beta = float(np.sqrt(np.vdot(b, y)))
+    if beta1 == 0.0:
+        return x
+    old_beta = dbar = epsln = 0.0
+    phibar, cs, sn = beta1, -1.0, 0.0
+    w = np.zeros_like(b)
+    w2 = np.zeros_like(b)
+    for _ in range(MINRES_MAX_ITER):
+        v = y / beta
+        y = apply_a(v)
+        if old_beta:
+            y = y - (beta / old_beta) * r1
+        alpha = float(np.vdot(v, y))
+        y = y - (alpha / beta) * r2
+        r1, r2 = r2, y
+        y = apply_m(r2)
+        old_beta, beta = beta, float(np.sqrt(max(np.vdot(r2, y), 0.0)))
+        old_eps = epsln
+        delta = cs * dbar + sn * alpha
+        gbar = sn * dbar - cs * alpha
+        epsln = sn * beta
+        dbar = -cs * beta
+        gamma = max(np.hypot(gbar, beta), EPS)
+        cs, sn = gbar / gamma, beta / gamma
+        phi, phibar = cs * phibar, sn * phibar
+        w1, w2 = w2, w
+        w = (v - old_eps * w1 - delta * w2) / gamma
+        x = x + phi * w
+        if phibar <= MINRES_TOL * beta1:
+            r = b - apply_a(x)  # the recurrence may have drifted from it
+            phibar = float(np.sqrt(np.vdot(r, apply_m(r))))
+            if phibar <= 2.0 * MINRES_TOL * beta1:
+                return x
+            break
+        if beta <= EPS * beta1:
+            break
+    raise DegenerateCriticalPointError(
+        f"MINRES stagnated at relative residual {phibar / beta1:.3g}"
     )
 
 
@@ -187,29 +249,28 @@ def newton_refine(
     params: PhysParams,
     tol: float = 1e-12,
     max_iter: int = 25,
-    basin_radius: float = 1e-2,
+    basin_radius: float = NEWTON_BASIN,
 ) -> Equilibrium:
-    """Newton iteration on -lap psi + f(psi) = 0 with the trace held fixed."""
+    """Newton iteration on -lap psi + f(psi) = 0 with the trace held fixed;
+    each step solves the linearization by preconditioned MINRES, and a
+    singular linearization raises ``DegenerateCriticalPointError``."""
     if e.residual > basin_radius:
         raise ValueError(
             f"residual {e.residual:.3g} too large for Newton (limit {basin_radius:.3g})"
         )
     g = e.psi.grid
     d = e.psi.data.copy()
-    h_inf = BoundaryTrace(
-        g, np.stack([extract_ring(d[0]), extract_ring(d[1])], axis=1)
-    )
+    h_inf = BoundaryTrace.from_field(e.psi)
+    stab = 1.0 / params.eps**2
+
+    def precondition(r: np.ndarray) -> np.ndarray:
+        return heat_solve_interior(g, r / stab, 1.0 / stab)
+
     res = e.residual
     it = 0
     while res > tol and it < max_iter:
-        J = _jacobian(g, d, params.eps)
-        try:
-            delta = spla.splu(J).solve(-_stationary_defect(g, d, params.eps).ravel())
-        except RuntimeError as exc:
-            raise DegenerateCriticalPointError(
-                f"singular linearization at residual {res:.3g}"
-            ) from exc
-        d[:, 1:-1, 1:-1] += delta.reshape(2, g.nx - 2, g.ny - 2)
+        r = _stationary_defect(g, d, params.eps)
+        d[:, 1:-1, 1:-1] += _minres(_linearization(g, d, params.eps), precondition, -r)
         res = stationary_residual(VectorField2D(g, d), params.eps)
         it += 1
     return _make_equilibrium(
@@ -229,18 +290,6 @@ class MinimizerVerdict:
     witness: VectorField2D | None = None
 
 
-def _smooth_probe(grid: Grid, rng: np.random.Generator, modes: int = 4) -> np.ndarray:
-    X, Y = grid.mesh()
-    xn, yn = X / grid.lx, Y / grid.ly
-    w = np.zeros((2, *grid.shape))
-    for comp in range(2):
-        for kx in range(1, modes + 1):
-            for ky in range(1, modes + 1):
-                c = rng.standard_normal() / (kx**2 + ky**2)
-                w[comp] += c * np.sin(np.pi * kx * xn) * np.sin(np.pi * ky * yn)
-    return w
-
-
 def local_minimizer_check(
     e: Equilibrium,
     params: PhysParams,
@@ -255,19 +304,18 @@ def local_minimizer_check(
     if delta < 0:
         raise ValueError("delta must be nonnegative")
     g = e.psi.grid
-    h_inf = BoundaryTrace(
-        g, np.stack([extract_ring(e.psi.data[k]) for k in range(2)], axis=1)
-    )
-    d_star = elliptic_lift(h_inf)
+    d_star = elliptic_lift(BoundaryTrace.from_field(e.psi))
     base = energy_script(e.psi, d_star, params.eps)
     if delta == 0.0 or n_probe == 0:
         return MinimizerVerdict("minimizer-consistent", float("nan"), 0.0)
 
     rng = np.random.default_rng(seed)
-    J = _jacobian(g, e.psi.data, params.eps)
+    jac = _linearization(g, e.psi.data, params.eps)
     cell = g.hx * g.hy
 
-    probes = [_smooth_probe(g, rng) for _ in range(n_probe)]
+    probes = [
+        np.stack([random_sine_series(g, rng, 4) for _ in range(2)]) for _ in range(n_probe)
+    ]
 
     tol_gap = 1e-13 * (1.0 + abs(base))
     min_gap = np.inf
@@ -280,8 +328,8 @@ def local_minimizer_check(
         if h1 == 0.0:
             continue
         w = w * (delta * rng.uniform(0.3, 1.0) / h1)
-        wint = np.concatenate([w[0, 1:-1, 1:-1].ravel(), w[1, 1:-1, 1:-1].ravel()])
-        ray = float(wint @ (J @ wint) / (wint @ wint))
+        wint = w[:, 1:-1, 1:-1]
+        ray = float(np.vdot(wint, jac(wint)) / np.vdot(wint, wint))
         min_rayleigh = min(min_rayleigh, ray)
         gap = energy_script(VectorField2D(g, e.psi.data + w), d_star, params.eps) - base
         if gap < min_gap:

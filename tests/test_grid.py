@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from nematicflow.grid import (
-    BoundaryMode,
     BoundaryTrace,
     Grid,
     ScalarField2D,
@@ -121,21 +120,6 @@ class TestLaplacian:
         f = ScalarField2D.from_function(g, lambda X, Y: X**2 + Y**2)
         lap = laplacian(f)
         assert np.max(np.abs(lap.data[1:-1, 1:-1] - 4.0)) < 1e-10
-
-    def test_dirichlet_mode_uses_supplied_trace(self):
-        g = Grid(8, 8)
-        f = ScalarField2D(g, np.zeros(g.shape))
-        trace = np.ones(g.n_boundary)
-        lap = laplacian(f, BoundaryMode.dirichlet(trace))
-        # first interior ring feels the substituted boundary value
-        assert lap.data[1, 1] == pytest.approx((1 / g.hx**2 + 1 / g.hy**2))
-        assert lap.data[3, 3] == 0.0
-
-    def test_dirichlet_trace_length_mismatch(self):
-        g = Grid(8, 8)
-        f = ScalarField2D.zeros(g)
-        with pytest.raises(ValueError, match="trace"):
-            laplacian(f, BoundaryMode.dirichlet(np.ones(5)))
 
 
 def _stencil_reference(u, hx, hy):

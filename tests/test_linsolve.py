@@ -16,12 +16,10 @@ from nematicflow.linsolve import (
     POISSON_BACKWARD_ERROR,
     PoissonProblem,
     SolverError,
-    _lap_matrix,
     _projection_eigensystem,
     heat_step,
     project_divergence_free,
     solve_poisson_dirichlet,
-    stokes_residual,
 )
 
 
@@ -69,13 +67,13 @@ class TestPoissonDirichlet:
         sol = solve_poisson_dirichlet(PoissonProblem(g, ScalarField2D.zeros(g), dirichlet=trace))
         assert np.max(np.abs(sol.data - 2.5)) < 1e-12
 
-    def test_against_dense_factorization_oracle(self):
+    def test_against_dense_factorization_oracle(self, lap_matrix):
         g = Grid(16, 16)
         rng = np.random.default_rng(3)
         rhs = ScalarField2D(g, rng.standard_normal(g.shape))
         trace = np.zeros(g.n_boundary)
         sol = solve_poisson_dirichlet(PoissonProblem(g, rhs, dirichlet=trace))
-        dense = np.linalg.solve(_lap_matrix(g).toarray(), rhs.data[1:-1, 1:-1].ravel())
+        dense = np.linalg.solve(lap_matrix(g).toarray(), rhs.data[1:-1, 1:-1].ravel())
         assert np.max(np.abs(sol.data[1:-1, 1:-1].ravel() - dense)) < 1e-10
 
     def test_eigenfunction_rhs(self):
@@ -264,51 +262,3 @@ class TestProjection:
         w = quad_weights(g)
         pi_ref -= np.sum(w * pi_ref) / np.sum(w)
         assert np.max(np.abs(pi.data - pi_ref)) <= 1e-13 * np.max(np.abs(pi_ref))
-
-
-class TestStokesResidual:
-    def test_all_zero(self):
-        g = Grid(8, 8)
-        assert stokes_residual(VectorField2D.zeros(g), ScalarField2D.zeros(g), VectorField2D.zeros(g)) == 0.0
-
-    def test_manufactured_solution_second_order(self):
-        errs = []
-        for n in (24, 48):
-            g = Grid(n, n)
-            X, Y = g.mesh()
-            v = VectorField2D(
-                g,
-                np.stack(
-                    [
-                        np.sin(np.pi * X) * np.cos(np.pi * Y),
-                        -np.cos(np.pi * X) * np.sin(np.pi * Y),
-                    ]
-                ),
-            )
-            pi = ScalarField2D(g, np.sin(np.pi * X) * np.sin(np.pi * Y))
-            rhs = VectorField2D(
-                g,
-                np.stack(
-                    [
-                        2 * np.pi**2 * v.data[0] + np.pi * np.cos(np.pi * X) * np.sin(np.pi * Y),
-                        2 * np.pi**2 * v.data[1] + np.pi * np.sin(np.pi * X) * np.cos(np.pi * Y),
-                    ]
-                ),
-            )
-            errs.append(stokes_residual(v, pi, rhs))
-        assert errs[0] / errs[1] > 3.0  # second order
-
-    def test_linearity_in_rhs(self):
-        g = Grid(12, 12)
-        rng = np.random.default_rng(8)
-        v = VectorField2D(g, rng.standard_normal((2, *g.shape)))
-        pi = ScalarField2D(g, rng.standard_normal(g.shape))
-        rhs = VectorField2D(g, np.zeros((2, *g.shape)))
-        base = stokes_residual(v, pi, rhs)
-        # perturbing rhs by exactly the current residual field zeroes it out
-        from nematicflow.grid import _ddx, _ddy, _lap_interior
-
-        r1 = -_lap_interior(v.data[0], g.hx, g.hy) + _ddx(pi.data, g.hx)
-        r2 = -_lap_interior(v.data[1], g.hx, g.hy) + _ddy(pi.data, g.hy)
-        rhs2 = VectorField2D(g, np.stack([r1, r2]))
-        assert stokes_residual(v, pi, rhs2) < 1e-12 * max(1.0, base)

@@ -11,6 +11,9 @@ from nematicflow.grid import (
 )
 from nematicflow.lifting import elliptic_lift
 from nematicflow.steady import (
+    DegenerateCriticalPointError,
+    _linearization,
+    _minres,
     energy_E,
     energy_script,
     local_minimizer_check,
@@ -88,44 +91,61 @@ class TestReferenceRelaxation:
     counts, not timings, so a regression shows deterministically."""
 
     @staticmethod
-    def decay_reference(monkeypatch, nx, ny, ly=1.0):
+    def decay_scenario(nx, ny, ly=1.0):
         from nematicflow.harness import scenarios
 
-        flows = []
-        original = scenarios.solve_gradient_flow
-
-        def recording(*args, **kwargs):
-            flows.append(original(*args, **kwargs))
-            return flows[-1]
-
-        monkeypatch.setattr(scenarios, "solve_gradient_flow", recording)
-        sc = scenarios.Scenario(
+        return scenarios.Scenario(
             name="decay", family="polynomial-decay", nx=nx, ny=ny, ly=ly,
             gamma=2.0, a_h=0.3, a_g=0.1, kappa=0.3, seed=1,
         )
-        eq = scenarios.reference_equilibrium(sc, scenarios.make_forcing(sc))
-        (flow,) = flows
-        return flow, eq
 
-    @staticmethod
-    def decay_start(n):
+    @classmethod
+    def decay_start(cls, nx, ny=None, ly=1.0):
         from nematicflow.harness import scenarios
 
-        sc = scenarios.Scenario(
-            name="decay", family="polynomial-decay", nx=n, ny=n, kappa=0.3, seed=1
-        )
+        sc = cls.decay_scenario(nx, ny or nx, ly)
         h_inf = scenarios.make_forcing(sc).h_inf
         return h_inf, unit_clipped_lift(h_inf), sc.params
 
     @pytest.mark.parametrize("nx,ny,ly", [(32, 32, 1.0), (64, 64, 1.0), (128, 128, 1.0), (96, 130, 1.3)])
-    def test_converges_in_grid_independent_iterations(self, monkeypatch, nx, ny, ly):
-        flow, eq = self.decay_reference(monkeypatch, nx, ny, ly)
+    def test_converges_in_grid_independent_iterations(self, nx, ny, ly):
+        from nematicflow.harness import scenarios
+
+        # the relaxation alone reaches the reference tolerance in a
+        # grid-independent number of corrections
+        h_inf, d0, params = self.decay_start(nx, ny, ly)
+        flow = solve_gradient_flow(h_inf, d0, params, tol=1e-11)
         assert flow.converged
         assert flow.residual <= 1e-11
         assert flow.iterations <= 40
-        assert eq.iterations == flow.iterations  # Newton made no step
+        # and so does the hand-off to Newton that reference_equilibrium makes
+        sc = self.decay_scenario(nx, ny, ly)
+        eq = scenarios.reference_equilibrium(sc, scenarios.make_forcing(sc))
         assert eq.converged
         assert eq.residual <= 1e-11
+
+    def test_small_eps_hands_off_to_newton(self, monkeypatch):
+        # at eps = 0.05 the relaxation alone needs 534 corrections (one sine
+        # solve each) to reach 1e-11; relaxing into Newton's basin and
+        # finishing with Newton-MINRES needs far fewer solves
+        import nematicflow.steady as steady
+        from nematicflow.harness import scenarios
+
+        calls = []
+        original = steady.heat_solve_interior
+
+        def counting(*args):
+            calls.append(1)
+            return original(*args)
+
+        monkeypatch.setattr(steady, "heat_solve_interior", counting)
+        sc = scenarios.Scenario(
+            name="small-eps", family="polynomial-decay", params=PhysParams(eps=0.05)
+        )
+        eq = scenarios.reference_equilibrium(sc, scenarios.make_forcing(sc))
+        assert eq.converged
+        assert eq.residual <= 1e-11
+        assert len(calls) <= 200
 
     def test_rising_residual_is_not_a_stall(self):
         # two boundary windings: on the way to the defect pair the residual
@@ -216,6 +236,83 @@ class TestNewton:
         assert not eq.converged
         with pytest.raises(ValueError, match="Newton"):
             newton_refine(eq, PhysParams(), basin_radius=1e-9)
+
+
+def jacobian_matrix(lap_matrix, grid, d, eps):
+    """Sparse -lap + f'(psi) on interior nodes, component-major ordering."""
+    import scipy.sparse as sp
+
+    L = lap_matrix(grid)
+    d1 = d[0, 1:-1, 1:-1].ravel()
+    d2 = d[1, 1:-1, 1:-1].ravel()
+    sq = d1**2 + d2**2 - 1.0
+    a11 = (sq + 2.0 * d1 * d1) / eps**2
+    a12 = (2.0 * d1 * d2) / eps**2
+    a22 = (sq + 2.0 * d2 * d2) / eps**2
+    return sp.bmat(
+        [
+            [-L + sp.diags(a11), sp.diags(a12)],
+            [sp.diags(a12), -L + sp.diags(a22)],
+        ],
+        format="csr",
+    )
+
+
+class TestLinearization:
+    def test_matches_sparse_jacobian(self, lap_matrix):
+        g = Grid(24, 20, 1.0, 0.7)
+        rng = np.random.default_rng(4)
+        d = rng.uniform(-1.0, 1.0, (2, *g.shape))
+        w = rng.standard_normal((2, g.nx - 2, g.ny - 2))
+        eps = 0.2
+        got = _linearization(g, d, eps)(w).ravel()
+        want = jacobian_matrix(lap_matrix, g, d, eps) @ w.ravel()
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+class TestMinres:
+    @staticmethod
+    def shifted_laplacian(g, shift):
+        """w -> -lap_h w - shift w, and the sine-basis preconditioner."""
+        from nematicflow.grid import interior_lap
+        from nematicflow.linsolve import heat_solve_interior
+
+        def apply_a(w):
+            return -interior_lap(np.pad(w, ((0, 0), (1, 1), (1, 1))), g.hx, g.hy) - shift * w
+
+        def apply_m(r):
+            return heat_solve_interior(g, r, 1.0)
+
+        return apply_a, apply_m
+
+    @staticmethod
+    def lowest_mode(g):
+        X, Y = g.mesh()
+        mode = np.sin(np.pi * X / g.lx) * np.sin(np.pi * Y / g.ly)
+        lam = sum((2.0 - 2.0 * np.cos(np.pi / (n - 1))) / h**2 for n, h in ((g.nx, g.hx), (g.ny, g.hy)))
+        return mode[1:-1, 1:-1], lam
+
+    def test_indefinite_system_solved(self, lap_matrix):
+        # a shift between the two lowest Dirichlet eigenvalues makes the
+        # operator indefinite but nonsingular
+        g = Grid(16, 12, 1.0, 0.8)
+        apply_a, apply_m = self.shifted_laplacian(g, 60.0)
+        b = np.random.default_rng(2).standard_normal((1, g.nx - 2, g.ny - 2))
+        x = _minres(apply_a, apply_m, b)
+        L = lap_matrix(g).toarray()
+        dense = np.linalg.solve(-L - 60.0 * np.eye(L.shape[0]), b.ravel())
+        assert np.max(np.abs(x.ravel() - dense)) <= 1e-8 * np.max(np.abs(dense))
+
+    def test_singular_system_raises(self):
+        # shifting by the lowest eigenvalue makes its sine mode a null vector;
+        # a right-hand side with a part along it is outside the range
+        g = Grid(16, 12, 1.0, 0.8)
+        mode, lam = self.lowest_mode(g)
+        apply_a, apply_m = self.shifted_laplacian(g, lam)
+        assert np.max(np.abs(apply_a(mode[None]))) <= 1e-9 * lam
+        b = mode[None] + 0.1 * np.random.default_rng(5).standard_normal((1, g.nx - 2, g.ny - 2))
+        with pytest.raises(DegenerateCriticalPointError, match="stagnated"):
+            _minres(apply_a, apply_m, b)
 
 
 class TestEnergies:
