@@ -34,7 +34,7 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .diagnostics import EnergyRecord, edge_seminorm_sq, energy_record
+from .diagnostics import EnergyRecord, energy_record
 from .grid import (
     BoundaryTrace,
     Grid,
@@ -46,9 +46,11 @@ from .grid import (
     extract_ring,
     interior_dx,
     interior_dy,
+    interior_stencils,
     quad_weights,
     random_sine_series,
     set_ring,
+    trusted_field,
 )
 from .lifting import LiftingState, _grad_lap_dP, init_lifting, parabolic_lift_step
 from .linsolve import SolverError, heat_solve_interior, project_divergence_free
@@ -86,8 +88,11 @@ class Forcing:
     an approximation).  ``director_source_values`` injects an extra source
     into the director equation; it exists for manufactured-solution tests.
     ``boundary_rate`` is the analytic h_t when known (read by the hypothesis
-    checker).  ``boundary(t)`` refuses |h| > 1 at every t it is asked for; the
-    constructor asks for t = 0, so bad static data is refused up front.
+    checker).  ``boundary(t)`` refuses non-finite values and |h| > 1, and
+    ``body_force(t)`` non-finite values, at every t they are asked for; the
+    constructor asks for h at t = 0, so bad static data is refused up front.
+    These are the run's entry points for outside data: the fields the step
+    derives from them are not checked again.
     """
 
     def __init__(
@@ -115,7 +120,9 @@ class Forcing:
 
     def boundary(self, t: float) -> np.ndarray:
         vals = np.asarray(self._boundary(t), dtype=float)
-        mag = np.max(np.hypot(vals[:, 0], vals[:, 1]))
+        mag = np.max(np.hypot(vals[:, 0], vals[:, 1]))  # NaN if any value is NaN
+        if np.isnan(mag):
+            raise ValueError(f"h is not finite at t={t:.6g}")
         if mag > 1.0 + 1e-12:
             raise ValueError(f"|h| exceeds 1 at t={t:.6g}: max |h| = {mag:.6g}")
         return vals
@@ -123,7 +130,10 @@ class Forcing:
     def body_force(self, t: float) -> VectorField2D | None:
         if self._body is None:
             return None
-        return VectorField2D(self.grid, self._body(t))
+        try:
+            return VectorField2D(self.grid, self._body(t))
+        except ValueError as exc:
+            raise ValueError(f"body force at t={t:.6g}: {exc}") from exc
 
     def director_source(self, t: float) -> np.ndarray | None:
         if self._director_source is None:
@@ -149,7 +159,12 @@ class SimState:
 
 
 def default_dt(grid: Grid, params: PhysParams) -> float:
-    """Conservative default step: explicit-term stability margin."""
+    """Default step 0.25 h^2 / max(eta, nu), the stability limit of explicit diffusion.
+
+    Diffusion is backward Euler here, so this limit does not bind: the
+    explicit terms limit dt only through the advective CFL number and the
+    penalization product dt eta 2 / eps^2, both far below one at this step.
+    """
     h = min(grid.hx, grid.hy)
     return 0.25 * h * h / max(params.eta, params.nu)
 
@@ -182,6 +197,7 @@ def init(
     d0 = d0.copy()
     for k in range(2):  # pin the trace bitwise so shifted fields vanish exactly
         set_ring(d0.data[k], h0[:, k])
+    d0.data.flags.writeable = False  # as every stepped director
 
     v_proj, pi0 = project_divergence_free(v0)
     lifting = init_lifting(BoundaryTrace(g, h0))
@@ -199,7 +215,8 @@ def step(s: SimState) -> SimState:
     """Advance one time step; boundary/trace invariants are restored exactly.
 
     Implicit solves only ever read interior values, so all right-hand sides
-    are assembled on interior views.
+    are assembled on interior views.  The returned director is read-only, so
+    ``interior_stencils`` evaluates its stencils once.
     """
     g = s.v.grid
     p = s.params
@@ -221,7 +238,8 @@ def step(s: SimState) -> SimState:
 
     # 2. director update on the shifted unknown (zero trace)
     gl_fac = (d_int[0] ** 2 + d_int[1] ** 2 - 1.0) / p.eps**2
-    adv = v_int[0] * interior_dx(d, hx) + v_int[1] * interior_dy(d, hy)
+    d_dx, d_dy, _ = interior_stencils(s.d)
+    adv = v_int[0] * d_dx + v_int[1] * d_dy
     rhs_d = (d_int - s.lifting.dE.data[inner]) + dt * (
         -adv - p.eta * gl_fac * d_int - lift1.dt_dE.data[inner]
     )
@@ -230,7 +248,8 @@ def step(s: SimState) -> SimState:
         rhs_d += dt * src[inner]
     d_new_data = lift1.dE.data.copy()  # ring stays exactly h(t1)
     d_new_data[inner] += heat_solve_interior(g, rhs_d, p.eta * dt)
-    d_new = VectorField2D(g, d_new_data)
+    d_new_data.flags.writeable = False
+    d_new = trusted_field(VectorField2D, g, d_new_data)
 
     # 3. velocity predictor, viscous term implicit, stress on the new director
     stress = elastic_stress_divergence(d_new).data[inner]
@@ -243,7 +262,7 @@ def step(s: SimState) -> SimState:
     u_star[inner] = heat_solve_interior(g, rhs_v, p.nu * dt)
 
     # 4. projection
-    v_new, pi_new = project_divergence_free(VectorField2D(g, u_star))
+    v_new, pi_new = project_divergence_free(trusted_field(VectorField2D, g, u_star))
 
     return replace(s, t=t1, v=v_new, d=d_new, pi=pi_new, lifting=lift1)
 
@@ -274,9 +293,11 @@ def run(
     """Step until t >= t_end, sampling an EnergyRecord every ``sample_every`` steps.
 
     Also tracks the scalar series feeding the higher-order checks: |dt d_P|,
-    |grad lap d_P| and |g|, sampled on the same grid of times.  Aborts with
-    the last good state if a step fails (including a linear solve that misses
-    its tolerance) or the fields stop being finite.
+    |grad lap d_P|, |g| and |grad v|, sampled on the same grid of times.
+    Aborts with the last good state if a step fails (including a linear solve
+    that misses its tolerance, or forcing data that is not finite) or the
+    fields stop being finite.  That check after every step stands in for the
+    validation the step skips on the fields it derives.
     """
     if t_end <= s0.t:
         raise ValueError("t_end must exceed the initial time")
@@ -308,7 +329,8 @@ def run(
         aux["dt_dP"].append(dtdp)
         aux["grad_lap_dP"].append(gradlap)
         aux["g_l2"].append(g_norm(state.t))
-        aux["grad_v"].append(float(np.sqrt(edge_seminorm_sq(g, state.v.data))))
+        # |grad v|^2 = |v|_H1^2 - |v|_L2^2, as the record sums it
+        aux["grad_v"].append(float(np.sqrt(max(rec.norm_v_H1**2 - rec.norm_v_L2**2, 0.0))))
         for sink in sinks:
             sink(rec)
 

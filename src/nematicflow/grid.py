@@ -8,7 +8,10 @@ First derivatives use second-order central differences in the interior and
 second-order one-sided stencils on the boundary ring; the Laplacian is the
 standard 5-point stencil, defined on interior nodes only.  The interior
 stencils (``interior_dx``, ``interior_dy``, ``interior_lap``) live here alone
-and act on (..., nx, ny) stacks, returning only the interior values.
+and act on (..., nx, ny) stacks, returning only the interior values;
+``interior_stencils`` memoizes all three for a read-only director.  The
+public field constructors check shape and finiteness; ``trusted_field``
+builds fields from already checked data without checks.
 
 Besides the raw differences, this module provides the pointwise
 Ginzburg-Landau penalization f(d) = (|d|^2 - 1) d / eps^2 and its potential
@@ -19,7 +22,7 @@ the director field.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, wraps
 
 import numpy as np
 
@@ -226,6 +229,15 @@ class BoundaryTrace:
         return self.values[:, k]
 
 
+def trusted_field(cls, grid: Grid, data: np.ndarray):
+    """A ``ScalarField2D`` or ``VectorField2D`` on ``data``, which must already
+    have the class's shape and finite values: nothing is checked."""
+    field = object.__new__(cls)
+    field.grid = grid
+    field.data = data
+    return field
+
+
 # ---------------------------------------------------------------------------
 # difference operators
 
@@ -280,6 +292,46 @@ def interior_lap(data: np.ndarray, hx: float, hy: float) -> np.ndarray:
     ) * hy**-2
 
 
+def one_slot_memo(fn):
+    """Memoize ``fn(field)`` for the last field whose array nobody can write.
+
+    The key is the identity of the field's data array and its grid.  Only a
+    read-only array that owns its memory is cached: no write can change it
+    behind the memo, and the slot keeps it alive, so its identity is not
+    reused.  A writable array is evaluated afresh on every call.  Results
+    are shared between callers and marked read-only.
+    """
+    last = None
+
+    @wraps(fn)
+    def memo(field):
+        nonlocal last
+        data = field.data
+        entry = last
+        if entry is not None and entry[0] is data and entry[1] == field.grid:
+            return entry[2]
+        result = fn(field)
+        if not data.flags.writeable and data.base is None:
+            for a in result if isinstance(result, tuple) else (result,):
+                a.flags.writeable = False
+            last = (data, field.grid, result)
+        return result
+
+    return memo
+
+
+@one_slot_memo
+def interior_stencils(field: "VectorField2D") -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(dx, dy, lap) of a (2, nx, ny) field at interior nodes, each (2, mx, my).
+
+    A state's director is read-only, so its stencils are evaluated once and
+    shared by the elastic stress, the energy record and the next step's
+    advection."""
+    g = field.grid
+    d = field.data
+    return interior_dx(d, g.hx), interior_dy(d, g.hy), interior_lap(d, g.hx, g.hy)
+
+
 def _lap_interior(data: np.ndarray, hx: float, hy: float) -> np.ndarray:
     """5-point Laplacian on interior nodes; boundary rows of the output are 0."""
     out = np.zeros_like(data)
@@ -301,13 +353,13 @@ def elastic_stress_divergence(d: VectorField2D) -> VectorField2D:
     lambda times this field.  Output is zero on the boundary ring.
     """
     g = d.grid
-    lap = interior_lap(d.data, g.hx, g.hy)
-    sx = lap * interior_dx(d.data, g.hx)
-    sy = lap * interior_dy(d.data, g.hy)
+    dx, dy, lap = interior_stencils(d)
+    sx = lap * dx
+    sy = lap * dy
     out = np.zeros((2, *g.shape))
     np.add(sx[0], sx[1], out=out[0, 1:-1, 1:-1])
     np.add(sy[0], sy[1], out=out[1, 1:-1, 1:-1])
-    return VectorField2D(g, out)
+    return trusted_field(VectorField2D, g, out)
 
 
 def ginzburg_landau_f(d: VectorField2D, eps: float) -> VectorField2D:

@@ -30,6 +30,7 @@ from .grid import (
     VectorField2D,
     boundary_segment_weights,
     interior_lap,
+    trusted_field,
 )
 from .linsolve import (
     _bc_contribution,
@@ -68,9 +69,11 @@ def init_lifting(d0_trace: BoundaryTrace) -> LiftingState:
 
     The three lifting fields start as the same object; steps replace them
     rather than mutate, and the shared identity lets diagnostics skip
-    recomputation while the data remains autonomous.
+    recomputation while the data remains autonomous.  Its array is read-only,
+    so diagnostics can memoize lap d_E for as long as the trace stays static.
     """
     dE0 = elliptic_lift(d0_trace)
+    dE0.data.flags.writeable = False
     zero = VectorField2D.zeros(d0_trace.grid)
     return LiftingState(dE=dE0, dP=dE0, dE0=dE0, dt_dP=zero, dt_dE=zero, t=0.0)
 
@@ -91,8 +94,8 @@ def parabolic_lift_step(
     dP_int = heat_solve_interior(g, state.dP.data[:, 1:-1, 1:-1] + dt * bc, dt)
     dP_new = _with_trace(g, dP_int, trace_next)
     dE_new = _with_trace(g, poisson_solve_interior(g, -bc), trace_next)
-    dt_dP = VectorField2D(g, (dP_new.data - state.dP.data) / dt)
-    dt_dE = VectorField2D(g, (dE_new.data - state.dE.data) / dt)
+    dt_dP = trusted_field(VectorField2D, g, (dP_new.data - state.dP.data) / dt)
+    dt_dE = trusted_field(VectorField2D, g, (dE_new.data - state.dE.data) / dt)
     return LiftingState(
         dE=dE_new, dP=dP_new, dE0=state.dE0, dt_dP=dt_dP, dt_dE=dt_dE, t=state.t + dt
     )

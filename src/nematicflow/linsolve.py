@@ -55,6 +55,7 @@ from .grid import (
     interior_lap,
     quad_weights,
     set_ring,
+    trusted_field,
 )
 
 EPS = float(np.finfo(float).eps)
@@ -122,7 +123,7 @@ def _with_trace(grid: Grid, interior: np.ndarray, trace: BoundaryTrace) -> Vecto
     out[:, 1:-1, 1:-1] = interior
     for k in range(2):
         set_ring(out[k], trace.component(k))
-    return VectorField2D(grid, out)
+    return trusted_field(VectorField2D, grid, out)
 
 
 # ---------------------------------------------------------------------------
@@ -192,11 +193,12 @@ def _difference_square_eigh(m: int, h: float) -> tuple[np.ndarray, np.ndarray]:
     return lam, q
 
 
-def _projection_eigensystem(grid: Grid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(Qx, Qy, inv) with D D^T = (Qx (x) Qy) diag(lx_i + ly_j) (Qx (x) Qy)^T.
+def _projection_eigensystem(grid: Grid) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+    """(Qx, Qy, inv, area) with D D^T = (Qx (x) Qy) diag(lx_i + ly_j) (Qx (x) Qy)^T.
 
     ``inv`` holds the reciprocal eigenvalues, zero on the null mode of
-    odd-odd grids, so applying it gives the minimum-norm solution.
+    odd-odd grids, so applying it gives the minimum-norm solution.  ``area``
+    is the sum of the quadrature weights, which normalizes the pressure.
     """
     key = (grid.key, "proj")
     got = _cache.get(key)
@@ -206,7 +208,7 @@ def _projection_eigensystem(grid: Grid) -> tuple[np.ndarray, np.ndarray, np.ndar
         total = lam_x[:, None] + lam_y[None, :]
         inv = np.zeros_like(total)  # total[0, 0] == 0 only on odd-odd grids
         np.divide(1.0, total, out=inv, where=total != 0.0)
-        got = (qx, qy, inv)
+        got = (qx, qy, inv, np.sum(quad_weights(grid)))
         _cache[key] = got
     return got
 
@@ -297,7 +299,7 @@ def project_divergence_free(u: VectorField2D) -> tuple[VectorField2D, ScalarFiel
 
     div = interior_dx(ud[0], g.hx) + interior_dy(ud[1], g.hy)
 
-    qx, qy, inv = _projection_eigensystem(g)
+    qx, qy, inv, area = _projection_eigensystem(g)
     lam_pad = np.zeros(g.shape)
     lam_pad[1:-1, 1:-1] = qx @ ((qx.T @ div @ qy) * inv) @ qy.T
 
@@ -307,6 +309,5 @@ def project_divergence_free(u: VectorField2D) -> tuple[VectorField2D, ScalarFiel
     v[1, 1:-1, 1:-1] += interior_dy(lam_pad, g.hy)
 
     pi = -lam_pad
-    w = quad_weights(g)
-    pi = pi - np.sum(w * pi) / np.sum(w)
-    return VectorField2D(g, v), ScalarField2D(g, pi)
+    pi = pi - np.sum(quad_weights(g) * pi) / area
+    return trusted_field(VectorField2D, g, v), trusted_field(ScalarField2D, g, pi)

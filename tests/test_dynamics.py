@@ -1,10 +1,10 @@
 import logging
-from dataclasses import replace
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
 
-from nematicflow.diagnostics import energy_inequality_residual, norms
+from nematicflow.diagnostics import energy_inequality_residual, energy_record, norms
 from nematicflow.dynamics import (
     Forcing,
     PhysParams,
@@ -72,6 +72,37 @@ class TestForcing:
         assert "max |h| = 1.5" in summary.abort_reason
         assert summary.n_steps == 13
         assert summary.final.t < 0.4
+
+    def test_nonfinite_boundary_refused_naming_t(self):
+        # NaN > 1 is False, so the magnitude guard alone would let NaN through
+        g = Grid(8, 8)
+        trace = BoundaryTrace.constant(g, (1.0, 0.0))
+
+        def h(t):
+            vals = trace.values.copy()
+            if t > 0.5:
+                vals[3, 1] = np.nan
+            return vals
+
+        forcing = Forcing(g, h)
+        with pytest.raises(ValueError, match="h is not finite at t=0.75"):
+            forcing.boundary(0.75)
+        with pytest.raises(ValueError, match="not finite at t=0"):
+            Forcing(g, lambda t: np.full((g.n_boundary, 2), np.nan))
+
+    def test_nonfinite_body_force_refused_naming_t(self):
+        g = Grid(8, 8)
+        trace = BoundaryTrace.constant(g, (1.0, 0.0))
+
+        def gfun(t):
+            arr = np.zeros((2, *g.shape))
+            arr[1, 4, 2] = np.inf if t > 0.5 else 0.0
+            return arr
+
+        forcing = Forcing(g, lambda t: trace.values, body_force_values=gfun)
+        assert np.all(forcing.body_force(0.25).data == 0.0)
+        with pytest.raises(ValueError, match="body force at t=0.75: .*non-finite"):
+            forcing.body_force(0.75)
 
     def test_static_trace_checked_once_at_construction(self):
         g = Grid(8, 8)
@@ -401,6 +432,29 @@ class TestRun:
         assert "t=" in summary.abort_reason
         assert np.all(np.isfinite(summary.final.d.data))
 
+    def test_nan_body_force_aborts_at_its_step(self):
+        # the step derives its fields without re-validating them, so the body
+        # force is checked where it enters, and the run stops at that step
+        g = Grid(16, 16)
+        trace = BoundaryTrace.constant(g, (1.0, 0.0))
+        dt = 1e-2
+
+        def gfun(t):
+            arr = np.zeros((2, *g.shape))
+            if abs(t - 7 * dt) < 0.5 * dt:
+                arr[0, 5, 5] = np.nan
+            return arr
+
+        forcing = Forcing(g, lambda t: trace.values, body_force_values=gfun, static_trace=True)
+        d0 = bump_director(g, forcing, amplitude=0.2)
+        s = init(VectorField2D.zeros(g), d0, forcing, PhysParams(), dt=dt)
+        summary = run(s, t_end=20 * dt, sample_every=1)
+        assert summary.aborted
+        assert summary.n_steps == 6
+        assert "body force at t=0.07: field contains non-finite values" in summary.abort_reason
+        assert len(summary.records) == 7
+        assert np.all(np.isfinite(summary.final.d.data))
+
     def test_abort_on_solver_error(self, monkeypatch):
         # a projection that fails its residual check inside step()
         import nematicflow.dynamics as dyn
@@ -455,3 +509,69 @@ class TestRun:
             run(s, t_end=0.0)
         with pytest.raises(ValueError):
             run(s, t_end=1.0, sample_every=0)
+
+
+class TestStencilMemo:
+    """A state's director stencils are evaluated once and shared through a
+    one-slot memo keyed on the identity of its read-only array."""
+
+    @staticmethod
+    def _states():
+        from nematicflow.harness.scenarios import Scenario, generate_scenario
+
+        def state(seed, family, **kw):
+            sc = Scenario(name="x", family=family, nx=16, ny=14, ly=0.9, seed=seed, **kw)
+            return generate_scenario(sc).state
+
+        return (
+            state(1, "autonomous", kappa=0.0, d0_perturbation=0.5, v0_amplitude=0.3, dt=1e-3),
+            state(2, "polynomial-decay", a_h=0.3, a_g=0.1, kappa=0.3, d0_perturbation=0.4,
+                  v0_amplitude=0.2, dt=2e-3),
+        )
+
+    @staticmethod
+    def _same(a, b):
+        for name in ("v", "d", "pi"):
+            assert np.array_equal(getattr(a, name).data, getattr(b, name).data), name
+        ra, rb = (astuple(energy_record(x)) for x in (a, b))
+        assert np.array_equal(ra, rb, equal_nan=True)  # no reference: distances are NaN
+
+    def test_interleaved_trajectories_match_each_alone(self):
+        def alone(s, cold=False):
+            for _ in range(8):
+                if cold:  # a writable copy is never memoized
+                    s = replace(s, d=VectorField2D(s.d.grid, s.d.data.copy()))
+                s = step(s)
+                energy_record(s)
+            return s
+
+        a0, b0 = self._states()
+        a, b = alone(a0), alone(b0)
+        self._same(a, alone(a0, cold=True))
+        self._same(b, alone(b0, cold=True))
+        ia, ib = a0, b0
+        for _ in range(8):
+            ia, ib = step(ia), step(ib)
+            energy_record(ib)
+            energy_record(ia)
+        self._same(ia, a)
+        self._same(ib, b)
+
+    def test_replaced_director_gives_cold_result(self):
+        a0, b0 = self._states()
+        s = step(step(a0))
+        other = step(replace(a0, v=VectorField2D.zeros(a0.v.grid))).d
+        assert not np.array_equal(other.data, s.d.data)
+        step(s)  # the memo now holds the stencils of s.d and of its successor
+        warm = step(replace(s, d=other))
+        # a writable copy is never memoized, so its stencils are evaluated cold
+        cold = step(replace(s, d=VectorField2D(other.grid, other.data.copy())))
+        self._same(warm, cold)
+
+    def test_stepped_director_is_read_only(self):
+        a0, _ = self._states()
+        s = step(a0)
+        for state in (a0, s):
+            with pytest.raises(ValueError, match="read-only"):
+                state.d.data[0, 3, 3] = 0.5
+        assert s.d.data.base is None  # no writable base can change it either

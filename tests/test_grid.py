@@ -19,6 +19,7 @@ from nematicflow.grid import (
     interior_dx,
     interior_dy,
     interior_lap,
+    interior_stencils,
     laplacian,
     set_ring,
 )
@@ -169,6 +170,46 @@ class TestInteriorStencils:
         assert full.shape == u.shape
         assert np.all(full[..., 0, :] == 0) and np.all(full[..., -1, :] == 0)
         assert np.all(full[..., :, 0] == 0) and np.all(full[..., :, -1] == 0)
+
+
+class TestStencilMemo:
+    def _field(self, seed, writeable):
+        g = Grid(12, 10, ly=0.8)
+        data = np.random.default_rng(seed).standard_normal((2, *g.shape))
+        data.flags.writeable = writeable
+        return VectorField2D(g, data)
+
+    @staticmethod
+    def _fresh(f):
+        g = f.grid
+        return interior_dx(f.data, g.hx), interior_dy(f.data, g.hy), interior_lap(f.data, g.hx, g.hy)
+
+    def test_read_only_field_evaluated_once(self):
+        f = self._field(1, writeable=False)
+        first = interior_stencils(f)
+        assert interior_stencils(f) is first
+        for got, want in zip(first, self._fresh(f)):
+            assert np.array_equal(got, want)
+            assert not got.flags.writeable  # shared results cannot be edited
+
+    def test_writable_field_never_cached(self):
+        # an in-place edit of a writable array must show in the next call
+        f = self._field(2, writeable=True)
+        interior_stencils(f)
+        f.data[:, 4, 4] += 1.0
+        for got, want in zip(interior_stencils(f), self._fresh(f)):
+            assert np.array_equal(got, want)
+
+    def test_other_array_or_grid_misses(self):
+        a = self._field(3, writeable=False)
+        b = self._field(4, writeable=False)
+        interior_stencils(a)
+        for got, want in zip(interior_stencils(b), self._fresh(b)):
+            assert np.array_equal(got, want)
+        # the same array read on another grid has other spacings
+        on_other = VectorField2D(Grid(12, 10, lx=2.0, ly=0.8), b.data)
+        for got, want in zip(interior_stencils(on_other), self._fresh(on_other)):
+            assert np.array_equal(got, want)
 
 
 class TestElasticStress:

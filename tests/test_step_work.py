@@ -1,0 +1,72 @@
+"""Timing-free guard on the work one time step does.
+
+Counters patched onto the module bindings count how often the director's
+interior stencils are evaluated and how many validating field constructions
+run inside ``step``.  Each per-step quantity is computed once: the stencils
+of a new director feed the elastic stress, its energy record and the next
+step's advection, and fields derived from checked data are not re-checked.
+"""
+
+from nematicflow import diagnostics, dynamics, grid, lifting, linsolve
+from nematicflow.harness.scenarios import Scenario, generate_scenario
+
+STENCILS = ("interior_dx", "interior_dy", "interior_lap")
+N_STEPS = 10
+
+
+def test_energy_law_step_computes_each_quantity_once(monkeypatch):
+    # the energy-law preset at 16^2: static trace, default dt, a record every step
+    sc = Scenario(name="energy-law", family="autonomous", nx=16, ny=16, kappa=0.0,
+                  d0_perturbation=0.5, v0_amplitude=0.3, dt=None, sample_every=1, seed=1)
+    s0 = generate_scenario(sc).state
+
+    args = {name: [] for name in STENCILS}
+    for name in STENCILS:
+        original = getattr(grid, name)
+
+        def counting(data, *h, _fn=original, _seen=args[name]):
+            _seen.append(data)
+            return _fn(data, *h)
+
+        for module in (grid, diagnostics, dynamics, lifting, linsolve):
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counting)
+
+    in_step = [False]
+    validated_in_step = []
+    for cls in (grid.ScalarField2D, grid.VectorField2D):
+        check = cls.__post_init__
+
+        def counting_check(self, _check=check):
+            if in_step[0]:
+                validated_in_step.append(type(self).__name__)
+            _check(self)
+
+        monkeypatch.setattr(cls, "__post_init__", counting_check)
+
+    directors = [s0.d.data]
+    original_step = dynamics.step
+
+    def watched_step(s):
+        in_step[0] = True
+        try:
+            out = original_step(s)
+        finally:
+            in_step[0] = False
+        directors.append(out.d.data)
+        return out
+
+    monkeypatch.setattr(dynamics, "step", watched_step)
+    summary = dynamics.run(s0, (N_STEPS - 0.5) * s0.dt, sample_every=1)
+    assert summary.n_steps == N_STEPS and len(summary.records) == N_STEPS + 1
+
+    def on_directors(name):
+        return sum(any(a is d for d in directors) for a in args[name])
+
+    # one evaluation per step and its sample, plus the initial sample
+    for name in STENCILS:
+        assert on_directors(name) <= N_STEPS + 1, (name, on_directors(name))
+    # lap d_E of the static trace: once per run
+    d_e = s0.lifting.dE.data
+    assert sum(a is d_e for a in args["interior_lap"]) == 1
+    assert validated_in_step == []
