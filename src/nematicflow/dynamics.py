@@ -14,10 +14,14 @@ the shifted director d - d_E carries a homogeneous trace and obeys
 
 One step of the splitting scheme:
 
-  1. advance the liftings to t+dt (heat step for d_P, fresh harmonic
-     extension for d_E, backward differences for their time derivatives);
+  1. advance the liftings to t+dt in the sine basis (a coefficient update
+     for the heat step of d_P, one back-transform for the harmonic extension
+     d_E); d_P and the backward differences dt d_P, dt d_E are built only
+     when read;
   2. director update, diffusion implicit, advection/penalization explicit,
-     zero Dirichlet trace on the shifted unknown;
+     zero Dirichlet trace on the shifted unknown.  Its right-hand side
+     (d - d_E^n) - dt dt d_E equals d - d_E^{n+1}, so it reads the new d_E
+     only;
   3. velocity predictor with implicit viscosity, explicit advection and
      elastic coupling evaluated on the *new* director;
   4. exact discrete projection onto divergence-free fields.
@@ -110,6 +114,7 @@ class Forcing:
         self.grid = grid
         self._boundary = boundary_values
         self._body = body_force_values
+        self._last_body: tuple[float, VectorField2D] | None = None
         self._director_source = director_source_values
         self.boundary_rate = boundary_rate
         self.gamma = gamma
@@ -128,12 +133,21 @@ class Forcing:
         return vals
 
     def body_force(self, t: float) -> VectorField2D | None:
+        """g(t) as a read-only field; the last t asked for is answered from a
+        one-slot memo, so the step and its sample call ``body_force_values`` once."""
         if self._body is None:
             return None
+        last = self._last_body
+        if last is not None and last[0] == t:
+            return last[1]
         try:
-            return VectorField2D(self.grid, self._body(t))
+            field = VectorField2D(self.grid, self._body(t))
         except ValueError as exc:
             raise ValueError(f"body force at t={t:.6g}: {exc}") from exc
+        field.data = field.data.view()  # read-only view; the caller's array stays as it was
+        field.data.flags.writeable = False
+        self._last_body = (t, field)
+        return field
 
     def director_source(self, t: float) -> np.ndarray | None:
         if self._director_source is None:
@@ -240,9 +254,8 @@ def step(s: SimState) -> SimState:
     gl_fac = (d_int[0] ** 2 + d_int[1] ** 2 - 1.0) / p.eps**2
     d_dx, d_dy, _ = interior_stencils(s.d)
     adv = v_int[0] * d_dx + v_int[1] * d_dy
-    rhs_d = (d_int - s.lifting.dE.data[inner]) + dt * (
-        -adv - p.eta * gl_fac * d_int - lift1.dt_dE.data[inner]
-    )
+    # (d - d_E^n) - dt dt_dE = d - d_E^{n+1}: the new d_E is all the step reads
+    rhs_d = (d_int - lift1.dE.data[inner]) + dt * (-adv - p.eta * gl_fac * d_int)
     src = s.forcing.director_source(t1)
     if src is not None:
         rhs_d += dt * src[inner]

@@ -7,9 +7,14 @@ extension of the *initial* trace.  The shifted unknowns d - d_E and d - d_P
 then carry homogeneous traces, which is what makes the energy bookkeeping of
 the coupled system clean.
 
+Both are advanced in the discrete sine basis, where the heat step is a
+diagonal update of the coefficients of d_P and the harmonic extension one
+back-transform; the time stepper reads d_E only, so d_P and the time
+derivatives are built from the coefficients when first read.
+
 The two liftings are linked by the discrete identity
 -lap(d_P - d_E) = -dt d_P (the backward-Euler step makes this exact at
-interior nodes up to elliptic solver tolerance), and by a family of decay
+interior nodes up to rounding), and by a family of decay
 estimates: when the boundary data settles at rate (1+t)^(-1-gamma), the
 quantity |dt d_P(t)|^2 must decay at least like (1+t)^(-2-2gamma).
 ``appendix_diagnostics`` fits the constants and exponents of those estimates
@@ -18,7 +23,7 @@ on a computed trajectory and reports satisfaction flags.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -33,15 +38,41 @@ from .grid import (
     trusted_field,
 )
 from .linsolve import (
-    _bc_contribution,
-    _with_trace,
+    _dst_denominator,
+    from_sine,
     harmonic_extension,
-    heat_solve_interior,
-    poisson_solve_interior,
+    harmonic_from_transform,
+    ring_transform,
+    sine_coefficients,
 )
 
 # Not called here: benchmarks/tracing.py wraps these bindings of this module.
 from .linsolve import heat_step, solve_poisson_dirichlet
+
+
+class _BuiltOnRead:
+    """A ``LiftingState`` field that may hold a zero-argument builder of its
+    (2, nx, ny) array, which must own its memory.
+
+    The first read calls the builder and stores the field, read-only, in its
+    place; that drops the builder and everything it closed over.
+    """
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            raise AttributeError(self.name)  # so the dataclass field has no default
+        value = obj.__dict__[self.name]
+        if not isinstance(value, VectorField2D):
+            data = value()
+            data.flags.writeable = False
+            value = obj.__dict__[self.name] = trusted_field(VectorField2D, obj.dE.grid, data)
+        return value
+
+    def __set__(self, obj, value):
+        obj.__dict__[self.name] = value
 
 
 @dataclass
@@ -49,15 +80,21 @@ class LiftingState:
     """Snapshot of both liftings at one time level.
 
     ``dt_dP`` and ``dt_dE`` are first-order backward differences of the
-    respective liftings over the last step (zero fields at t = 0).
+    respective liftings over the last step (zero fields at t = 0).  ``dP``,
+    ``dt_dP`` and ``dt_dE`` may be given as builders (``_BuiltOnRead``),
+    which run on first read; ``parabolic_lift_step`` returns them so.
+    ``p`` holds the sine coefficients of the interior of ``dP``
+    (``sine_coefficients``); a state built without them transforms ``dP``
+    when it is stepped.
     """
 
     dE: VectorField2D
-    dP: VectorField2D
+    dP: VectorField2D = _BuiltOnRead()
     dE0: VectorField2D
-    dt_dP: VectorField2D
-    dt_dE: VectorField2D
+    dt_dP: VectorField2D = _BuiltOnRead()
+    dt_dE: VectorField2D = _BuiltOnRead()
     t: float
+    p: np.ndarray | None = field(default=None, repr=False, compare=False)
 
 
 # Discrete-harmonic extension of ring values: both components in one direct solve.
@@ -81,23 +118,45 @@ def init_lifting(d0_trace: BoundaryTrace) -> LiftingState:
 def parabolic_lift_step(
     state: LiftingState, trace_next: BoundaryTrace, dt: float
 ) -> LiftingState:
-    """Advance d_P by one backward-Euler heat step and refresh d_E.
+    """Advance d_P by one backward-Euler heat step and refresh d_E, in the sine basis.
 
-    The ring contribution of ``trace_next`` is built once and shared by the
-    heat step (as in ``heat_step``) and the harmonic extension (as in
-    ``harmonic_extension``).
+    Both liftings take the ring contribution B of ``trace_next`` through its
+    sine transform B^ (``ring_transform``, rank four).  d_P advances by its
+    coefficients, p_new = (p + dt B^) / (1 + dt lam), which is the heat step
+    of ``heat_step`` without leaving the sine basis, and d_E is the one
+    back-transform of B^ / lam (``harmonic_from_transform``).  d_E is built
+    here because the director update reads it.  d_P, dt d_P and dt d_E are
+    built on first read, which in a run is only at sampled times; each is
+    read-only and owns its memory.
     """
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
-    g = state.dP.grid
-    bc = _bc_contribution(g, trace_next.values)
-    dP_int = heat_solve_interior(g, state.dP.data[:, 1:-1, 1:-1] + dt * bc, dt)
-    dP_new = _with_trace(g, dP_int, trace_next)
-    dE_new = _with_trace(g, poisson_solve_interior(g, -bc), trace_next)
-    dt_dP = trusted_field(VectorField2D, g, (dP_new.data - state.dP.data) / dt)
-    dt_dE = trusted_field(VectorField2D, g, (dE_new.data - state.dE.data) / dt)
+    g = state.dE.grid
+    bh = ring_transform(g, trace_next.values)
+    p0 = state.p
+    if p0 is None:
+        p0 = sine_coefficients(g, state.dP.data[:, 1:-1, 1:-1])
+    p1 = dt * bh
+    p1 += p0
+    p1 /= _dst_denominator(g, "heat", dt)
+    dE_old = state.dE
+    dE_new = harmonic_from_transform(g, bh, trace_next.values)
+    dE_new.data.flags.writeable = False
+
+    # the builders take their ring from the d_E fields, whose ring is h exactly
+    def dP() -> np.ndarray:
+        out = dE_new.data.copy()
+        out[:, 1:-1, 1:-1] = from_sine(g, p1)
+        return out
+
+    def dt_dP() -> np.ndarray:
+        out = (dE_new.data - dE_old.data) / dt
+        out[:, 1:-1, 1:-1] = from_sine(g, (p1 - p0) / dt)
+        return out
+
     return LiftingState(
-        dE=dE_new, dP=dP_new, dE0=state.dE0, dt_dP=dt_dP, dt_dE=dt_dE, t=state.t + dt
+        dE=dE_new, dP=dP, dE0=state.dE0, dt_dP=dt_dP,
+        dt_dE=lambda: (dE_new.data - dE_old.data) / dt, t=state.t + dt, p=p1,
     )
 
 

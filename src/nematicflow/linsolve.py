@@ -12,7 +12,9 @@ per grid.
 
 * The Dirichlet operators (5-point Laplacian, I - dt lap) are diagonal in the
   discrete sine basis, applied as dense sine-transform matrices, which beat
-  FFTs at these sizes.
+  FFTs at these sizes.  Dirichlet ring data enter only the first and last
+  interior rows and columns, so their transform is a rank-four product
+  (``ring_transform``), and a harmonic extension is one back-transform.
 * The projection operator is diagonalized by ``numpy.linalg.eigh`` of its two
   1-D factors (below).
 
@@ -117,12 +119,23 @@ def _bc_contribution(grid: Grid, ring_values: np.ndarray) -> np.ndarray:
     return out
 
 
-def _with_trace(grid: Grid, interior: np.ndarray, trace: BoundaryTrace) -> VectorField2D:
-    """Vector field with the given (2, mx, my) interior values and ring = trace."""
-    out = np.zeros((2, *grid.shape))
+@lru_cache(maxsize=32)
+def _edge_indices(nx: int, ny: int) -> tuple[np.ndarray, np.ndarray]:
+    """Positions in the CCW ring (``grid.boundary_indices``) of the interior
+    nodes of each edge, ascending: (ny-2, 2) for x = 0 and x = lx, and
+    (nx-2, 2) for y = 0 and y = ly."""
+    ring = np.arange(2 * (nx + ny) - 4)
+    x_edges = np.stack([ring[: 2 * nx + ny - 3 : -1], ring[nx : nx + ny - 2]], axis=1)
+    y_edges = np.stack([ring[1 : nx - 1], ring[2 * nx + ny - 4 : nx + ny - 2 : -1]], axis=1)
+    return x_edges, y_edges
+
+
+def _with_trace(grid: Grid, interior: np.ndarray, ring_values: np.ndarray) -> VectorField2D:
+    """Vector field with the given (2, mx, my) interior values and (nb, 2) ring values."""
+    out = np.empty((2, *grid.shape))
     out[:, 1:-1, 1:-1] = interior
-    for k in range(2):
-        set_ring(out[k], trace.component(k))
+    ii, jj = boundary_indices(grid)
+    out[:, ii, jj] = ring_values.T
     return trusted_field(VectorField2D, grid, out)
 
 
@@ -171,12 +184,51 @@ def _sine_basis(nx: int, ny: int):
     return Sx, Sy, scale
 
 
+def sine_coefficients(grid: Grid, interior: np.ndarray) -> np.ndarray:
+    """Sx u Sy: sine coefficients of (..., mx, my) interior values."""
+    Sx, Sy, _ = _sine_basis(grid.nx, grid.ny)
+    return Sx @ interior @ Sy
+
+
+def from_sine(grid: Grid, coef: np.ndarray) -> np.ndarray:
+    """Interior values of (..., mx, my) sine coefficients; inverts ``sine_coefficients``."""
+    Sx, Sy, scale = _sine_basis(grid.nx, grid.ny)
+    return scale * (Sx @ coef @ Sy)
+
+
+def ring_transform(grid: Grid, ring_values: np.ndarray) -> np.ndarray:
+    """Sine coefficients Sx B Sy of the ring contribution B = ``_bc_contribution``.
+
+    ``ring_values`` is (nb, c), giving (c, mx, my).  B is nonzero only on the
+    first and last interior rows and columns: it is the sum of the four outer
+    products e_1 (x) left, e_mx (x) right, bottom (x) e_1 and top (x) e_my,
+    each edge scaled by its h^-2.  So its transform is one rank-four product
+    of transformed edges and unit vectors, O(m (mx + my)) work instead of two
+    dense products.
+    """
+    Sx, Sy, _ = _sine_basis(grid.nx, grid.ny)
+    x_edges, y_edges = _edge_indices(grid.nx, grid.ny)
+    vals = np.asarray(ring_values, dtype=float)
+    c = vals.shape[1]
+    mx, my = grid.nx - 2, grid.ny - 2
+    cols = np.empty((c, mx, 4))
+    rows = np.empty((c, 4, my))
+    cols[:, :, 0] = Sx[:, 0]
+    cols[:, :, 1] = Sx[:, -1]
+    sx_edges = (Sx @ vals[y_edges].reshape(mx, 2 * c)) * grid.hy**-2
+    cols[:, :, 2:] = sx_edges.reshape(mx, 2, c).transpose(2, 0, 1)
+    sy_edges = (Sy @ vals[x_edges].reshape(my, 2 * c)) * grid.hx**-2
+    rows[:, :2] = sy_edges.reshape(my, 2, c).transpose(2, 1, 0)
+    rows[:, 2] = Sy[0]
+    rows[:, 3] = Sy[-1]
+    return cols @ rows
+
+
 def _dst_solve(grid: Grid, b_int: np.ndarray, denom: np.ndarray) -> np.ndarray:
     """Solve the diagonalized interior system; works on (..., mx, my) batches."""
-    Sx, Sy, scale = _sine_basis(grid.nx, grid.ny)
-    bh = Sx @ b_int @ Sy
+    bh = sine_coefficients(grid, b_int)
     bh /= denom
-    return scale * (Sx @ bh @ Sy)
+    return from_sine(grid, bh)
 
 
 def _difference_square_eigh(m: int, h: float) -> tuple[np.ndarray, np.ndarray]:
@@ -274,17 +326,24 @@ def heat_step(u: VectorField2D, trace: BoundaryTrace, dt: float) -> VectorField2
     b = u.data[:, 1:-1, 1:-1].copy()
     if np.any(trace.values):
         b += dt * _bc_contribution(g, trace.values)
-    return _with_trace(g, heat_solve_interior(g, b, dt), trace)
+    return _with_trace(g, heat_solve_interior(g, b, dt), trace.values)
 
 
 def harmonic_extension(trace: BoundaryTrace) -> VectorField2D:
-    """Discrete-harmonic extension of both trace components in one direct solve.
+    """Discrete-harmonic extension of both trace components.
 
-    The sine-basis solve is exact up to rounding (see
-    ``poisson_backward_error``), so the residual is not re-checked per call.
+    Its interior solves -lap u = B(h), so it is the back-transform of
+    ``ring_transform(h) / lam``: one pair of dense products, not two.  The
+    sine-basis solve is exact up to rounding (see ``poisson_backward_error``),
+    so the residual is not re-checked per call.
     """
     g = trace.grid
-    return _with_trace(g, poisson_solve_interior(g, -_bc_contribution(g, trace.values)), trace)
+    return harmonic_from_transform(g, ring_transform(g, trace.values), trace.values)
+
+
+def harmonic_from_transform(grid: Grid, bh: np.ndarray, ring_values: np.ndarray) -> VectorField2D:
+    """Harmonic extension of (nb, 2) ``ring_values`` whose ``ring_transform`` is ``bh``."""
+    return _with_trace(grid, from_sine(grid, bh / _dirichlet_eigenvalues(*grid.key)), ring_values)
 
 
 def project_divergence_free(u: VectorField2D) -> tuple[VectorField2D, ScalarField2D]:

@@ -41,3 +41,15 @@ def test_run_samples_through_the_energy_record_binding(monkeypatch):
     assert seen[0] is state
     assert len({id(s) for s in seen}) == 6
     assert [s.t for s in seen] == [r.t for r in summary.records]
+
+
+def test_benchmark_selftests_pass(monkeypatch):
+    # the benchmark's checks must pass on real data and fail on broken copies;
+    # they read the lifting fields directly, so a LiftingState change that
+    # breaks them fails here and not only in a benchmark run
+    monkeypatch.syspath_prepend(str(BENCHMARKS))
+    import selftest
+
+    results = selftest.run_selftests()
+    assert len(results) == 6
+    assert all(ok for _, ok, _ in results), [r for r in results if not r[1]]

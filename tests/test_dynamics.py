@@ -126,6 +126,31 @@ class TestForcing:
         assert len(reads) == n_reads  # the step loop never re-reads a static trace
 
 
+    def test_body_force_evaluated_once_per_time(self, monkeypatch):
+        from nematicflow.harness.scenarios import Scenario, generate_scenario
+
+        sc = Scenario(name="x", family="polynomial-decay", nx=16, ny=16, dt=2.5e-3,
+                      sample_every=5, seed=1)
+        s = generate_scenario(sc).state
+        forcing = s.forcing
+        body = forcing._body
+        times = []
+
+        def counting(t):
+            times.append(t)
+            return body(t)
+
+        monkeypatch.setattr(forcing, "_body", counting)
+        summary = run(s, t_end=19.5 * s.dt, sample_every=5)
+        assert summary.n_steps == 20
+        # once per step, plus the initial sample; the step, the sample's |g|
+        # and its energy record share one evaluation
+        assert len(times) == 21
+        gf = forcing.body_force(summary.final.t)
+        assert len(times) == 21 and forcing.body_force(summary.final.t) is gf
+        assert not gf.data.flags.writeable
+
+
 class TestInit:
     def test_nonzero_boundary_velocity_rejected(self):
         g = Grid(16, 16)

@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -8,6 +11,7 @@ from nematicflow.grid import (
     _lap_interior,
     boundary_arclength,
     extract_ring,
+    interior_lap,
 )
 from nematicflow.lifting import (
     InsufficientDataError,
@@ -21,6 +25,7 @@ from nematicflow.lifting import (
     shifted_fields,
 )
 from nematicflow.linsolve import (
+    EPS,
     POISSON_BACKWARD_ERROR,
     PoissonProblem,
     poisson_backward_error,
@@ -154,6 +159,70 @@ class TestParabolicLift:
         state = init_lifting(BoundaryTrace.constant(g, (1, 0)))
         with pytest.raises(ValueError):
             parabolic_lift_step(state, BoundaryTrace.constant(g, (1, 0)), dt=0.0)
+
+
+def identity_ratio(state: LiftingState, dt: float) -> float:
+    """max |lap_h(d_P - d_E) - dt d_P| over eps (1/dt + |lap_h|) max|d_P|."""
+    g = state.dE.grid
+    lap = interior_lap(state.dP.data - state.dE.data, g.hx, g.hy)
+    err = np.max(np.abs(lap - state.dt_dP.data[:, 1:-1, 1:-1]))
+    return err / (EPS * (1.0 / dt + 4.0 / g.hx**2 + 4.0 / g.hy**2) * np.max(np.abs(state.dP.data)))
+
+
+class TestLiftingInSineBasis:
+    FIELDS = ("dE", "dP", "dt_dP", "dt_dE")
+
+    def two_steps(self, g, dt=0.02):
+        h = decaying_boundary(g)
+        s0 = init_lifting(BoundaryTrace(g, h(0.0)))
+        return parabolic_lift_step(s0, BoundaryTrace(g, h(dt)), dt), BoundaryTrace(g, h(2 * dt))
+
+    def test_built_fields_are_read_only_owned_and_stable(self):
+        s1, _ = self.two_steps(Grid(16, 16))
+        for name in self.FIELDS:
+            field = getattr(s1, name)
+            assert getattr(s1, name) is field, name
+            assert not field.data.flags.writeable, name
+            assert field.data.base is None, name
+
+    def test_built_field_drops_what_it_was_built_from(self):
+        s1, trace2 = self.two_steps(Grid(16, 16))
+        s2 = parabolic_lift_step(s1, trace2, 0.02)
+        old_dE = weakref.ref(s1.dE)
+        del s1
+        gc.collect()
+        assert old_dE() is not None  # dt d_P and dt d_E still need it
+        s2.dt_dP, s2.dt_dE  # noqa: B018 (reads build the fields)
+        gc.collect()
+        assert old_dE() is None
+
+    def test_plain_state_steps_like_returned_state(self):
+        g = Grid(24, 20, 1.0, 0.8)
+        dt = 0.02
+        s1, trace2 = self.two_steps(g, dt)
+        plain = LiftingState(
+            dE=s1.dE, dP=s1.dP, dE0=s1.dE0, dt_dP=s1.dt_dP, dt_dE=s1.dt_dE, t=s1.t
+        )
+        a = parabolic_lift_step(s1, trace2, dt)
+        b = parabolic_lift_step(plain, trace2, dt)
+        assert a.t == b.t
+        assert np.array_equal(a.dE.data, b.dE.data)
+        assert np.array_equal(a.dt_dE.data, b.dt_dE.data)
+        # the plain state's coefficients come from a forward transform of d_P
+        tol = EPS * (g.nx + g.ny - 4) * np.max(np.abs(a.dP.data))
+        assert np.max(np.abs(a.dP.data - b.dP.data)) <= tol
+        assert np.max(np.abs(a.dt_dP.data - b.dt_dP.data)) <= tol / dt
+        assert identity_ratio(b, dt) <= 64
+
+    def test_identity_holds_after_200_steps(self):
+        g = Grid(24, 20, 1.0, 0.8)
+        h = decaying_boundary(g)
+        dt = 0.01
+        state = init_lifting(BoundaryTrace(g, h(0.0)))
+        for k in range(1, 201):
+            state = parabolic_lift_step(state, BoundaryTrace(g, h(k * dt)), dt)
+        assert np.max(np.abs(state.dt_dP.data)) > 1e-3  # the trace still moves
+        assert identity_ratio(state, dt) <= 64
 
 
 class TestShiftedFields:

@@ -13,12 +13,18 @@ from nematicflow.grid import (
     quad_weights,
 )
 from nematicflow.linsolve import (
+    EPS,
     POISSON_BACKWARD_ERROR,
     PoissonProblem,
     SolverError,
+    _bc_contribution,
     _projection_eigensystem,
+    _sine_basis,
+    harmonic_extension,
     heat_step,
+    poisson_backward_error,
     project_divergence_free,
+    ring_transform,
     solve_poisson_dirichlet,
 )
 
@@ -111,6 +117,33 @@ class TestPoissonDirichlet:
             PoissonProblem(g, ScalarField2D.zeros(g))
         with pytest.raises(ValueError):
             PoissonProblem(g, ScalarField2D.zeros(g), dirichlet=np.zeros(3))
+
+
+class TestRingTransform:
+    @pytest.mark.parametrize("nx, ny, ly", [(8, 8, 1.0), (24, 20, 0.8), (97, 130, 1.3)])
+    def test_equals_dense_transform_of_ring_contribution(self, nx, ny, ly):
+        g = Grid(nx, ny, 1.0, ly)
+        vals = np.random.default_rng(nx).uniform(-1, 1, (g.n_boundary, 2))
+        Sx, Sy, _ = _sine_basis(nx, ny)
+        b = _bc_contribution(g, vals)
+        dense = Sx @ b @ Sy
+        # rounding of sums of length mx + my over entries of size max|B|
+        tol = EPS * (nx + ny - 4) * np.max(np.abs(b))
+        assert np.max(np.abs(ring_transform(g, vals) - dense)) <= tol
+
+    @pytest.mark.parametrize(
+        "nx, ny, lx, ly",
+        [(8, 8, 1.0, 1.0), (33, 20, 2.0, 1.0), (97, 130, 1.0, 1.3), (128, 128, 1.0, 1.0),
+         (512, 512, 1.0, 1.0)],
+    )
+    def test_harmonic_extension_within_backward_error(self, nx, ny, lx, ly):
+        g = Grid(nx, ny, lx, ly)
+        trace = BoundaryTrace(g, np.random.default_rng(nx + ny).uniform(-1, 1, (g.n_boundary, 2)))
+        lift = harmonic_extension(trace)
+        zero = np.zeros((nx - 2, ny - 2))
+        for k in range(2):
+            assert poisson_backward_error(g, lift.data[k], zero) <= POISSON_BACKWARD_ERROR
+            assert np.array_equal(extract_ring(lift.data[k]), trace.component(k))
 
 
 class TestHeatStep:

@@ -5,9 +5,12 @@ interior stencils are evaluated and how many validating field constructions
 run inside ``step``.  Each per-step quantity is computed once: the stencils
 of a new director feed the elastic stress, its energy record and the next
 step's advection, and fields derived from checked data are not re-checked.
+With a moving trace, the lifting update stays in the sine basis and builds
+d_P, dt d_P and dt d_E only for the states that are sampled.
 """
 
 from nematicflow import diagnostics, dynamics, grid, lifting, linsolve
+from nematicflow.grid import VectorField2D
 from nematicflow.harness.scenarios import Scenario, generate_scenario
 
 STENCILS = ("interior_dx", "interior_dy", "interior_lap")
@@ -70,3 +73,68 @@ def test_energy_law_step_computes_each_quantity_once(monkeypatch):
     d_e = s0.lifting.dE.data
     assert sum(a is d_e for a in args["interior_lap"]) == 1
     assert validated_in_step == []
+
+
+LAZY_FIELDS = ("dP", "dt_dP", "dt_dE")
+
+
+def test_decay_step_solves_twice_and_builds_liftings_only_at_samples(monkeypatch):
+    # the decay family at 16^2: moving trace and body force, a sample every 5 steps
+    sc = Scenario(name="decay", family="polynomial-decay", nx=16, ny=16, dt=2.5e-3,
+                  sample_every=5, seed=1)
+    s0 = generate_scenario(sc).state
+    assert not s0.forcing.static_trace
+
+    in_lift = [False]
+    calls = {"step heat": 0, "lifting solves": []}
+    heat = dynamics.heat_solve_interior
+
+    def counting_heat(*args):
+        calls["step heat"] += 1
+        return heat(*args)
+
+    monkeypatch.setattr(dynamics, "heat_solve_interior", counting_heat)
+    for name in ("heat_solve_interior", "poisson_solve_interior", "_bc_contribution"):
+        original = getattr(linsolve, name)
+
+        def counting(*args, _fn=original, _name=name):
+            if in_lift[0]:
+                calls["lifting solves"].append(_name)
+            return _fn(*args)
+
+        for module in (linsolve, lifting):
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counting)
+
+    lift_step = dynamics.parabolic_lift_step
+
+    def watched_lift_step(*args):
+        in_lift[0] = True
+        try:
+            return lift_step(*args)
+        finally:
+            in_lift[0] = False
+
+    monkeypatch.setattr(dynamics, "parabolic_lift_step", watched_lift_step)
+    stepped, sampled = [], []
+    step, record = dynamics.step, dynamics.energy_record
+
+    def watched_step(s):
+        out = step(s)
+        stepped.append(out)
+        return out
+
+    def watched_record(s, reference=None):
+        sampled.append(s)
+        return record(s, reference)
+
+    monkeypatch.setattr(dynamics, "step", watched_step)
+    monkeypatch.setattr(dynamics, "energy_record", watched_record)
+    summary = dynamics.run(s0, (N_STEPS - 0.5) * s0.dt, sample_every=5)
+    assert summary.n_steps == N_STEPS and len(sampled) == 3
+
+    assert calls["step heat"] == 2 * N_STEPS  # the director and the velocity
+    assert calls["lifting solves"] == []
+    for s in stepped:
+        built = [isinstance(vars(s.lifting)[name], VectorField2D) for name in LAZY_FIELDS]
+        assert built == [any(s is x for x in sampled)] * len(LAZY_FIELDS), s.t
