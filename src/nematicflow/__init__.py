@@ -16,7 +16,6 @@ from .grid import (
     laplacian,
 )
 from .linsolve import (
-    PoissonProblem,
     SolverError,
     heat_step,
     project_divergence_free,
@@ -27,7 +26,6 @@ from .lifting import (
     appendix_diagnostics,
     elliptic_lift,
     parabolic_lift_step,
-    shifted_fields,
 )
 from .dynamics import Forcing, PhysParams, SimState, init, run, step
 from .diagnostics import (

@@ -37,7 +37,7 @@ from .grid import (
     one_slot_memo,
     quad_weights,
 )
-from .linsolve import PoissonProblem, solve_poisson_dirichlet
+from .linsolve import solve_poisson_dirichlet
 
 if TYPE_CHECKING:
     from .dynamics import SimState
@@ -77,13 +77,9 @@ def norms(field: ScalarField2D | VectorField2D, kind: str) -> float:
         return float(np.sqrt(_l2_sq(g, data) + edge_seminorm_sq(g, data) + _lap_sq(g, data)))
     if kind == "Hminus1":
         comps = data if data.ndim == 3 else data[None]
-        zero = np.zeros(g.n_boundary)
-        total = 0.0
-        for c in comps:
-            problem = PoissonProblem(g, ScalarField2D(g, -c), dirichlet=zero)
-            rep = solve_poisson_dirichlet(problem)
-            total += edge_seminorm_sq(g, rep.data)
-        return float(np.sqrt(total))
+        zero = np.zeros((g.n_boundary, len(comps)))
+        rep = solve_poisson_dirichlet(g, -comps[:, 1:-1, 1:-1], zero)
+        return float(np.sqrt(edge_seminorm_sq(g, rep)))
     raise ValueError(f"unknown norm kind {kind!r}")
 
 
@@ -303,16 +299,6 @@ def fit_decay_exponent(
     return float(-slope), float(r2)
 
 
-def looks_super_polynomial(t: np.ndarray, values: np.ndarray) -> bool:
-    """Heuristic: the fitted exponent keeps growing with the window tail."""
-    try:
-        e_wide, _ = fit_decay_exponent(t, values, tail_fraction=0.8)
-        e_tail, _ = fit_decay_exponent(t, values, tail_fraction=0.3)
-    except FitError:
-        return True
-    return e_tail > 1.5 * e_wide + 0.5
-
-
 # ---------------------------------------------------------------------------
 # rate model / convergence report
 
@@ -331,8 +317,6 @@ def default_theta_prime(gamma: float) -> float:
 class RateModel:
     gamma: float
     theta_prime: float
-    fitted_exponent: float = float("nan")
-    fit_r2: float = float("nan")
 
     def __post_init__(self) -> None:
         if self.gamma <= 0:
@@ -353,17 +337,12 @@ class RateModel:
 
 @dataclass
 class ConvergenceReport:
-    norm_v_final: float
     dist_L2_final: float
     dist_H1_final: float
-    dist_H2_final: float
     fitted_exp_dist: float
     fitted_r2_dist: float
-    fitted_exp_v: float
-    fitted_exp_AP: float
     predicted_exponent: float
     rate_pass: bool
-    super_polynomial: bool
 
 
 def convergence_report(
@@ -377,7 +356,7 @@ def convergence_report(
 ) -> ConvergenceReport:
     """Compare a trajectory against its limit equilibrium and predicted rate.
 
-    ``fit_window`` restricts the rate fits to samples with t in [lo, hi],
+    ``fit_window`` restricts the rate fit to samples with t in [lo, hi],
     which keeps the log-log regression clear of both the initial transient
     and any late-time floor where the signal sinks below discretization
     noise.
@@ -389,49 +368,35 @@ def convergence_report(
     diff = VectorField2D(g, d_final.data - psi.data)
     dist_l2 = norms(diff, "L2")
     dist_h1 = norms(diff, "H1")
-    dist_h2 = dist_l2 + float(np.sqrt(_lap_sq(g, diff.data)))
 
     t = np.array([r.t for r in records])
     dist = np.array([r.dist_d_L2 for r in records])
-    vnorm = np.array([r.norm_v_L2 for r in records])
-    ap = np.array([r.A_P for r in records])
 
     if fit_window is not None:
         lo, hi = fit_window
         mask = (t >= lo) & (t <= hi)
         if mask.sum() < 4:
             raise FitError("fit window contains fewer than 4 samples")
-        t_fit, dist_fit, v_fit, ap_fit = t[mask], dist[mask], vnorm[mask], ap[mask]
+        t_fit, dist_fit = t[mask], dist[mask]
         frac = 1.0
     else:
-        t_fit, dist_fit, v_fit, ap_fit = t, dist, vnorm, ap
+        t_fit, dist_fit = t, dist
         frac = tail_fraction
 
-    def safe_fit(vals):
-        try:
-            return fit_decay_exponent(t_fit, vals, frac)
-        except FitError:
-            return (float("inf"), float("nan"))
+    try:
+        exp_dist, r2_dist = fit_decay_exponent(t_fit, dist_fit, frac)
+    except FitError:
+        exp_dist, r2_dist = float("inf"), float("nan")
 
-    exp_dist, r2_dist = safe_fit(dist_fit)
-    exp_v, _ = safe_fit(v_fit)
-    exp_ap, _ = safe_fit(ap_fit)
-
-    superpoly = looks_super_polynomial(t_fit, dist_fit) if np.all(dist_fit > 0) else True
     vacuous = bool(np.all(dist <= 1e-12))
     rate_pass = vacuous or (exp_dist >= rate.predicted_exponent - tolerance)
     return ConvergenceReport(
-        norm_v_final=float(vnorm[-1]),
         dist_L2_final=dist_l2,
         dist_H1_final=dist_h1,
-        dist_H2_final=dist_h2,
         fitted_exp_dist=exp_dist,
         fitted_r2_dist=r2_dist,
-        fitted_exp_v=exp_v,
-        fitted_exp_AP=exp_ap,
         predicted_exponent=rate.predicted_exponent,
         rate_pass=rate_pass,
-        super_polynomial=superpoly,
     )
 
 

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, replace
-from typing import Callable, Iterable
+from typing import Callable
 
 import numpy as np
 
@@ -92,9 +92,10 @@ class Forcing:
     an approximation).  ``director_source_values`` injects an extra source
     into the director equation; it exists for manufactured-solution tests.
     ``boundary_rate`` is the analytic h_t when known (read by the hypothesis
-    checker).  ``boundary(t)`` refuses non-finite values and |h| > 1, and
-    ``body_force(t)`` non-finite values, at every t they are asked for; the
-    constructor asks for h at t = 0, so bad static data is refused up front.
+    checker).  ``boundary(t)`` refuses a shape other than (nb, 2),
+    non-finite values and |h| > 1, and ``body_force(t)`` non-finite values,
+    at every t they are asked for; the constructor asks for h at t = 0, so
+    bad static data is refused up front.
     These are the run's entry points for outside data: the fields the step
     derives from them are not checked again.
     """
@@ -125,6 +126,10 @@ class Forcing:
 
     def boundary(self, t: float) -> np.ndarray:
         vals = np.asarray(self._boundary(t), dtype=float)
+        if vals.shape != (self.grid.n_boundary, 2):
+            raise ValueError(
+                f"h at t={t:.6g} has shape {vals.shape}, expected ({self.grid.n_boundary}, 2)"
+            )
         mag = np.max(np.hypot(vals[:, 0], vals[:, 1]))  # NaN if any value is NaN
         if np.isnan(mag):
             raise ValueError(f"h is not finite at t={t:.6g}")
@@ -248,7 +253,7 @@ def step(s: SimState) -> SimState:
     if s.forcing.static_trace:
         lift1 = replace(s.lifting, t=t1)
     else:
-        lift1 = parabolic_lift_step(s.lifting, BoundaryTrace(g, s.forcing.boundary(t1)), dt)
+        lift1 = parabolic_lift_step(s.lifting, s.forcing.boundary(t1), dt)
 
     # 2. director update on the shifted unknown (zero trace)
     gl_fac = (d_int[0] ** 2 + d_int[1] ** 2 - 1.0) / p.eps**2
@@ -300,7 +305,6 @@ def run(
     s0: SimState,
     t_end: float,
     sample_every: int = 1,
-    sinks: Iterable[Callable[[EnergyRecord], None]] = (),
     reference: VectorField2D | None = None,
 ) -> RunSummary:
     """Step until t >= t_end, sampling an EnergyRecord every ``sample_every`` steps.
@@ -344,8 +348,6 @@ def run(
         aux["g_l2"].append(g_norm(state.t))
         # |grad v|^2 = |v|_H1^2 - |v|_L2^2, as the record sums it
         aux["grad_v"].append(float(np.sqrt(max(rec.norm_v_H1**2 - rec.norm_v_L2**2, 0.0))))
-        for sink in sinks:
-            sink(rec)
 
     sample(s0)
     s = s0

@@ -98,26 +98,25 @@ def boundary_indices(grid: Grid) -> tuple[np.ndarray, np.ndarray]:
     return _boundary_index_arrays(grid.nx, grid.ny)
 
 
-def boundary_arclength(grid: Grid) -> np.ndarray:
-    """Cumulative arclength of each boundary node, starting at node (0,0)."""
+def boundary_segment_lengths(grid: Grid) -> np.ndarray:
+    """Length of the ring segment from each boundary node to the next (CCW),
+    the last closing the ring at node (0,0)."""
     ii, jj = boundary_indices(grid)
     x = ii * grid.hx
     y = jj * grid.hy
-    dx = np.diff(x, append=x[0])
-    dy = np.diff(y, append=y[0])
-    seg = np.hypot(dx, dy)
-    s = np.concatenate([[0.0], np.cumsum(seg[:-1])])
-    return s
+    return np.hypot(np.diff(x, append=x[0]), np.diff(y, append=y[0]))
+
+
+def boundary_arclength(grid: Grid) -> np.ndarray:
+    """Cumulative arclength of each boundary node, starting at node (0,0)."""
+    seg = boundary_segment_lengths(grid)
+    return np.concatenate([[0.0], np.cumsum(seg[:-1])])
 
 
 def boundary_segment_weights(grid: Grid) -> np.ndarray:
     """Trapezoidal quadrature weight of each boundary node on the closed ring."""
-    ii, jj = boundary_indices(grid)
-    x = ii * grid.hx
-    y = jj * grid.hy
-    nxt = np.hypot(np.diff(x, append=x[0]), np.diff(y, append=y[0]))
-    prv = np.roll(nxt, 1)
-    return 0.5 * (nxt + prv)
+    seg = boundary_segment_lengths(grid)
+    return 0.5 * (seg + np.roll(seg, 1))
 
 
 def extract_ring(data: np.ndarray) -> np.ndarray:

@@ -35,14 +35,14 @@ from ..dynamics import (
 from ..grid import (
     BoundaryTrace,
     Grid,
-    ScalarField2D,
     VectorField2D,
     boundary_arclength,
+    boundary_segment_lengths,
     random_sine_series,
     set_ring,
 )
 from ..lifting import boundary_h_half, boundary_l2, elliptic_lift
-from ..linsolve import PoissonProblem, solve_poisson_dirichlet
+from ..linsolve import solve_poisson_dirichlet
 from ..steady import NEWTON_BASIN, Equilibrium, newton_refine, solve_gradient_flow
 
 FAMILIES = ("autonomous", "polynomial-decay", "minimizer-perturbation")
@@ -178,10 +178,8 @@ def _smooth_bump(grid: Grid, rng: np.random.Generator, modes: int = 3) -> np.nda
 
 
 def _harmonic_angle(grid: Grid, ring_angle: np.ndarray) -> np.ndarray:
-    sol = solve_poisson_dirichlet(
-        PoissonProblem(grid, ScalarField2D.zeros(grid), dirichlet=ring_angle)
-    )
-    return sol.data
+    zero = np.zeros((1, grid.nx - 2, grid.ny - 2))
+    return solve_poisson_dirichlet(grid, zero, ring_angle[:, None])[0]
 
 
 def _unit_director(angle: np.ndarray, grid: Grid) -> VectorField2D:
@@ -372,9 +370,7 @@ def check_hypotheses(
 
 def _h32_surrogate(grid: Grid, values: np.ndarray) -> float:
     """L2 + first and second tangential difference seminorms on the ring."""
-    from ..lifting import _segment_lengths
-
-    seg = _segment_lengths(grid)
+    seg = boundary_segment_lengths(grid)
     l2 = boundary_l2(grid, values)
     d1 = np.diff(values, axis=0, append=values[:1])
     semi1 = float(np.sum(d1**2 / seg[:, None]))

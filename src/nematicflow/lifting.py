@@ -33,15 +33,16 @@ from .grid import (
     BoundaryTrace,
     Grid,
     VectorField2D,
+    boundary_segment_lengths,
     boundary_segment_weights,
     interior_lap,
     trusted_field,
 )
 from .linsolve import (
-    _dst_denominator,
     from_sine,
     harmonic_extension,
     harmonic_from_transform,
+    heat_coefficient_step,
     ring_transform,
     sine_coefficients,
 )
@@ -115,32 +116,29 @@ def init_lifting(d0_trace: BoundaryTrace) -> LiftingState:
     return LiftingState(dE=dE0, dP=dE0, dE0=dE0, dt_dP=zero, dt_dE=zero, t=0.0)
 
 
-def parabolic_lift_step(
-    state: LiftingState, trace_next: BoundaryTrace, dt: float
-) -> LiftingState:
+def parabolic_lift_step(state: LiftingState, ring_next: np.ndarray, dt: float) -> LiftingState:
     """Advance d_P by one backward-Euler heat step and refresh d_E, in the sine basis.
 
-    Both liftings take the ring contribution B of ``trace_next`` through its
-    sine transform B^ (``ring_transform``, rank four).  d_P advances by its
-    coefficients, p_new = (p + dt B^) / (1 + dt lam), which is the heat step
-    of ``heat_step`` without leaving the sine basis, and d_E is the one
-    back-transform of B^ / lam (``harmonic_from_transform``).  d_E is built
-    here because the director update reads it.  d_P, dt d_P and dt d_E are
-    built on first read, which in a run is only at sampled times; each is
+    ``ring_next`` holds the (nb, 2) ring values h(t + dt), already checked
+    (``Forcing.boundary``, or ``BoundaryTrace``).  Both liftings take its ring
+    contribution through the sine transform B^ (``ring_transform``, rank
+    four).  d_P advances by its coefficients, p_new = (p + dt B^) / (1 + dt
+    lam) (``heat_coefficient_step``, the step of ``heat_step``), and d_E is
+    the one back-transform of B^ / lam (``harmonic_from_transform``).  d_E is
+    built here because the director update reads it.  d_P, dt d_P and dt d_E
+    are built on first read, which in a run is only at sampled times; each is
     read-only and owns its memory.
     """
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
     g = state.dE.grid
-    bh = ring_transform(g, trace_next.values)
+    bh = ring_transform(g, ring_next)
     p0 = state.p
     if p0 is None:
         p0 = sine_coefficients(g, state.dP.data[:, 1:-1, 1:-1])
-    p1 = dt * bh
-    p1 += p0
-    p1 /= _dst_denominator(g, "heat", dt)
+    p1 = heat_coefficient_step(g, p0, bh, dt)
     dE_old = state.dE
-    dE_new = harmonic_from_transform(g, bh, trace_next.values)
+    dE_new = harmonic_from_transform(g, bh, ring_next)
     dE_new.data.flags.writeable = False
 
     # the builders take their ring from the d_E fields, whose ring is h exactly
@@ -160,18 +158,6 @@ def parabolic_lift_step(
     )
 
 
-def shifted_fields(
-    d: VectorField2D, state: LiftingState
-) -> tuple[VectorField2D, VectorField2D]:
-    """Return (d - d_E, d - d_P); traces cancel exactly when d carries h(t)."""
-    if d.grid != state.dE.grid:
-        raise ValueError("field and lifting live on different grids")
-    return (
-        VectorField2D(d.grid, d.data - state.dE.data),
-        VectorField2D(d.grid, d.data - state.dP.data),
-    )
-
-
 # ---------------------------------------------------------------------------
 # boundary-norm surrogates
 
@@ -187,18 +173,9 @@ def boundary_h_half(grid: Grid, values: np.ndarray) -> float:
     w = boundary_segment_weights(grid)
     l2sq = float(np.sum(w[:, None] * values**2))
     diffs = np.diff(values, axis=0, append=values[:1])
-    seg = _segment_lengths(grid)
+    seg = boundary_segment_lengths(grid)
     semi = float(np.sum(diffs**2 / seg[:, None]))
     return float(np.sqrt(l2sq + semi))
-
-
-def _segment_lengths(grid: Grid) -> np.ndarray:
-    from .grid import boundary_indices
-
-    ii, jj = boundary_indices(grid)
-    x = ii * grid.hx
-    y = jj * grid.hy
-    return np.hypot(np.diff(x, append=x[0]), np.diff(y, append=y[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -212,14 +189,14 @@ def evolve_lifting(
     dt: float,
     sample_every: int = 1,
 ) -> list[LiftingState]:
-    """March both liftings under a time-dependent trace; return sampled states."""
-    trace0 = BoundaryTrace(grid, boundary_fn(0.0))
-    state = init_lifting(trace0)
+    """March both liftings under a time-dependent trace; return sampled states.
+
+    Each value of ``boundary_fn`` is checked as a ``BoundaryTrace`` once."""
+    state = init_lifting(BoundaryTrace(grid, boundary_fn(0.0)))
     history = [state]
     n_steps = int(round(t_end / dt))
     for k in range(1, n_steps + 1):
-        t_next = k * dt
-        state = parabolic_lift_step(state, BoundaryTrace(grid, boundary_fn(t_next)), dt)
+        state = parabolic_lift_step(state, BoundaryTrace(grid, boundary_fn(k * dt)).values, dt)
         if k % sample_every == 0:
             history.append(state)
     return history

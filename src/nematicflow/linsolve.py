@@ -14,7 +14,11 @@ per grid.
   discrete sine basis, applied as dense sine-transform matrices, which beat
   FFTs at these sizes.  Dirichlet ring data enter only the first and last
   interior rows and columns, so their transform is a rank-four product
-  (``ring_transform``), and a harmonic extension is one back-transform.
+  (``ring_transform``).  Every solve with ring data goes through it: a
+  Poisson solve or a harmonic extension is one back-transform of
+  coefficients divided by the eigenvalues, a heat step with a trace is one
+  coefficient update (``heat_coefficient_step``) and one back-transform.
+  The ring contribution is never formed on the grid.
 * The projection operator is diagonalized by ``numpy.linalg.eigh`` of its two
   1-D factors (below).
 
@@ -41,7 +45,6 @@ rounding level rather than truncation error.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -56,7 +59,6 @@ from .grid import (
     interior_dy,
     interior_lap,
     quad_weights,
-    set_ring,
     trusted_field,
 )
 
@@ -77,46 +79,8 @@ class SolverError(RuntimeError):
         self.residual = residual
 
 
-@dataclass
-class PoissonProblem:
-    """Poisson problem lap u = rhs with Dirichlet data.
-
-    ``dirichlet`` holds CCW-ordered scalar ring values.
-    """
-
-    grid: Grid
-    rhs: ScalarField2D
-    dirichlet: np.ndarray
-
-    def __post_init__(self) -> None:
-        self.dirichlet = np.asarray(self.dirichlet, dtype=float)
-        if self.dirichlet.shape != (self.grid.n_boundary,):
-            raise ValueError(
-                f"trace length {self.dirichlet.shape} != ({self.grid.n_boundary},)"
-            )
-
-
 # ---------------------------------------------------------------------------
 # Dirichlet ring data
-
-
-def _bc_contribution(grid: Grid, ring_values: np.ndarray) -> np.ndarray:
-    """Contribution of Dirichlet ring data to lap u at interior nodes.
-
-    ``ring_values`` is (nb,) for one field, giving (mx, my), or (nb, c) for
-    c fields at once, giving (c, mx, my).
-    """
-    vals = np.asarray(ring_values, dtype=float)
-    batch = vals.shape[1:]
-    full = np.zeros((*batch, *grid.shape))
-    ii, jj = boundary_indices(grid)
-    full[..., ii, jj] = vals.T
-    out = np.zeros((*batch, grid.nx - 2, grid.ny - 2))
-    out[..., 0, :] += full[..., 0, 1:-1] / grid.hx**2
-    out[..., -1, :] += full[..., -1, 1:-1] / grid.hx**2
-    out[..., :, 0] += full[..., 1:-1, 0] / grid.hy**2
-    out[..., :, -1] += full[..., 1:-1, -1] / grid.hy**2
-    return out
 
 
 @lru_cache(maxsize=32)
@@ -130,13 +94,13 @@ def _edge_indices(nx: int, ny: int) -> tuple[np.ndarray, np.ndarray]:
     return x_edges, y_edges
 
 
-def _with_trace(grid: Grid, interior: np.ndarray, ring_values: np.ndarray) -> VectorField2D:
-    """Vector field with the given (2, mx, my) interior values and (nb, 2) ring values."""
-    out = np.empty((2, *grid.shape))
+def _with_trace(grid: Grid, interior: np.ndarray, ring_values: np.ndarray) -> np.ndarray:
+    """(c, nx, ny) array with the given (c, mx, my) interior and (nb, c) ring values."""
+    out = np.empty((ring_values.shape[1], *grid.shape))
     out[:, 1:-1, 1:-1] = interior
     ii, jj = boundary_indices(grid)
     out[:, ii, jj] = ring_values.T
-    return trusted_field(VectorField2D, grid, out)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -162,13 +126,12 @@ def _dirichlet_eigenvalues(nx: int, ny: int, lx: float, ly: float):
     return lamx[:, None] + lamy[None, :]
 
 
-def _dst_denominator(grid: Grid, kind: str, coef: float = 0.0) -> np.ndarray:
-    key = (grid.key, "dstden", kind, coef)
+def _heat_denominator(grid: Grid, coef: float) -> np.ndarray:
+    """1 + coef lam: the operator I - coef lap in the sine basis."""
+    key = (grid.key, "heat", coef)
     got = _cache.get(key)
     if got is None:
-        lam = _dirichlet_eigenvalues(*grid.key)
-        got = -lam if kind == "poisson" else 1.0 + coef * lam
-        _cache[key] = got
+        got = _cache[key] = 1.0 + coef * _dirichlet_eigenvalues(*grid.key)
     return got
 
 
@@ -197,7 +160,9 @@ def from_sine(grid: Grid, coef: np.ndarray) -> np.ndarray:
 
 
 def ring_transform(grid: Grid, ring_values: np.ndarray) -> np.ndarray:
-    """Sine coefficients Sx B Sy of the ring contribution B = ``_bc_contribution``.
+    """Sine coefficients Sx B Sy of the contribution B of Dirichlet ring data
+    to lap u at interior nodes: lap_h u = lap_0 u_int + B(h), with lap_0 the
+    Laplacian under a zero trace.
 
     ``ring_values`` is (nb, c), giving (c, mx, my).  B is nonzero only on the
     first and last interior rows and columns: it is the sum of the four outer
@@ -222,13 +187,6 @@ def ring_transform(grid: Grid, ring_values: np.ndarray) -> np.ndarray:
     rows[:, 2] = Sy[0]
     rows[:, 3] = Sy[-1]
     return cols @ rows
-
-
-def _dst_solve(grid: Grid, b_int: np.ndarray, denom: np.ndarray) -> np.ndarray:
-    """Solve the diagonalized interior system; works on (..., mx, my) batches."""
-    bh = sine_coefficients(grid, b_int)
-    bh /= denom
-    return from_sine(grid, bh)
 
 
 def _difference_square_eigh(m: int, h: float) -> tuple[np.ndarray, np.ndarray]:
@@ -267,12 +225,19 @@ def _projection_eigensystem(grid: Grid) -> tuple[np.ndarray, np.ndarray, np.ndar
 
 def heat_solve_interior(grid: Grid, b_int: np.ndarray, coef: float) -> np.ndarray:
     """Interior solution of (I - coef*lap) u = b with zero Dirichlet trace."""
-    return _dst_solve(grid, b_int, _dst_denominator(grid, "heat", coef))
+    bh = sine_coefficients(grid, b_int)
+    bh /= _heat_denominator(grid, coef)
+    return from_sine(grid, bh)
 
 
-def poisson_solve_interior(grid: Grid, b_int: np.ndarray) -> np.ndarray:
-    """Interior solution of lap u = b with zero Dirichlet trace; (..., mx, my) batches."""
-    return _dst_solve(grid, b_int, _dst_denominator(grid, "poisson"))
+def heat_coefficient_step(grid: Grid, p: np.ndarray, bh: np.ndarray, dt: float) -> np.ndarray:
+    """Sine coefficients (p + dt B^) / (1 + dt lam) of one backward-Euler heat
+    step (I - dt lap) u_new = u, where ``p`` holds the coefficients of the
+    interior of u and ``bh`` the ``ring_transform`` of the new ring data."""
+    out = dt * bh
+    out += p
+    out /= _heat_denominator(grid, dt)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -283,9 +248,10 @@ def poisson_backward_error(grid: Grid, u: np.ndarray, rhs_int: np.ndarray) -> fl
     """max |lap_h u - rhs| at interior nodes over its rounding scale
     (mx + my) eps (|lap_h| max|u| + max|rhs|).
 
-    ``u`` is the full (nx, ny) field, ring included.  A direct solve leaves a
-    ratio well below one whatever the grid, whereas the bare residual grows
-    like |lap_h| ~ h^-2 times the transform length.
+    ``u`` is a full (..., nx, ny) stack, ring included, and ``rhs_int`` its
+    (..., mx, my) right-hand side; the maxima run over the whole stack.  A
+    direct solve leaves a ratio well below one whatever the grid, whereas the
+    bare residual grows like |lap_h| ~ h^-2 times the transform length.
     """
     res = np.max(np.abs(interior_lap(u, grid.hx, grid.hy) - rhs_int))
     lap_norm = 4.0 / grid.hx**2 + 4.0 / grid.hy**2
@@ -294,26 +260,33 @@ def poisson_backward_error(grid: Grid, u: np.ndarray, rhs_int: np.ndarray) -> fl
     return float(res / scale) if scale > 0 else 0.0
 
 
-def solve_poisson_dirichlet(problem: PoissonProblem) -> ScalarField2D:
-    """Solve lap u = rhs; Dirichlet boundary nodes carry the trace exactly.
+def solve_poisson_dirichlet(grid: Grid, rhs_int: np.ndarray, ring_values: np.ndarray) -> np.ndarray:
+    """Solve lap u = rhs for c fields at once; ring nodes carry the data exactly.
 
-    The solve is checked against the backward-error bound
+    ``rhs_int`` is (c, mx, my) and ``ring_values`` (nb, c); the result is the
+    (c, nx, ny) stack of solutions, whose interior is the back-transform of
+    (B^ - rhs^) / lam.  The solve is checked against the backward-error bound
     ``POISSON_BACKWARD_ERROR`` and raises ``SolverError`` above it.
     """
-    g = problem.grid
-    rhs_int = problem.rhs.data[1:-1, 1:-1]
-    b = rhs_int - _bc_contribution(g, problem.dirichlet)
-    out = np.zeros(g.shape)
-    out[1:-1, 1:-1] = poisson_solve_interior(g, b)
-    set_ring(out, problem.dirichlet)
-    ratio = poisson_backward_error(g, out, rhs_int)
+    rhs_int = np.asarray(rhs_int, dtype=float)
+    ring_values = np.asarray(ring_values, dtype=float)
+    c = ring_values.shape[-1] if ring_values.ndim else 0
+    if ring_values.shape != (grid.n_boundary, c) or rhs_int.shape != (c, grid.nx - 2, grid.ny - 2):
+        raise ValueError(
+            f"ring values {ring_values.shape} and right-hand side {rhs_int.shape} do not "
+            f"match ({grid.n_boundary}, c) and (c, {grid.nx - 2}, {grid.ny - 2})"
+        )
+    coef = ring_transform(grid, ring_values) - sine_coefficients(grid, rhs_int)
+    coef /= _dirichlet_eigenvalues(*grid.key)
+    out = _with_trace(grid, from_sine(grid, coef), ring_values)
+    ratio = poisson_backward_error(grid, out, rhs_int)
     if ratio > POISSON_BACKWARD_ERROR:
         raise SolverError(
             f"poisson residual above tolerance: {ratio:.3g} > {POISSON_BACKWARD_ERROR:g} "
             "units of (mx + my) eps (|lap_h| max|u| + max|rhs|)",
             ratio,
         )
-    return ScalarField2D(g, out)
+    return out
 
 
 def heat_step(u: VectorField2D, trace: BoundaryTrace, dt: float) -> VectorField2D:
@@ -323,10 +296,9 @@ def heat_step(u: VectorField2D, trace: BoundaryTrace, dt: float) -> VectorField2
     g = u.grid
     if trace.grid != g:
         raise ValueError("trace grid mismatch")
-    b = u.data[:, 1:-1, 1:-1].copy()
-    if np.any(trace.values):
-        b += dt * _bc_contribution(g, trace.values)
-    return _with_trace(g, heat_solve_interior(g, b, dt), trace.values)
+    p = sine_coefficients(g, u.data[:, 1:-1, 1:-1])
+    coef = heat_coefficient_step(g, p, ring_transform(g, trace.values), dt)
+    return trusted_field(VectorField2D, g, _with_trace(g, from_sine(g, coef), trace.values))
 
 
 def harmonic_extension(trace: BoundaryTrace) -> VectorField2D:
@@ -343,7 +315,8 @@ def harmonic_extension(trace: BoundaryTrace) -> VectorField2D:
 
 def harmonic_from_transform(grid: Grid, bh: np.ndarray, ring_values: np.ndarray) -> VectorField2D:
     """Harmonic extension of (nb, 2) ``ring_values`` whose ``ring_transform`` is ``bh``."""
-    return _with_trace(grid, from_sine(grid, bh / _dirichlet_eigenvalues(*grid.key)), ring_values)
+    interior = from_sine(grid, bh / _dirichlet_eigenvalues(*grid.key))
+    return trusted_field(VectorField2D, grid, _with_trace(grid, interior, ring_values))
 
 
 def project_divergence_free(u: VectorField2D) -> tuple[VectorField2D, ScalarField2D]:

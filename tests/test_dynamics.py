@@ -1,4 +1,5 @@
 import logging
+import re
 from dataclasses import astuple, replace
 
 import numpy as np
@@ -89,6 +90,24 @@ class TestForcing:
             forcing.boundary(0.75)
         with pytest.raises(ValueError, match="not finite at t=0"):
             Forcing(g, lambda t: np.full((g.n_boundary, 2), np.nan))
+
+    @pytest.mark.parametrize("shape", ["nb, 3", "5, 2", "nb"])
+    def test_misshaped_boundary_refused_naming_t_and_shape(self, shape):
+        # with h_inf given the constructor builds no BoundaryTrace from h(0),
+        # so Forcing.boundary alone must refuse the shape
+        g = Grid(8, 8)
+        bad = tuple(g.n_boundary if n == "nb" else int(n) for n in shape.split(", "))
+        good = BoundaryTrace.constant(g, (1.0, 0.0))
+
+        def h(t):
+            return np.full(bad, 0.5) if t > 0.5 else good.values
+
+        forcing = Forcing(g, h, h_inf=good, gamma=1.0)
+        expected = f"h at t=0.75 has shape {bad}, expected ({g.n_boundary}, 2)"
+        with pytest.raises(ValueError, match=re.escape(expected)):
+            forcing.boundary(0.75)
+        with pytest.raises(ValueError, match=re.escape(f"h at t=0 has shape {bad}")):
+            Forcing(g, lambda t: np.full(bad, 0.5), h_inf=good, gamma=1.0)
 
     def test_nonfinite_body_force_refused_naming_t(self):
         g = Grid(8, 8)
@@ -321,14 +340,15 @@ class TestStep:
         assert e1 / e2 >= 1.6  # O(dt + h^2): halving both at least ~halves error
 
 
-def _reference_step(s):
-    """One step assembled component by component, with the two lifting solves
-    done by ``heat_step`` and ``harmonic_extension`` separately."""
+def _reference_step(s, ring_contribution):
+    """One step assembled component by component.  d_P takes a zero-trace heat
+    solve of d_P + dt B(h) with the dense ring contribution B (the
+    ``ring_contribution`` oracle), not the sine-basis coefficient update, and
+    d_E comes from ``harmonic_extension`` separately."""
     from nematicflow.lifting import LiftingState
     from nematicflow.linsolve import (
         harmonic_extension,
         heat_solve_interior,
-        heat_step,
         project_divergence_free,
     )
 
@@ -351,8 +371,10 @@ def _reference_step(s):
 
     trace = BoundaryTrace(g, s.forcing.boundary(t1))
     lift = s.lifting
-    dP = heat_step(lift.dP, trace, dt)
     dE = harmonic_extension(trace)
+    dP = dE.copy()  # the ring is h(t1)
+    b = lift.dP.data[:, 1:-1, 1:-1] + dt * ring_contribution(g, trace.values)
+    dP.data[:, 1:-1, 1:-1] = heat_solve_interior(g, b, dt)
     lift1 = LiftingState(
         dE=dE, dP=dP, dE0=lift.dE0, t=t1,
         dt_dP=VectorField2D(g, (dP.data - lift.dP.data) / dt),
@@ -385,8 +407,9 @@ def _reference_step(s):
 
 
 class TestStepAgainstReference:
-    def test_twenty_steps_match_per_component_step(self):
+    def test_twenty_steps_match_per_component_step(self, ring_contribution):
         from nematicflow.harness.scenarios import Scenario, generate_scenario
+        from nematicflow.linsolve import EPS
 
         sc = Scenario(
             name="x", family="polynomial-decay", nx=24, ny=20, ly=0.8, a_h=0.3,
@@ -395,14 +418,18 @@ class TestStepAgainstReference:
         s = ref = generate_scenario(sc).state
         assert not s.forcing.static_trace and s.forcing.body_force(0.0) is not None
         for _ in range(20):
-            s, ref = step(s), _reference_step(ref)
+            s, ref = step(s), _reference_step(ref, ring_contribution)
         assert s.t == ref.t
         for name in ("v", "d", "pi"):
             got, want = getattr(s, name).data, getattr(ref, name).data
             assert np.max(np.abs(got - want)) <= 1e-12, name
-        for name in ("dE", "dP", "dt_dP", "dt_dE"):
+        for name in ("dE", "dP", "dt_dE"):
             got, want = getattr(s.lifting, name).data, getattr(ref.lifting, name).data
             assert np.max(np.abs(got - want)) <= 1e-12, name
+        # dt d_P is a difference of two back-transformed heat solutions over
+        # dt: its rounding scale is that of d_P, divided by dt
+        tol = EPS * (sc.nx + sc.ny - 4) * np.max(np.abs(s.lifting.dP.data)) / sc.dt
+        assert np.max(np.abs(s.lifting.dt_dP.data - ref.lifting.dt_dP.data)) <= tol
         assert np.max(np.abs(s.lifting.dt_dP.data)) > 1e-3  # the trace moves
 
 

@@ -5,7 +5,6 @@ import scipy.sparse as sp
 from nematicflow.grid import (
     BoundaryTrace,
     Grid,
-    ScalarField2D,
     VectorField2D,
     divergence,
     extract_ring,
@@ -15,12 +14,11 @@ from nematicflow.grid import (
 from nematicflow.linsolve import (
     EPS,
     POISSON_BACKWARD_ERROR,
-    PoissonProblem,
     SolverError,
-    _bc_contribution,
     _projection_eigensystem,
     _sine_basis,
     harmonic_extension,
+    heat_solve_interior,
     heat_step,
     poisson_backward_error,
     project_divergence_free,
@@ -59,73 +57,82 @@ def _div_matrix(grid: Grid) -> sp.csr_matrix:
     return sp.csr_matrix((vals, (rows, cols)), shape=(n_int, 2 * n_int))
 
 
+def poisson(g, rhs, trace):
+    """The solve of one field: (nx, ny) right-hand side, (nb,) trace."""
+    return solve_poisson_dirichlet(g, rhs[None, 1:-1, 1:-1], trace[:, None])[0]
+
+
 class TestPoissonDirichlet:
     def test_harmonic_linear_reproduced(self):
         g = Grid(16, 16)
         trace = ring_of(g, lambda x, y: x + y)
-        sol = solve_poisson_dirichlet(PoissonProblem(g, ScalarField2D.zeros(g), dirichlet=trace))
+        sol = poisson(g, np.zeros(g.shape), trace)
         X, Y = g.mesh()
-        assert np.max(np.abs(sol.data - (X + Y))) < 1e-11
+        assert np.max(np.abs(sol - (X + Y))) < 1e-11
 
     def test_constant_trace(self):
         g = Grid(12, 12)
         trace = np.full(g.n_boundary, 2.5)
-        sol = solve_poisson_dirichlet(PoissonProblem(g, ScalarField2D.zeros(g), dirichlet=trace))
-        assert np.max(np.abs(sol.data - 2.5)) < 1e-12
+        sol = poisson(g, np.zeros(g.shape), trace)
+        assert np.max(np.abs(sol - 2.5)) < 1e-12
 
-    def test_against_dense_factorization_oracle(self, lap_matrix):
-        g = Grid(16, 16)
+    def test_against_dense_factorization_oracle(self, lap_matrix, ring_contribution):
+        # two fields in one call, each with its own right-hand side and trace
+        g = Grid(16, 14, 1.0, 0.9)
         rng = np.random.default_rng(3)
-        rhs = ScalarField2D(g, rng.standard_normal(g.shape))
-        trace = np.zeros(g.n_boundary)
-        sol = solve_poisson_dirichlet(PoissonProblem(g, rhs, dirichlet=trace))
-        dense = np.linalg.solve(lap_matrix(g).toarray(), rhs.data[1:-1, 1:-1].ravel())
-        assert np.max(np.abs(sol.data[1:-1, 1:-1].ravel() - dense)) < 1e-10
+        rhs = rng.standard_normal((2, g.nx - 2, g.ny - 2))
+        trace = rng.uniform(-1, 1, (g.n_boundary, 2))
+        sol = solve_poisson_dirichlet(g, rhs, trace)
+        L = lap_matrix(g).toarray()
+        b = rhs - ring_contribution(g, trace)
+        for k in range(2):
+            dense = np.linalg.solve(L, b[k].ravel())
+            assert np.max(np.abs(sol[k, 1:-1, 1:-1].ravel() - dense)) < 1e-10
+            assert np.array_equal(extract_ring(sol[k]), trace[:, k])
 
     def test_eigenfunction_rhs(self):
         g = Grid(32, 32)
         X, Y = g.mesh()
         exact = np.sin(np.pi * X) * np.sin(np.pi * Y)
-        rhs = ScalarField2D(g, -2 * np.pi**2 * exact)
-        sol = solve_poisson_dirichlet(PoissonProblem(g, rhs, dirichlet=np.zeros(g.n_boundary)))
-        assert np.max(np.abs(sol.data - exact)) < 5e-3
+        sol = poisson(g, -2 * np.pi**2 * exact, np.zeros(g.n_boundary))
+        assert np.max(np.abs(sol - exact)) < 5e-3
 
     @pytest.mark.parametrize("nx, ny, lx, ly", [(128, 128, 1.0, 1.0), (96, 130, 1.0, 2.0)])
     def test_fine_grid_within_backward_error(self, nx, ny, lx, ly):
         # the harmonic extension of a constant has a zero right-hand side; its
         # bare residual (~1e-8 at 128^2) grows like h^-2 and is pure rounding
         g = Grid(nx, ny, lx, ly)
-        sol = solve_poisson_dirichlet(
-            PoissonProblem(g, ScalarField2D.zeros(g), dirichlet=np.ones(g.n_boundary))
-        )
-        assert np.max(np.abs(sol.data - 1.0)) < 1e-12
+        sol = poisson(g, np.zeros(g.shape), np.ones(g.n_boundary))
+        assert np.max(np.abs(sol - 1.0)) < 1e-12
 
     def test_inexact_solve_rejected(self, monkeypatch):
         import nematicflow.linsolve as ls
 
-        exact = ls.poisson_solve_interior
-        monkeypatch.setattr(ls, "poisson_solve_interior", lambda g, b: exact(g, b) * (1 + 1e-9))
+        exact = ls.from_sine
+        monkeypatch.setattr(ls, "from_sine", lambda g, c: exact(g, c) * (1 + 1e-9))
         g = Grid(32, 32)
         trace = ring_of(g, lambda x, y: np.sin(3 * x) + y)
         with pytest.raises(SolverError, match="poisson residual") as err:
-            solve_poisson_dirichlet(PoissonProblem(g, ScalarField2D.zeros(g), dirichlet=trace))
+            poisson(g, np.zeros(g.shape), trace)
         assert err.value.residual > POISSON_BACKWARD_ERROR
 
     def test_problem_validation(self):
         g = Grid(8, 8)
-        with pytest.raises(TypeError):  # the Dirichlet trace is required
-            PoissonProblem(g, ScalarField2D.zeros(g))
-        with pytest.raises(ValueError):
-            PoissonProblem(g, ScalarField2D.zeros(g), dirichlet=np.zeros(3))
+        rhs = np.zeros((1, 6, 6))
+        for ring in (np.zeros(g.n_boundary), np.zeros((3, 1)), np.zeros((g.n_boundary, 2))):
+            with pytest.raises(ValueError, match="ring values"):
+                solve_poisson_dirichlet(g, rhs, ring)
+        with pytest.raises(ValueError, match="right-hand side"):
+            solve_poisson_dirichlet(g, np.zeros((6, 6)), np.zeros((g.n_boundary, 1)))
 
 
 class TestRingTransform:
     @pytest.mark.parametrize("nx, ny, ly", [(8, 8, 1.0), (24, 20, 0.8), (97, 130, 1.3)])
-    def test_equals_dense_transform_of_ring_contribution(self, nx, ny, ly):
+    def test_equals_dense_transform_of_ring_contribution(self, nx, ny, ly, ring_contribution):
         g = Grid(nx, ny, 1.0, ly)
         vals = np.random.default_rng(nx).uniform(-1, 1, (g.n_boundary, 2))
         Sx, Sy, _ = _sine_basis(nx, ny)
-        b = _bc_contribution(g, vals)
+        b = ring_contribution(g, vals)
         dense = Sx @ b @ Sy
         # rounding of sums of length mx + my over entries of size max|B|
         tol = EPS * (nx + ny - 4) * np.max(np.abs(b))
@@ -178,6 +185,20 @@ class TestHeatStep:
         for dt in (1e-4, 5e-5):
             out = heat_step(u, zero, dt)
             assert np.max(np.abs(out.data - u.data)) < dt * np.max(np.abs(u.data)) * 10 / g.hx**2
+
+    def test_against_dense_ring_contribution(self, ring_contribution):
+        # the coefficient update equals the zero-trace solve of u + dt B(h)
+        g = Grid(20, 17, 1.0, 0.8)
+        rng = np.random.default_rng(6)
+        u = VectorField2D(g, rng.standard_normal((2, *g.shape)))
+        trace = BoundaryTrace(g, rng.uniform(-1, 1, (g.n_boundary, 2)))
+        dt = 0.01
+        out = heat_step(u, trace, dt)
+        b = u.data[:, 1:-1, 1:-1] + dt * ring_contribution(g, trace.values)
+        ref = heat_solve_interior(g, b, dt)
+        tol = EPS * (g.nx + g.ny - 4) * np.max(np.abs(b))
+        assert np.max(np.abs(out.data[:, 1:-1, 1:-1] - ref)) <= tol
+        assert np.array_equal(BoundaryTrace.from_field(out).values, trace.values)
 
     def test_dt_positive(self):
         g = Grid(8, 8)

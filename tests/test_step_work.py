@@ -94,7 +94,7 @@ def test_decay_step_solves_twice_and_builds_liftings_only_at_samples(monkeypatch
         return heat(*args)
 
     monkeypatch.setattr(dynamics, "heat_solve_interior", counting_heat)
-    for name in ("heat_solve_interior", "poisson_solve_interior", "_bc_contribution"):
+    for name in ("heat_solve_interior", "solve_poisson_dirichlet", "heat_step"):
         original = getattr(linsolve, name)
 
         def counting(*args, _fn=original, _name=name):
