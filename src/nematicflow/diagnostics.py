@@ -33,7 +33,7 @@ from .grid import (
     interior_dx,
     interior_dy,
     interior_lap,
-    interior_stencils,
+    row_stencils,
     one_slot_memo,
     quad_weights,
 )
@@ -150,7 +150,7 @@ def energy_record(state: "SimState", reference: VectorField2D | None = None) -> 
     # interior residuals lap(d - l) - f(d) for l = 0, d_E and d_P, all from
     # the lap d that the step has already evaluated
     f_int = (bulk[1:-1, 1:-1] / p.eps**2) * d[:, 1:-1, 1:-1]
-    res_stat = interior_stencils(state.d)[2] - f_int
+    res_stat = row_stencils(state.d)[2][..., 1:-1] - f_int
     res_stat_sq = float(np.vdot(res_stat, res_stat))
     res_hat = res_stat - _lifting_lap(lift.dE)
     res_hat_sq = float(np.vdot(res_hat, res_hat))

@@ -15,13 +15,13 @@ the shifted director d - d_E carries a homogeneous trace and obeys
 One step of the splitting scheme:
 
   1. advance the liftings to t+dt in the sine basis (a coefficient update
-     for the heat step of d_P, one back-transform for the harmonic extension
-     d_E); d_P and the backward differences dt d_P, dt d_E are built only
-     when read;
+     for the heat step of d_P, a division by the eigenvalues for the
+     harmonic extension d_E); every lifting field is built only when read;
   2. director update, diffusion implicit, advection/penalization explicit,
      zero Dirichlet trace on the shifted unknown.  Its right-hand side
      (d - d_E^n) - dt dt d_E equals d - d_E^{n+1}, so it reads the new d_E
-     only;
+     only, and only by its sine coefficients: the solve subtracts them in
+     the sine basis and adds them back before its one back-transform;
   3. velocity predictor with implicit viscosity, explicit advection and
      elastic coupling evaluated on the *new* director;
   4. exact discrete projection onto divergence-free fields.
@@ -46,18 +46,18 @@ from .grid import (
     VectorField2D,
     _ddx,
     _ddy,
-    elastic_stress_divergence,
     extract_ring,
-    interior_dx,
-    interior_dy,
-    interior_stencils,
     quad_weights,
     random_sine_series,
+    row_dx,
+    row_dy,
+    row_stencils,
     set_ring,
+    stress_rows,
     trusted_field,
 )
-from .lifting import LiftingState, _grad_lap_dP, init_lifting, parabolic_lift_step
-from .linsolve import SolverError, heat_solve_interior, project_divergence_free
+from .lifting import LiftingState, _grad_lap_dP, elliptic_data, init_lifting, parabolic_lift_step
+from .linsolve import SolverError, heat_solve_interior, project_divergence_free, with_trace
 
 logger = logging.getLogger(__name__)
 
@@ -234,19 +234,19 @@ def step(s: SimState) -> SimState:
     """Advance one time step; boundary/trace invariants are restored exactly.
 
     Implicit solves only ever read interior values, so all right-hand sides
-    are assembled on interior views.  The returned director is read-only, so
-    ``interior_stencils`` evaluates its stencils once.
+    are assembled on the interior rows (``grid.row_dx``) and the solves take
+    their interior columns.  The returned director is read-only, so
+    ``row_stencils`` evaluates its stencils once.
     """
     g = s.v.grid
     p = s.params
     dt = s.dt
     t1 = s.t + dt
     hx, hy = g.hx, g.hy
-    inner = (slice(None), slice(1, -1), slice(1, -1))
     v = s.v.data
     d = s.d.data
-    v_int = v[inner]
-    d_int = d[inner]
+    v_rows = v[:, 1:-1]
+    d_rows = d[:, 1:-1]
 
     # 1. liftings.  With a static trace the parabolic lifting equals the
     # elliptic one for all time, so only the clock moves.
@@ -255,29 +255,29 @@ def step(s: SimState) -> SimState:
     else:
         lift1 = parabolic_lift_step(s.lifting, s.forcing.boundary(t1), dt)
 
-    # 2. director update on the shifted unknown (zero trace)
-    gl_fac = (d_int[0] ** 2 + d_int[1] ** 2 - 1.0) / p.eps**2
-    d_dx, d_dy, _ = interior_stencils(s.d)
-    adv = v_int[0] * d_dx + v_int[1] * d_dy
-    # (d - d_E^n) - dt dt_dE = d - d_E^{n+1}: the new d_E is all the step reads
-    rhs_d = (d_int - lift1.dE.data[inner]) + dt * (-adv - p.eta * gl_fac * d_int)
+    # 2. director update on the shifted unknown (zero trace).  Its right-hand
+    # side (d - d_E^n) - dt dt_dE equals d - d_E^{n+1}, so the solve reads
+    # only the new d_E, by its sine coefficients; the ring is h(t1) exactly.
+    gl_fac = (d_rows[0] ** 2 + d_rows[1] ** 2 - 1.0) / p.eps**2
+    d_dx, d_dy, _ = row_stencils(s.d)
+    adv = v_rows[0] * d_dx + v_rows[1] * d_dy
+    rhs_d = d_rows + dt * (-adv - p.eta * gl_fac * d_rows)
     src = s.forcing.director_source(t1)
     if src is not None:
-        rhs_d += dt * src[inner]
-    d_new_data = lift1.dE.data.copy()  # ring stays exactly h(t1)
-    d_new_data[inner] += heat_solve_interior(g, rhs_d, p.eta * dt)
+        rhs_d += dt * src[:, 1:-1]
+    e1, h1 = elliptic_data(lift1)
+    d_new_data = with_trace(g, heat_solve_interior(g, rhs_d[..., 1:-1], p.eta * dt, e1), h1)
     d_new_data.flags.writeable = False
     d_new = trusted_field(VectorField2D, g, d_new_data)
 
     # 3. velocity predictor, viscous term implicit, stress on the new director
-    stress = elastic_stress_divergence(d_new).data[inner]
-    adv = v_int[0] * interior_dx(v, hx) + v_int[1] * interior_dy(v, hy)
-    rhs_v = v_int + dt * (-adv - p.lam * stress)
+    adv = v_rows[0] * row_dx(v, hx) + v_rows[1] * row_dy(v, hy)
+    rhs_v = v_rows + dt * (-adv - p.lam * stress_rows(d_new))
     gf = s.forcing.body_force(t1)
     if gf is not None:
-        rhs_v += dt * gf.data[inner]
+        rhs_v += dt * gf.data[:, 1:-1]
     u_star = np.zeros((2, *g.shape))
-    u_star[inner] = heat_solve_interior(g, rhs_v, p.nu * dt)
+    u_star[:, 1:-1, 1:-1] = heat_solve_interior(g, rhs_v[..., 1:-1], p.nu * dt)
 
     # 4. projection
     v_new, pi_new = project_divergence_free(trusted_field(VectorField2D, g, u_star))
@@ -286,8 +286,10 @@ def step(s: SimState) -> SimState:
 
 
 def cfl_number(s: SimState) -> float:
-    vmax = float(np.max(np.abs(s.v.data)))
-    return s.dt * vmax / min(s.v.grid.hx, s.v.grid.hy)
+    """Advective CFL number dt max|v| / min(hx, hy), from max v and min v
+    (no |v| temporary); NaN or infinite exactly when v is not finite."""
+    v = s.v.data
+    return float(s.dt * max(v.max(), -v.min()) / min(s.v.grid.hx, s.v.grid.hy))
 
 
 @dataclass
@@ -366,12 +368,14 @@ def run(
             aborted = True
             reason = f"step failed at t={s.t:.6g}: SolverError: {exc} (residual {exc.residual:.6g})"
             break
-        if not np.all(np.isfinite(s_next.v.data)) or not np.all(np.isfinite(s_next.d.data)):
+        # one pass each: the CFL number carries any NaN or infinity of v, and
+        # the squared norm of d any of d
+        c = cfl_number(s_next)
+        if not (np.isfinite(c) and np.isfinite(np.vdot(s_next.d.data, s_next.d.data))):
             aborted, reason = True, f"non-finite state at t={s_next.t:.6g}"
             break
         s = s_next
         n_steps += 1
-        c = cfl_number(s)
         max_cfl = max(max_cfl, c)
         if c > 1.0 and not warned:
             logger.warning("advective CFL number %.3g exceeds 1 at t=%.4g", c, s.t)

@@ -7,9 +7,10 @@ are plain float64 arrays indexed [i, j] with x_i = i*hx, y_j = j*hy.
 First derivatives use second-order central differences in the interior and
 second-order one-sided stencils on the boundary ring; the Laplacian is the
 standard 5-point stencil, defined on interior nodes only.  The interior
-stencils (``interior_dx``, ``interior_dy``, ``interior_lap``) live here alone
-and act on (..., nx, ny) stacks, returning only the interior values;
-``interior_stencils`` memoizes all three for a read-only director.  The
+stencils live here alone: ``row_dx``, ``row_dy`` and ``row_lap`` evaluate
+them on the interior rows of a (..., nx, ny) stack, and ``interior_dx``,
+``interior_dy`` and ``interior_lap`` are those rows' interior columns;
+``row_stencils`` memoizes all three for a read-only director.  The
 public field constructors check shape and finiteness; ``trusted_field``
 builds fields from already checked data without checks.
 
@@ -111,12 +112,6 @@ def boundary_arclength(grid: Grid) -> np.ndarray:
     """Cumulative arclength of each boundary node, starting at node (0,0)."""
     seg = boundary_segment_lengths(grid)
     return np.concatenate([[0.0], np.cumsum(seg[:-1])])
-
-
-def boundary_segment_weights(grid: Grid) -> np.ndarray:
-    """Trapezoidal quadrature weight of each boundary node on the closed ring."""
-    seg = boundary_segment_lengths(grid)
-    return 0.5 * (seg + np.roll(seg, 1))
 
 
 def extract_ring(data: np.ndarray) -> np.ndarray:
@@ -269,26 +264,62 @@ def divergence(u: VectorField2D) -> ScalarField2D:
     return ScalarField2D(g, _ddx(u.data[0], g.hx) + _ddy(u.data[1], g.hy))
 
 
-# The interior stencils scale by reciprocal spacings: an array multiply costs
-# about half an array divide, and these run a dozen times per time step.
+# The stencils scale by reciprocal spacings: an array multiply costs about
+# half an array divide, and these run a dozen times per time step.  They are
+# evaluated over whole interior rows, the contiguous (..., nx-2, ny) block
+# data[..., 1:-1, :]: on a C-ordered stack an x-shift is a shift by one row
+# and a y-shift a flat shift by one node, so every operand is one contiguous
+# run per component instead of nx-2 short ones.  The flat y-shift wraps from
+# one row into the next, so the two ring columns of a row result hold
+# finite values of no meaning; only its interior columns [..., 1:-1] are read.
+
+
+def _flat(data: np.ndarray) -> np.ndarray:
+    """(..., nx ny) view of a (..., nx, ny) stack (a copy if the rows are not contiguous)."""
+    return data.reshape(*data.shape[:-2], data.shape[-2] * data.shape[-1])
+
+
+def row_dx(data: np.ndarray, hx: float) -> np.ndarray:
+    """Central x-difference on the interior rows of a (..., nx, ny) stack."""
+    return (data[..., 2:, :] - data[..., :-2, :]) * (0.5 / hx)
+
+
+def row_dy(data: np.ndarray, hy: float) -> np.ndarray:
+    """Central y-difference on the interior rows of a (..., nx, ny) stack;
+    its ring columns are not read."""
+    nx, ny = data.shape[-2:]
+    f = _flat(data)
+    n = (nx - 1) * ny
+    out = (f[..., ny + 1 : n + 1] - f[..., ny - 1 : n - 1]) * (0.5 / hy)
+    return out.reshape(*data.shape[:-2], nx - 2, ny)
+
+
+def row_lap(data: np.ndarray, hx: float, hy: float) -> np.ndarray:
+    """5-point Laplacian on the interior rows of a (..., nx, ny) stack; its
+    ring columns are not read."""
+    nx, ny = data.shape[-2:]
+    f = _flat(data)
+    n = (nx - 1) * ny
+    c2 = 2.0 * f[..., ny:n]
+    out = (f[..., 2 * ny :] - c2 + f[..., : n - ny]) * hx**-2 + (
+        f[..., ny + 1 : n + 1] - c2 + f[..., ny - 1 : n - 1]
+    ) * hy**-2
+    return out.reshape(*data.shape[:-2], nx - 2, ny)
 
 
 def interior_dx(data: np.ndarray, hx: float) -> np.ndarray:
     """Central x-difference at interior nodes of a (..., nx, ny) stack."""
-    return (data[..., 2:, 1:-1] - data[..., :-2, 1:-1]) * (0.5 / hx)
+    return row_dx(data, hx)[..., 1:-1]
 
 
 def interior_dy(data: np.ndarray, hy: float) -> np.ndarray:
     """Central y-difference at interior nodes of a (..., nx, ny) stack."""
-    return (data[..., 1:-1, 2:] - data[..., 1:-1, :-2]) * (0.5 / hy)
+    return row_dy(data, hy)[..., 1:-1]
 
 
 def interior_lap(data: np.ndarray, hx: float, hy: float) -> np.ndarray:
     """5-point Laplacian at interior nodes of a (..., nx, ny) stack."""
-    c2 = 2.0 * data[..., 1:-1, 1:-1]
-    return (data[..., 2:, 1:-1] - c2 + data[..., :-2, 1:-1]) * hx**-2 + (
-        data[..., 1:-1, 2:] - c2 + data[..., 1:-1, :-2]
-    ) * hy**-2
+    return row_lap(data, hx, hy)[..., 1:-1]
 
 
 def one_slot_memo(fn):
@@ -320,15 +351,16 @@ def one_slot_memo(fn):
 
 
 @one_slot_memo
-def interior_stencils(field: "VectorField2D") -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(dx, dy, lap) of a (2, nx, ny) field at interior nodes, each (2, mx, my).
+def row_stencils(field: "VectorField2D") -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(dx, dy, lap) of a (2, nx, ny) field on its interior rows, each
+    (2, nx-2, ny); their interior columns [..., 1:-1] are the interior values.
 
     A state's director is read-only, so its stencils are evaluated once and
     shared by the elastic stress, the energy record and the next step's
     advection."""
     g = field.grid
     d = field.data
-    return interior_dx(d, g.hx), interior_dy(d, g.hy), interior_lap(d, g.hx, g.hy)
+    return row_dx(d, g.hx), row_dy(d, g.hy), row_lap(d, g.hx, g.hy)
 
 
 def _lap_interior(data: np.ndarray, hx: float, hy: float) -> np.ndarray:
@@ -344,6 +376,18 @@ def laplacian(f: ScalarField2D) -> ScalarField2D:
     return ScalarField2D(g, _lap_interior(f.data, g.hx, g.hy))
 
 
+def stress_rows(d: "VectorField2D") -> np.ndarray:
+    """``elastic_stress_divergence`` on the interior rows, (2, nx-2, ny); its
+    ring columns are not read."""
+    dx, dy, lap = row_stencils(d)
+    out = np.empty_like(lap)
+    sx = lap * dx
+    np.add(sx[0], sx[1], out=out[0])
+    sy = lap * dy
+    np.add(sy[0], sy[1], out=out[1])
+    return out
+
+
 def elastic_stress_divergence(d: VectorField2D) -> VectorField2D:
     """Tensor form of the director stress divergence: component i = sum_k (lap d_k) d_i d_k.
 
@@ -352,12 +396,8 @@ def elastic_stress_divergence(d: VectorField2D) -> VectorField2D:
     lambda times this field.  Output is zero on the boundary ring.
     """
     g = d.grid
-    dx, dy, lap = interior_stencils(d)
-    sx = lap * dx
-    sy = lap * dy
     out = np.zeros((2, *g.shape))
-    np.add(sx[0], sx[1], out=out[0, 1:-1, 1:-1])
-    np.add(sy[0], sy[1], out=out[1, 1:-1, 1:-1])
+    out[:, 1:-1, 1:-1] = stress_rows(d)[..., 1:-1]
     return trusted_field(VectorField2D, g, out)
 
 

@@ -83,7 +83,7 @@ def _cmd_lifting_check(args) -> int:
     out = _out_dir(args, f"{sc.name}-lifting")
     forcing = make_forcing(sc)
     dt = sc.dt if sc.dt is not None else 0.01
-    history = evolve_lifting(sc.grid, forcing.boundary, sc.t_end, dt, sc.sample_every)
+    history = evolve_lifting(forcing, sc.t_end, dt, sc.sample_every)
     report = appendix_diagnostics(
         history, gamma=sc.gamma, dedpt_tol=parsed.tolerances.get("dedpt_tol", 1e-6)
     )

@@ -215,7 +215,7 @@ def lifting_check() -> ExperimentResult:
     )
     grid = sc.grid
     forcing = make_forcing(sc, grid)
-    history = evolve_lifting(grid, forcing.boundary, sc.t_end, sc.dt, sc.sample_every)
+    history = evolve_lifting(forcing, sc.t_end, sc.dt, sc.sample_every)
     report = appendix_diagnostics(history, gamma=sc.gamma, dedpt_tol=1e-6)
     a8 = report.checks["A8"]
     checks = [

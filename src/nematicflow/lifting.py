@@ -8,9 +8,10 @@ then carry homogeneous traces, which is what makes the energy bookkeeping of
 the coupled system clean.
 
 Both are advanced in the discrete sine basis, where the heat step is a
-diagonal update of the coefficients of d_P and the harmonic extension one
-back-transform; the time stepper reads d_E only, so d_P and the time
-derivatives are built from the coefficients when first read.
+diagonal update of the coefficients of d_P and the harmonic extension a
+division of the ring data's coefficients by the eigenvalues.  The time
+stepper reads only d_E's coefficients and ring values, so every lifting
+field is built from the coefficients when first read.
 
 The two liftings are linked by the discrete identity
 -lap(d_P - d_E) = -dt d_P (the backward-Euler step makes this exact at
@@ -24,7 +25,7 @@ on a computed trajectory and reports satisfaction flags.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
@@ -34,26 +35,30 @@ from .grid import (
     Grid,
     VectorField2D,
     boundary_segment_lengths,
-    boundary_segment_weights,
+    extract_ring,
     interior_lap,
     trusted_field,
 )
 from .linsolve import (
     from_sine,
+    harmonic_coefficients,
     harmonic_extension,
-    harmonic_from_transform,
     heat_coefficient_step,
     ring_transform,
     sine_coefficients,
+    with_trace,
 )
 
 # Not called here: benchmarks/tracing.py wraps these bindings of this module.
 from .linsolve import heat_step, solve_poisson_dirichlet
 
+if TYPE_CHECKING:
+    from .dynamics import Forcing
+
 
 class _BuiltOnRead:
-    """A ``LiftingState`` field that may hold a zero-argument builder of its
-    (2, nx, ny) array, which must own its memory.
+    """A ``LiftingState`` field that may hold a builder: a function of the
+    state that returns the (2, nx, ny) array, which must own its memory.
 
     The first read calls the builder and stores the field, read-only, in its
     place; that drops the builder and everything it closed over.
@@ -67,9 +72,9 @@ class _BuiltOnRead:
             raise AttributeError(self.name)  # so the dataclass field has no default
         value = obj.__dict__[self.name]
         if not isinstance(value, VectorField2D):
-            data = value()
+            data = value(obj)
             data.flags.writeable = False
-            value = obj.__dict__[self.name] = trusted_field(VectorField2D, obj.dE.grid, data)
+            value = obj.__dict__[self.name] = trusted_field(VectorField2D, obj.dE0.grid, data)
         return value
 
     def __set__(self, obj, value):
@@ -81,80 +86,114 @@ class LiftingState:
     """Snapshot of both liftings at one time level.
 
     ``dt_dP`` and ``dt_dE`` are first-order backward differences of the
-    respective liftings over the last step (zero fields at t = 0).  ``dP``,
-    ``dt_dP`` and ``dt_dE`` may be given as builders (``_BuiltOnRead``),
-    which run on first read; ``parabolic_lift_step`` returns them so.
-    ``p`` holds the sine coefficients of the interior of ``dP``
-    (``sine_coefficients``); a state built without them transforms ``dP``
-    when it is stepped.
+    respective liftings over the last step (zero fields at t = 0).  ``dE``,
+    ``dP``, ``dt_dP`` and ``dt_dE`` may be given as builders
+    (``_BuiltOnRead``), which run on first read; ``parabolic_lift_step``
+    returns them so.  ``p`` and ``e`` hold the sine coefficients of the
+    interiors of ``dP`` and ``dE`` (``sine_coefficients``), and ``h`` the
+    (nb, 2) ring values of both.  A state built without them derives them
+    from the fields when it is stepped (``elliptic_data``).
     """
 
-    dE: VectorField2D
+    dE: VectorField2D = _BuiltOnRead()
     dP: VectorField2D = _BuiltOnRead()
     dE0: VectorField2D
     dt_dP: VectorField2D = _BuiltOnRead()
     dt_dE: VectorField2D = _BuiltOnRead()
     t: float
     p: np.ndarray | None = field(default=None, repr=False, compare=False)
+    e: np.ndarray | None = field(default=None, repr=False, compare=False)
+    h: np.ndarray | None = field(default=None, repr=False, compare=False)
 
 
 # Discrete-harmonic extension of ring values: both components in one direct solve.
 elliptic_lift = harmonic_extension
 
 
+def _elliptic(grid: Grid, e: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """d_E on the grid from its interior sine coefficients and ring values."""
+    return with_trace(grid, from_sine(grid, e), h)
+
+
+def _ring(data: np.ndarray) -> np.ndarray:
+    """(nb, 2) ring values of a (2, nx, ny) field."""
+    return np.stack([extract_ring(data[0]), extract_ring(data[1])], axis=1)
+
+
+def elliptic_data(state: LiftingState) -> tuple[np.ndarray, np.ndarray]:
+    """(e, h): the sine coefficients of the interior of d_E and its ring
+    values, which the director update reads in place of d_E itself.  A state
+    built without them transforms ``dE``."""
+    if state.e is not None:
+        return state.e, state.h
+    dE = state.dE.data
+    return sine_coefficients(state.dE0.grid, dE[:, 1:-1, 1:-1]), _ring(dE)
+
+
 def init_lifting(d0_trace: BoundaryTrace) -> LiftingState:
     """Initial lifting state: d_P(0) equals the harmonic extension of the initial trace.
 
-    The three lifting fields start as the same object; steps replace them
-    rather than mutate, and the shared identity lets diagnostics skip
-    recomputation while the data remains autonomous.  Its array is read-only,
-    so diagnostics can memoize lap d_E for as long as the trace stays static.
+    The three lifting fields start as the same object, built from one set of
+    sine coefficients; steps replace them rather than mutate, and the shared
+    identity lets diagnostics skip recomputation while the data remains
+    autonomous.  Its array is read-only, so diagnostics can memoize lap d_E
+    for as long as the trace stays static.
     """
-    dE0 = elliptic_lift(d0_trace)
+    g = d0_trace.grid
+    h = d0_trace.values.copy()
+    e = harmonic_coefficients(g, ring_transform(g, h))
+    dE0 = trusted_field(VectorField2D, g, _elliptic(g, e, h))
     dE0.data.flags.writeable = False
-    zero = VectorField2D.zeros(d0_trace.grid)
-    return LiftingState(dE=dE0, dP=dE0, dE0=dE0, dt_dP=zero, dt_dE=zero, t=0.0)
+    zero = VectorField2D.zeros(g)
+    return LiftingState(dE=dE0, dP=dE0, dE0=dE0, dt_dP=zero, dt_dE=zero, t=0.0, p=e, e=e, h=h)
+
+
+def _build_dE(state: LiftingState) -> np.ndarray:
+    return _elliptic(state.dE0.grid, state.e, state.h)
+
+
+def _build_dP(state: LiftingState) -> np.ndarray:
+    return with_trace(state.dE0.grid, from_sine(state.dE0.grid, state.p), state.h)
 
 
 def parabolic_lift_step(state: LiftingState, ring_next: np.ndarray, dt: float) -> LiftingState:
-    """Advance d_P by one backward-Euler heat step and refresh d_E, in the sine basis.
+    """Advance d_P by one backward-Euler heat step and d_E to the new trace,
+    both in the sine basis.
 
     ``ring_next`` holds the (nb, 2) ring values h(t + dt), already checked
     (``Forcing.boundary``, or ``BoundaryTrace``).  Both liftings take its ring
     contribution through the sine transform B^ (``ring_transform``, rank
     four).  d_P advances by its coefficients, p_new = (p + dt B^) / (1 + dt
-    lam) (``heat_coefficient_step``, the step of ``heat_step``), and d_E is
-    the one back-transform of B^ / lam (``harmonic_from_transform``).  d_E is
-    built here because the director update reads it.  d_P, dt d_P and dt d_E
-    are built on first read, which in a run is only at sampled times; each is
-    read-only and owns its memory.
+    lam) (``heat_coefficient_step``, the step of ``heat_step``), and d_E's
+    are e = B^ / lam (``harmonic_coefficients``).  No field is formed here:
+    d_E, d_P, dt d_P and dt d_E are built on first read, which in a run is
+    only at sampled times; each is read-only and owns its memory.
     """
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
-    g = state.dE.grid
-    bh = ring_transform(g, ring_next)
+    g = state.dE0.grid
+    h1 = np.array(ring_next, dtype=float)  # the builders outlive the caller's array
+    bh = ring_transform(g, h1)
     p0 = state.p
     if p0 is None:
         p0 = sine_coefficients(g, state.dP.data[:, 1:-1, 1:-1])
     p1 = heat_coefficient_step(g, p0, bh, dt)
-    dE_old = state.dE
-    dE_new = harmonic_from_transform(g, bh, ring_next)
-    dE_new.data.flags.writeable = False
+    h0 = state.h if state.h is not None else _ring(state.dE.data)
+    # the old d_E as a field if it was read, else the data that builds it
+    old = vars(state)["dE"]
+    if not isinstance(old, VectorField2D):
+        old = (state.e, h0)
 
-    # the builders take their ring from the d_E fields, whose ring is h exactly
-    def dP() -> np.ndarray:
-        out = dE_new.data.copy()
-        out[:, 1:-1, 1:-1] = from_sine(g, p1)
-        return out
+    def dt_dP(s: LiftingState) -> np.ndarray:
+        return with_trace(g, from_sine(g, (s.p - p0) / dt), (s.h - h0) / dt)
 
-    def dt_dP() -> np.ndarray:
-        out = (dE_new.data - dE_old.data) / dt
-        out[:, 1:-1, 1:-1] = from_sine(g, (p1 - p0) / dt)
-        return out
+    def dt_dE(s: LiftingState) -> np.ndarray:
+        prev = old.data if isinstance(old, VectorField2D) else _elliptic(g, *old)
+        return (s.dE.data - prev) / dt
 
     return LiftingState(
-        dE=dE_new, dP=dP, dE0=state.dE0, dt_dP=dt_dP,
-        dt_dE=lambda: (dE_new.data - dE_old.data) / dt, t=state.t + dt, p=p1,
+        dE=_build_dE, dP=_build_dP, dE0=state.dE0, dt_dP=dt_dP, dt_dE=dt_dE,
+        t=state.t + dt, p=p1, e=harmonic_coefficients(g, bh), h=h1,
     )
 
 
@@ -162,20 +201,30 @@ def parabolic_lift_step(state: LiftingState, ring_next: np.ndarray, dt: float) -
 # boundary-norm surrogates
 
 
-def boundary_l2(grid: Grid, values: np.ndarray) -> float:
-    w = boundary_segment_weights(grid)
-    return float(np.sqrt(np.sum(w[:, None] * values**2)))
+def _ring_diff(values: np.ndarray) -> np.ndarray:
+    """Difference to the next node on the closed ring, along axis -2."""
+    return np.roll(values, -1, axis=-2) - values
 
 
-def boundary_h_half(grid: Grid, values: np.ndarray) -> float:
-    """Computable stand-in for the H^(1/2) boundary norm:
-    (L2(ring)^2 + tangential-difference seminorm^2)^(1/2)."""
-    w = boundary_segment_weights(grid)
-    l2sq = float(np.sum(w[:, None] * values**2))
-    diffs = np.diff(values, axis=0, append=values[:1])
+def boundary_norms_sq(grid: Grid, values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Squared ring norms of (nb, 2) ring values, or of each trace in a
+    (..., nb, 2) stack: the trapezoidal L2(ring) norm, and the first and
+    second tangential-difference seminorms sum |D h|^2 / seg and
+    sum |D^2 h|^2 / seg^3, with D the difference to the next node and seg the
+    segment length.  L2 + first stands in for the H^(1/2) boundary norm, all
+    three for the H^(3/2) norm.  The segment lengths are computed once per
+    call, so a stack of traces costs one array pass per quantity.
+    """
     seg = boundary_segment_lengths(grid)
-    semi = float(np.sum(diffs**2 / seg[:, None]))
-    return float(np.sqrt(l2sq + semi))
+    w = 0.5 * (seg + np.roll(seg, 1))  # trapezoidal node weights
+    d1 = _ring_diff(values)
+    d2 = _ring_diff(d1)
+    sums = "...kc,...kc,k->..."
+    return (
+        np.einsum(sums, values, values, w),
+        np.einsum(sums, d1, d1, 1.0 / seg),
+        np.einsum(sums, d2, d2, seg**-3.0),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -183,20 +232,17 @@ def boundary_h_half(grid: Grid, values: np.ndarray) -> float:
 
 
 def evolve_lifting(
-    grid: Grid,
-    boundary_fn: Callable[[float], np.ndarray],
-    t_end: float,
-    dt: float,
-    sample_every: int = 1,
+    forcing: "Forcing", t_end: float, dt: float, sample_every: int = 1
 ) -> list[LiftingState]:
-    """March both liftings under a time-dependent trace; return sampled states.
+    """March both liftings under the forcing's trace; return sampled states.
 
-    Each value of ``boundary_fn`` is checked as a ``BoundaryTrace`` once."""
-    state = init_lifting(BoundaryTrace(grid, boundary_fn(0.0)))
+    ``forcing.boundary`` checks each trace, once."""
+    grid = forcing.grid
+    state = init_lifting(BoundaryTrace(grid, forcing.boundary(0.0)))
     history = [state]
     n_steps = int(round(t_end / dt))
     for k in range(1, n_steps + 1):
-        state = parabolic_lift_step(state, BoundaryTrace(grid, boundary_fn(k * dt)).values, dt)
+        state = parabolic_lift_step(state, forcing.boundary(k * dt), dt)
         if k % sample_every == 0:
             history.append(state)
     return history
@@ -241,6 +287,7 @@ def _grad_lap_dP(state: LiftingState) -> float:
 def lifting_series(history: Sequence[LiftingState]) -> dict[str, np.ndarray]:
     """Scalar time series needed by the decay checks, computed per sample."""
     g = history[0].dP.grid
+    l2_sq, semi_sq, _ = boundary_norms_sq(g, np.stack([_ring(s.dt_dP.data) for s in history]))
     diffs = (s.dP.data - s.dE.data for s in history)
     h1_sq, lap_sq = np.array(
         [(_l2_sq(g, x) + edge_seminorm_sq(g, x), _lap_sq(g, x)) for x in diffs]
@@ -252,9 +299,7 @@ def lifting_series(history: Sequence[LiftingState]) -> dict[str, np.ndarray]:
         "dt_dP": np.sqrt([_l2_sq(g, s.dt_dP.data) for s in history]),
         "dt_dE_sq": np.array([_l2_sq(g, s.dt_dE.data) for s in history]),
         "grad_lap_dP": np.array([_grad_lap_dP(s) for s in history]),
-        "ht_h12_sq": np.array(
-            [boundary_h_half(g, BoundaryTrace.from_field(s.dt_dP).values) ** 2 for s in history]
-        ),
+        "ht_h12_sq": l2_sq + semi_sq,
     }
 
 

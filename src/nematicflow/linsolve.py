@@ -17,8 +17,10 @@ per grid.
   (``ring_transform``).  Every solve with ring data goes through it: a
   Poisson solve or a harmonic extension is one back-transform of
   coefficients divided by the eigenvalues, a heat step with a trace is one
-  coefficient update (``heat_coefficient_step``) and one back-transform.
-  The ring contribution is never formed on the grid.
+  coefficient update (``heat_coefficient_step``, or ``heat_solve_interior``
+  given the coefficients of the trace's harmonic extension) and one
+  back-transform.  Neither the ring contribution nor the harmonic extension
+  needs to be formed on the grid.
 * The projection operator is diagonalized by ``numpy.linalg.eigh`` of its two
   1-D factors (below).
 
@@ -94,8 +96,9 @@ def _edge_indices(nx: int, ny: int) -> tuple[np.ndarray, np.ndarray]:
     return x_edges, y_edges
 
 
-def _with_trace(grid: Grid, interior: np.ndarray, ring_values: np.ndarray) -> np.ndarray:
-    """(c, nx, ny) array with the given (c, mx, my) interior and (nb, c) ring values."""
+def with_trace(grid: Grid, interior: np.ndarray, ring_values: np.ndarray) -> np.ndarray:
+    """(c, nx, ny) array, owning its memory, with the given (c, mx, my)
+    interior and (nb, c) ring values."""
     out = np.empty((ring_values.shape[1], *grid.shape))
     out[:, 1:-1, 1:-1] = interior
     ii, jj = boundary_indices(grid)
@@ -223,11 +226,30 @@ def _projection_eigensystem(grid: Grid) -> tuple[np.ndarray, np.ndarray, np.ndar
     return got
 
 
-def heat_solve_interior(grid: Grid, b_int: np.ndarray, coef: float) -> np.ndarray:
-    """Interior solution of (I - coef*lap) u = b with zero Dirichlet trace."""
+def heat_solve_interior(
+    grid: Grid, b_int: np.ndarray, coef: float, harmonic: np.ndarray | None = None
+) -> np.ndarray:
+    """Interior solution of (I - coef*lap) u = b with zero Dirichlet trace.
+
+    With ``harmonic``, the sine coefficients e of the harmonic extension u_E
+    of some ring data (``harmonic_coefficients``), u carries that ring data
+    instead: u - u_E has a zero trace and, as lap u_E = 0 at interior nodes,
+    solves (I - coef lap_0)(u - u_E) = b - u_E.  So the coefficients of u are
+    e + (b^ - e) / (1 + coef lam), and u_E is never formed on the grid.
+    """
     bh = sine_coefficients(grid, b_int)
+    if harmonic is not None:
+        bh -= harmonic
     bh /= _heat_denominator(grid, coef)
+    if harmonic is not None:
+        bh += harmonic
     return from_sine(grid, bh)
+
+
+def harmonic_coefficients(grid: Grid, bh: np.ndarray) -> np.ndarray:
+    """Sine coefficients B^ / lam of the interior of the harmonic extension
+    of ring data whose ``ring_transform`` is ``bh``: -lap_0 u = B(h)."""
+    return bh / _dirichlet_eigenvalues(*grid.key)
 
 
 def heat_coefficient_step(grid: Grid, p: np.ndarray, bh: np.ndarray, dt: float) -> np.ndarray:
@@ -278,7 +300,7 @@ def solve_poisson_dirichlet(grid: Grid, rhs_int: np.ndarray, ring_values: np.nda
         )
     coef = ring_transform(grid, ring_values) - sine_coefficients(grid, rhs_int)
     coef /= _dirichlet_eigenvalues(*grid.key)
-    out = _with_trace(grid, from_sine(grid, coef), ring_values)
+    out = with_trace(grid, from_sine(grid, coef), ring_values)
     ratio = poisson_backward_error(grid, out, rhs_int)
     if ratio > POISSON_BACKWARD_ERROR:
         raise SolverError(
@@ -298,25 +320,20 @@ def heat_step(u: VectorField2D, trace: BoundaryTrace, dt: float) -> VectorField2
         raise ValueError("trace grid mismatch")
     p = sine_coefficients(g, u.data[:, 1:-1, 1:-1])
     coef = heat_coefficient_step(g, p, ring_transform(g, trace.values), dt)
-    return trusted_field(VectorField2D, g, _with_trace(g, from_sine(g, coef), trace.values))
+    return trusted_field(VectorField2D, g, with_trace(g, from_sine(g, coef), trace.values))
 
 
 def harmonic_extension(trace: BoundaryTrace) -> VectorField2D:
     """Discrete-harmonic extension of both trace components.
 
-    Its interior solves -lap u = B(h), so it is the back-transform of
-    ``ring_transform(h) / lam``: one pair of dense products, not two.  The
-    sine-basis solve is exact up to rounding (see ``poisson_backward_error``),
-    so the residual is not re-checked per call.
+    Its interior is the back-transform of ``harmonic_coefficients``: one pair
+    of dense products, not two.  The sine-basis solve is exact up to rounding
+    (see ``poisson_backward_error``), so the residual is not re-checked per
+    call.
     """
     g = trace.grid
-    return harmonic_from_transform(g, ring_transform(g, trace.values), trace.values)
-
-
-def harmonic_from_transform(grid: Grid, bh: np.ndarray, ring_values: np.ndarray) -> VectorField2D:
-    """Harmonic extension of (nb, 2) ``ring_values`` whose ``ring_transform`` is ``bh``."""
-    interior = from_sine(grid, bh / _dirichlet_eigenvalues(*grid.key))
-    return trusted_field(VectorField2D, grid, _with_trace(grid, interior, ring_values))
+    coef = harmonic_coefficients(g, ring_transform(g, trace.values))
+    return trusted_field(VectorField2D, g, with_trace(g, from_sine(g, coef), trace.values))
 
 
 def project_divergence_free(u: VectorField2D) -> tuple[VectorField2D, ScalarField2D]:

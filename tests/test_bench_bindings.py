@@ -53,3 +53,39 @@ def test_benchmark_selftests_pass(monkeypatch):
     results = selftest.run_selftests()
     assert len(results) == 6
     assert all(ok for _, ok, _ in results), [r for r in results if not r[1]]
+
+
+def test_traced_bindings_see_each_step_layer(monkeypatch):
+    # benchmarks/tracing.py times the spans linsolve.heat and lifting.update
+    # by wrapping dynamics.heat_solve_interior, dynamics.parabolic_lift_step
+    # and dynamics.replace (a LiftingState argument only): a step must reach
+    # its two heat solves and its lifting update through these bindings
+    from nematicflow import dynamics, linsolve
+    from nematicflow.harness.scenarios import Scenario, generate_scenario
+    from nematicflow.lifting import LiftingState
+
+    decay = generate_scenario(Scenario(name="d", family="polynomial-decay", nx=16, ny=16,
+                                       dt=2.5e-3, seed=1)).state
+    energy = generate_scenario(Scenario(name="e", family="autonomous", nx=16, ny=16,
+                                        kappa=0.0, seed=1)).state
+    calls = []
+    for name in ("heat_solve_interior", "parabolic_lift_step", "replace"):
+        original = getattr(dynamics, name)
+
+        def counting(*args, _fn=original, _name=name, **kwargs):
+            if _name != "replace" or isinstance(args[0], LiftingState):
+                calls.append(_name)
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(dynamics, name, counting)
+
+    dynamics.step(decay)
+    assert sorted(calls) == ["heat_solve_interior"] * 2 + ["parabolic_lift_step"]
+    calls.clear()
+    dynamics.step(energy)
+    assert sorted(calls) == ["heat_solve_interior"] * 2 + ["replace"]
+
+    # benchmarks/layers.py times the heat solve by a direct three-argument call
+    g = energy.v.grid
+    u = energy.v.data[:, 1:-1, 1:-1]
+    assert linsolve.heat_solve_interior(g, u, 1e-3).shape == u.shape

@@ -24,6 +24,7 @@ from nematicflow.grid import (
     divergence,
     extract_ring,
     set_ring,
+    trusted_field,
 )
 
 
@@ -243,6 +244,26 @@ class TestStep:
                 assert np.array_equal(extract_ring(s.v.data[k]), np.zeros(g.n_boundary))
                 assert np.array_equal(extract_ring(s.d.data[k]), h0[:, k])
             assert np.max(np.abs(divergence(s.v).data[1:-1, 1:-1])) < 1e-10
+
+    def test_lifting_given_as_fields_steps_like_its_own(self):
+        # a LiftingState built from fields alone carries no sine coefficients;
+        # the step derives them from d_E, equal to rounding, ring exact
+        from nematicflow.lifting import LiftingState
+        from nematicflow.linsolve import EPS
+
+        g = Grid(16, 12, ly=0.75)
+        forcing = constant_forcing(g, (0.6, 0.8))
+        d0 = bump_director(g, forcing)
+        s = init(make_divergence_free_velocity(g, 3, 0.3), d0, forcing, PhysParams(), dt=1e-3)
+        lift = s.lifting
+        plain = LiftingState(dE=lift.dE, dP=lift.dP, dE0=lift.dE0, dt_dP=lift.dt_dP,
+                             dt_dE=lift.dt_dE, t=lift.t)
+        a, b = step(s), step(replace(s, lifting=plain))
+        tol = (g.nx + g.ny) * EPS  # the length of the transforms' sums, |d| <= 1
+        assert np.max(np.abs(a.d.data - b.d.data)) <= tol
+        assert np.max(np.abs(a.v.data - b.v.data)) <= tol
+        for k in range(2):
+            assert np.array_equal(extract_ring(b.d.data[k]), forcing.boundary(0.0)[:, k])
 
     def test_pure_director_relaxation_matches_steady_solver(self):
         # v frozen at zero: the director must relax to the steady solver's
@@ -528,6 +549,35 @@ class TestRun:
         assert "residual" in summary.abort_reason
         assert "(residual 3.5)" in summary.abort_reason
         assert summary.final is s
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("name", ["v", "d"])
+    def test_non_finite_node_aborts(self, monkeypatch, name, bad):
+        # the check after each step reads only max v, min v and |d|^2, so one
+        # bad node of either field, of any sign, must still stop the run
+        import nematicflow.dynamics as dyn
+
+        g = Grid(16, 16)
+        forcing = constant_forcing(g)
+        d0 = bump_director(g, forcing, amplitude=0.5)
+        s = init(make_divergence_free_velocity(g, 3, 0.3), d0, forcing, PhysParams(), dt=1e-3)
+        stepped = []
+
+        def poisoning_step(state):
+            out = step(state)
+            stepped.append(out)
+            if len(stepped) == 3:
+                data = getattr(out, name).data.copy()
+                data[1, 7, 9] = bad
+                out = replace(out, **{name: trusted_field(VectorField2D, g, data)})  # unchecked
+            return out
+
+        monkeypatch.setattr(dyn, "step", poisoning_step)
+        summary = run(s, t_end=10 * s.dt, sample_every=1)
+        assert summary.aborted
+        assert summary.n_steps == 2
+        assert summary.abort_reason == f"non-finite state at t={stepped[2].t:.6g}"
+        assert summary.final is stepped[1]
 
     def test_fine_grid_scenario_steps(self):
         # 128^2 set-up used to fail on an absolute Poisson residual test

@@ -19,8 +19,11 @@ from nematicflow.grid import (
     interior_dx,
     interior_dy,
     interior_lap,
-    interior_stencils,
     laplacian,
+    row_dx,
+    row_dy,
+    row_lap,
+    row_stencils,
     set_ring,
 )
 
@@ -182,12 +185,12 @@ class TestStencilMemo:
     @staticmethod
     def _fresh(f):
         g = f.grid
-        return interior_dx(f.data, g.hx), interior_dy(f.data, g.hy), interior_lap(f.data, g.hx, g.hy)
+        return row_dx(f.data, g.hx), row_dy(f.data, g.hy), row_lap(f.data, g.hx, g.hy)
 
     def test_read_only_field_evaluated_once(self):
         f = self._field(1, writeable=False)
-        first = interior_stencils(f)
-        assert interior_stencils(f) is first
+        first = row_stencils(f)
+        assert row_stencils(f) is first
         for got, want in zip(first, self._fresh(f)):
             assert np.array_equal(got, want)
             assert not got.flags.writeable  # shared results cannot be edited
@@ -195,20 +198,20 @@ class TestStencilMemo:
     def test_writable_field_never_cached(self):
         # an in-place edit of a writable array must show in the next call
         f = self._field(2, writeable=True)
-        interior_stencils(f)
+        row_stencils(f)
         f.data[:, 4, 4] += 1.0
-        for got, want in zip(interior_stencils(f), self._fresh(f)):
+        for got, want in zip(row_stencils(f), self._fresh(f)):
             assert np.array_equal(got, want)
 
     def test_other_array_or_grid_misses(self):
         a = self._field(3, writeable=False)
         b = self._field(4, writeable=False)
-        interior_stencils(a)
-        for got, want in zip(interior_stencils(b), self._fresh(b)):
+        row_stencils(a)
+        for got, want in zip(row_stencils(b), self._fresh(b)):
             assert np.array_equal(got, want)
         # the same array read on another grid has other spacings
         on_other = VectorField2D(Grid(12, 10, lx=2.0, ly=0.8), b.data)
-        for got, want in zip(interior_stencils(on_other), self._fresh(on_other)):
+        for got, want in zip(row_stencils(on_other), self._fresh(on_other)):
             assert np.array_equal(got, want)
 
 

@@ -4,6 +4,7 @@ import weakref
 import numpy as np
 import pytest
 
+from nematicflow.dynamics import Forcing
 from nematicflow.grid import (
     BoundaryTrace,
     Grid,
@@ -180,15 +181,23 @@ class TestLiftingInSineBasis:
             assert field.data.base is None, name
 
     def test_built_field_drops_what_it_was_built_from(self):
-        s1, h2 = self.two_steps(Grid(16, 16))
-        s2 = parabolic_lift_step(s1, h2, 0.02)
-        old_dE = weakref.ref(s1.dE)
-        del s1
-        gc.collect()
-        assert old_dE() is not None  # dt d_P and dt d_E still need it
-        s2.dt_dP, s2.dt_dE  # noqa: B018 (reads build the fields)
-        gc.collect()
-        assert old_dE() is None
+        # dt d_P is built from the old d_P coefficients, and dt d_E from the
+        # old d_E: the field if it was read before the step, else the old
+        # coefficients, which rebuild it bitwise
+        for read_old_dE in (True, False):
+            s1, h2 = self.two_steps(Grid(16, 16))
+            if read_old_dE:
+                old = [weakref.ref(s1.p), weakref.ref(s1.dE)]
+            else:
+                old = [weakref.ref(s1.p), weakref.ref(s1.e)]
+                assert not isinstance(vars(s1)["dE"], VectorField2D)
+            s2 = parabolic_lift_step(s1, h2, 0.02)
+            del s1
+            gc.collect()
+            assert all(ref() is not None for ref in old)  # dt d_P and dt d_E still need them
+            s2.dt_dP, s2.dt_dE  # noqa: B018 (reads build the fields)
+            gc.collect()
+            assert all(ref() is None for ref in old), read_old_dE
 
     def test_plain_state_steps_like_returned_state(self):
         g = Grid(24, 20, 1.0, 0.8)
@@ -223,7 +232,7 @@ class TestAppendixDiagnostics:
     def test_constant_trace_all_pass(self):
         g = Grid(12, 12)
         trace_fn = lambda t: BoundaryTrace.constant(g, (0.6, -0.8)).values
-        history = evolve_lifting(g, trace_fn, t_end=2.0, dt=0.1)
+        history = evolve_lifting(Forcing(g, trace_fn), t_end=2.0, dt=0.1)
         report = appendix_diagnostics(history, gamma=2.0)
         assert report.passed()
         assert report.dt_dP_final < 1e-9
@@ -255,7 +264,7 @@ class TestAppendixDiagnostics:
     def test_gamma2_family_decay(self):
         g = Grid(16, 16)
         h = decaying_boundary(g, gamma=2.0)
-        history = evolve_lifting(g, h, t_end=30.0, dt=0.05, sample_every=10)
+        history = evolve_lifting(Forcing(g, h), t_end=30.0, dt=0.05, sample_every=10)
         report = appendix_diagnostics(history, gamma=2.0)
         assert report.checks["A8"].fitted_exponent >= 2 + 2 * 2.0 - 0.3
         assert report.checks["A3"].passed
@@ -263,12 +272,12 @@ class TestAppendixDiagnostics:
 
     def test_history_too_short(self):
         g = Grid(8, 8)
-        history = evolve_lifting(g, lambda t: BoundaryTrace.constant(g, (1, 0)).values, 0.5, 0.1)
+        history = evolve_lifting(Forcing(g, lambda t: BoundaryTrace.constant(g, (1, 0)).values), 0.5, 0.1)
         with pytest.raises(InsufficientDataError):
             appendix_diagnostics(history, gamma=1.0)
 
     def test_series_keys(self):
         g = Grid(8, 8)
-        history = evolve_lifting(g, lambda t: BoundaryTrace.constant(g, (1, 0)).values, 2.0, 0.1)
+        history = evolve_lifting(Forcing(g, lambda t: BoundaryTrace.constant(g, (1, 0)).values), 2.0, 0.1)
         ser = lifting_series(history)
         assert set(ser) >= {"t", "dPdE_h1", "dt_dP", "grad_lap_dP", "ht_h12_sq"}

@@ -1,4 +1,5 @@
-"""Property sweep of the sine-basis solves and the projection over random grids.
+"""Property sweep of the stencils, the sine-basis solves and the projection
+over random grids.
 
 Grids have nx, ny in [8, 96], odd and even, and lx != ly.  Every bound is a
 ratio to the operation's own backward-error scale, in the units of
@@ -9,7 +10,7 @@ field), 0.33 (heat step) and 0.08 (projected divergence; 0.10 on the
 """
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nematicflow.grid import (
@@ -20,6 +21,9 @@ from nematicflow.grid import (
     interior_dx,
     interior_dy,
     interior_lap,
+    row_dx,
+    row_dy,
+    row_lap,
 )
 from nematicflow.linsolve import (
     EPS,
@@ -91,3 +95,32 @@ def test_batched_poisson_backward_error_and_exact_ring(g, seed, c, log_rhs):
     for k in range(c):
         assert poisson_backward_error(g, sol[k], rhs[k]) <= POISSON_BACKWARD_ERROR
         assert np.array_equal(extract_ring(sol[k]), ring[:, k])
+
+
+@SWEEP
+@given(g=grids.filter(lambda g: g.nx != g.ny), seed=seeds, stack=st.booleans())
+@example(g=Grid(9, 12, 0.7, 1.3), seed=0, stack=True)
+@example(g=Grid(12, 9, 1.3, 0.7), seed=1, stack=False)
+@example(g=Grid(11, 13, 2.0, 0.5), seed=2, stack=True)
+@example(g=Grid(10, 16, 0.5, 2.0), seed=3, stack=False)
+def test_row_stencils_equal_the_interior_stencils_bitwise(g, seed, stack):
+    # the stencils as written on strided interior views, before they moved
+    # onto whole interior rows; the row results agree at every interior node
+    data = np.random.default_rng(seed).standard_normal((2, *g.shape) if stack else g.shape)
+    hx, hy = g.hx, g.hy
+    c2 = 2.0 * data[..., 1:-1, 1:-1]
+    strided = {
+        "dx": (data[..., 2:, 1:-1] - data[..., :-2, 1:-1]) * (0.5 / hx),
+        "dy": (data[..., 1:-1, 2:] - data[..., 1:-1, :-2]) * (0.5 / hy),
+        "lap": (data[..., 2:, 1:-1] - c2 + data[..., :-2, 1:-1]) * hx**-2
+        + (data[..., 1:-1, 2:] - c2 + data[..., 1:-1, :-2]) * hy**-2,
+    }
+    rows = {"dx": row_dx(data, hx), "dy": row_dy(data, hy), "lap": row_lap(data, hx, hy)}
+    interior = {
+        "dx": interior_dx(data, hx), "dy": interior_dy(data, hy), "lap": interior_lap(data, hx, hy),
+    }
+    for name, want in strided.items():
+        assert rows[name].shape == (*data.shape[:-2], g.nx - 2, g.ny), name
+        assert np.all(np.isfinite(rows[name])), name  # the unread ring columns too
+        assert np.array_equal(rows[name][..., 1:-1], want), name
+        assert np.array_equal(interior[name], want), name

@@ -1,19 +1,21 @@
 """Timing-free guard on the work one time step does.
 
 Counters patched onto the module bindings count how often the director's
-interior stencils are evaluated and how many validating field constructions
-run inside ``step``.  Each per-step quantity is computed once: the stencils
+stencils are evaluated on its interior rows, how many validating field
+constructions run inside ``step`` and how many dense sine transforms it
+makes.  Each per-step quantity is computed once: the stencils
 of a new director feed the elastic stress, its energy record and the next
 step's advection, and fields derived from checked data are not re-checked.
 With a moving trace, the lifting update stays in the sine basis and builds
-d_P, dt d_P and dt d_E only for the states that are sampled.
+d_E, d_P, dt d_P and dt d_E only for the states that are sampled; the
+director solve reads d_E by its sine coefficients.
 """
 
 from nematicflow import diagnostics, dynamics, grid, lifting, linsolve
 from nematicflow.grid import VectorField2D
 from nematicflow.harness.scenarios import Scenario, generate_scenario
 
-STENCILS = ("interior_dx", "interior_dy", "interior_lap")
+STENCILS = ("row_dx", "row_dy", "row_lap")
 N_STEPS = 10
 
 
@@ -71,11 +73,11 @@ def test_energy_law_step_computes_each_quantity_once(monkeypatch):
         assert on_directors(name) <= N_STEPS + 1, (name, on_directors(name))
     # lap d_E of the static trace: once per run
     d_e = s0.lifting.dE.data
-    assert sum(a is d_e for a in args["interior_lap"]) == 1
+    assert sum(a is d_e for a in args["row_lap"]) == 1
     assert validated_in_step == []
 
 
-LAZY_FIELDS = ("dP", "dt_dP", "dt_dE")
+LAZY_FIELDS = ("dE", "dP", "dt_dP", "dt_dE")
 
 
 def test_decay_step_solves_twice_and_builds_liftings_only_at_samples(monkeypatch):
@@ -138,3 +140,32 @@ def test_decay_step_solves_twice_and_builds_liftings_only_at_samples(monkeypatch
     for s in stepped:
         built = [isinstance(vars(s.lifting)[name], VectorField2D) for name in LAZY_FIELDS]
         assert built == [any(s is x for x in sampled)] * len(LAZY_FIELDS), s.t
+
+
+def test_moving_trace_step_makes_two_dense_transform_pairs(monkeypatch):
+    # one forward and one backward transform of a (2, mx, my) stack for each
+    # of the director and velocity solves; d_E enters the director solve in
+    # the sine basis, so nothing else is transformed
+    sc = Scenario(name="decay", family="polynomial-decay", nx=16, ny=12, ly=0.75,
+                  dt=2.5e-3, seed=1)
+    s0 = generate_scenario(sc).state
+    assert not s0.forcing.static_trace
+
+    calls = []
+    for name in ("sine_coefficients", "from_sine"):
+        original = getattr(linsolve, name)
+
+        def counting(g, a, _fn=original, _name=name):
+            calls.append((_name, a.shape))
+            return _fn(g, a)
+
+        for module in (linsolve, lifting):
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counting)
+
+    s = s0
+    for _ in range(3):
+        calls.clear()
+        s = dynamics.step(s)
+        stack = (2, sc.nx - 2, sc.ny - 2)
+        assert sorted(calls) == [("from_sine", stack)] * 2 + [("sine_coefficients", stack)] * 2
