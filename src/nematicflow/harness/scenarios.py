@@ -291,6 +291,12 @@ def _tail_integral(t: np.ndarray, values: np.ndarray) -> np.ndarray:
     return rev
 
 
+# Sample times per stack of ring traces in ``check_hypotheses``: a
+# (RING_BLOCK, nb, 2) stack is 64 kB at 64^2, where all 240 times at once
+# would hold megabytes of temporaries beside the run's states.
+RING_BLOCK = 16
+
+
 def check_hypotheses(
     forcing: Forcing,
     gamma: float,
@@ -311,8 +317,16 @@ def check_hypotheses(
     rate_fn = forcing.boundary_rate
     t = np.linspace(0.0, t_max, n_samples)
 
-    def series(fn):
-        return np.array([fn(tt) for tt in t])
+    def series(fn, times=t):
+        return np.array([fn(tt) for tt in times])
+
+    def ring_series(fn):
+        # (3, n) squared ring norms of fn(t) (``boundary_norms_sq``): one
+        # array pass per block of RING_BLOCK times keeps the stacks small
+        return np.hstack([
+            np.array(boundary_norms_sq(g, series(fn, t[i : i + RING_BLOCK])))
+            for i in range(0, t.size, RING_BLOCK)
+        ])
 
     checks: list[HypothesisCheck] = []
 
@@ -325,10 +339,9 @@ def check_hypotheses(
             exp = float("inf")
         return exp
 
-    # each of the user's functions is called once per sample time; each norm
-    # series is then one array pass over the stack of traces
+    # each of the user's functions is called once per sample time
     if rate_fn is not None:
-        l2_sq, semi_sq, _ = boundary_norms_sq(g, series(rate_fn))
+        l2_sq, semi_sq, _ = ring_series(rate_fn)
         ht_l2 = np.sqrt(l2_sq)
         ht_h12 = np.sqrt(l2_sq + semi_sq)
         i1 = _tail_integral(t, ht_h12)
@@ -343,7 +356,8 @@ def check_hypotheses(
             checks.append(HypothesisCheck(name, req, exp, exp >= req - 0.05, note))
 
         # |h - h_inf| in the H3/2 surrogate: L2 and both difference seminorms
-        dist = np.sqrt(sum(boundary_norms_sq(g, series(forcing.boundary) - forcing.h_inf.values)))
+        h_inf = forcing.h_inf.values
+        dist = np.sqrt(ring_series(lambda tt: forcing.boundary(tt) - h_inf).sum(axis=0))
         exp = fit_tail(dist)
         checks.append(
             HypothesisCheck("H7", 1.0 + gamma, exp, exp >= 1.0 + gamma - 0.05,

@@ -203,7 +203,10 @@ def parabolic_lift_step(state: LiftingState, ring_next: np.ndarray, dt: float) -
 
 def _ring_diff(values: np.ndarray) -> np.ndarray:
     """Difference to the next node on the closed ring, along axis -2."""
-    return np.roll(values, -1, axis=-2) - values
+    out = np.empty_like(values)
+    np.subtract(values[..., 1:, :], values[..., :-1, :], out=out[..., :-1, :])
+    np.subtract(values[..., :1, :], values[..., -1:, :], out=out[..., -1:, :])
+    return out
 
 
 def boundary_norms_sq(grid: Grid, values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

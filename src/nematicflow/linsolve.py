@@ -231,11 +231,11 @@ def heat_solve_interior(
 ) -> np.ndarray:
     """Interior solution of (I - coef*lap) u = b with zero Dirichlet trace.
 
-    With ``harmonic``, the sine coefficients e of the harmonic extension u_E
-    of some ring data (``harmonic_coefficients``), u carries that ring data
+    Given ``harmonic``, the sine coefficients e of the harmonic extension u_E
+    of some ring data (``harmonic_coefficients``), u takes that ring data
     instead: u - u_E has a zero trace and, as lap u_E = 0 at interior nodes,
     solves (I - coef lap_0)(u - u_E) = b - u_E.  So the coefficients of u are
-    e + (b^ - e) / (1 + coef lam), and u_E is never formed on the grid.
+    e + (b^ - e) / (1 + coef lam), and u_E is not formed on the grid.
     """
     bh = sine_coefficients(grid, b_int)
     if harmonic is not None:
