@@ -264,14 +264,12 @@ def divergence(u: VectorField2D) -> ScalarField2D:
     return ScalarField2D(g, _ddx(u.data[0], g.hx) + _ddy(u.data[1], g.hy))
 
 
-# The stencils scale by reciprocal spacings: an array multiply costs about
-# half an array divide, and these run a dozen times per time step.  They are
-# evaluated over whole interior rows, the contiguous (..., nx-2, ny) block
-# data[..., 1:-1, :]: on a C-ordered stack an x-shift is a shift by one row
-# and a y-shift a flat shift by one node, so every operand is one contiguous
-# run per component instead of nx-2 short ones.  The flat y-shift wraps from
-# one row into the next, so the two ring columns of a row result hold
-# finite values of no meaning; only its interior columns [..., 1:-1] are read.
+# The stencils scale by reciprocal spacings (an array multiply costs about
+# half an array divide) and run on whole interior rows, the contiguous block
+# data[..., 1:-1, :], where a y-shift is a flat shift by one node: each
+# operand is one contiguous run per component, not nx-2 short ones.  That
+# shift wraps between rows, so the two ring columns of a row result hold
+# finite values of no meaning, and only its columns [..., 1:-1] are read.
 
 
 def _flat(data: np.ndarray) -> np.ndarray:

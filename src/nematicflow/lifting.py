@@ -110,9 +110,10 @@ class LiftingState:
 elliptic_lift = harmonic_extension
 
 
-def _elliptic(grid: Grid, e: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """d_E on the grid from its interior sine coefficients and ring values."""
-    return with_trace(grid, from_sine(grid, e), h)
+def _field(grid: Grid, coef: np.ndarray, ring: np.ndarray) -> np.ndarray:
+    """(2, nx, ny) field from the sine coefficients of its interior and its
+    (nb, 2) ring values."""
+    return with_trace(grid, from_sine(grid, coef), ring)
 
 
 def _ring(data: np.ndarray) -> np.ndarray:
@@ -142,18 +143,10 @@ def init_lifting(d0_trace: BoundaryTrace) -> LiftingState:
     g = d0_trace.grid
     h = d0_trace.values.copy()
     e = harmonic_coefficients(g, ring_transform(g, h))
-    dE0 = trusted_field(VectorField2D, g, _elliptic(g, e, h))
+    dE0 = trusted_field(VectorField2D, g, _field(g, e, h))
     dE0.data.flags.writeable = False
     zero = VectorField2D.zeros(g)
     return LiftingState(dE=dE0, dP=dE0, dE0=dE0, dt_dP=zero, dt_dE=zero, t=0.0, p=e, e=e, h=h)
-
-
-def _build_dE(state: LiftingState) -> np.ndarray:
-    return _elliptic(state.dE0.grid, state.e, state.h)
-
-
-def _build_dP(state: LiftingState) -> np.ndarray:
-    return with_trace(state.dE0.grid, from_sine(state.dE0.grid, state.p), state.h)
 
 
 def parabolic_lift_step(state: LiftingState, ring_next: np.ndarray, dt: float) -> LiftingState:
@@ -184,15 +177,16 @@ def parabolic_lift_step(state: LiftingState, ring_next: np.ndarray, dt: float) -
     if not isinstance(old, VectorField2D):
         old = (state.e, h0)
 
-    def dt_dP(s: LiftingState) -> np.ndarray:
-        return with_trace(g, from_sine(g, (s.p - p0) / dt), (s.h - h0) / dt)
-
     def dt_dE(s: LiftingState) -> np.ndarray:
-        prev = old.data if isinstance(old, VectorField2D) else _elliptic(g, *old)
+        prev = old.data if isinstance(old, VectorField2D) else _field(g, *old)
         return (s.dE.data - prev) / dt
 
     return LiftingState(
-        dE=_build_dE, dP=_build_dP, dE0=state.dE0, dt_dP=dt_dP, dt_dE=dt_dE,
+        dE=lambda s: _field(g, s.e, s.h),
+        dP=lambda s: _field(g, s.p, s.h),
+        dE0=state.dE0,
+        dt_dP=lambda s: _field(g, (s.p - p0) / dt, (s.h - h0) / dt),
+        dt_dE=dt_dE,
         t=state.t + dt, p=p1, e=harmonic_coefficients(g, bh), h=h1,
     )
 
@@ -203,10 +197,7 @@ def parabolic_lift_step(state: LiftingState, ring_next: np.ndarray, dt: float) -
 
 def _ring_diff(values: np.ndarray) -> np.ndarray:
     """Difference to the next node on the closed ring, along axis -2."""
-    out = np.empty_like(values)
-    np.subtract(values[..., 1:, :], values[..., :-1, :], out=out[..., :-1, :])
-    np.subtract(values[..., :1, :], values[..., -1:, :], out=out[..., -1:, :])
-    return out
+    return np.roll(values, -1, axis=-2) - values
 
 
 def boundary_norms_sq(grid: Grid, values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
