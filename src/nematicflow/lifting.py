@@ -92,7 +92,8 @@ class LiftingState:
     returns them so.  ``p`` and ``e`` hold the sine coefficients of the
     interiors of ``dP`` and ``dE`` (``sine_coefficients``), and ``h`` the
     (nb, 2) ring values of both.  A state built without them derives them
-    from the fields when it is stepped (``elliptic_data``).
+    from the fields when it is stepped (``elliptic_data``); building ``dE``
+    from ``e`` drops ``e``.
     """
 
     dE: VectorField2D = _BuiltOnRead()
@@ -177,12 +178,17 @@ def parabolic_lift_step(state: LiftingState, ring_next: np.ndarray, dt: float) -
     if not isinstance(old, VectorField2D):
         old = (state.e, h0)
 
+    def dE(s: LiftingState) -> np.ndarray:
+        data = _field(g, s.e, s.h)
+        s.e = None  # the step has read it; a kept state holds d_E alone
+        return data
+
     def dt_dE(s: LiftingState) -> np.ndarray:
         prev = old.data if isinstance(old, VectorField2D) else _field(g, *old)
         return (s.dE.data - prev) / dt
 
     return LiftingState(
-        dE=lambda s: _field(g, s.e, s.h),
+        dE=dE,
         dP=lambda s: _field(g, s.p, s.h),
         dE0=state.dE0,
         dt_dP=lambda s: _field(g, (s.p - p0) / dt, (s.h - h0) / dt),

@@ -187,7 +187,10 @@ class TestLiftingInSineBasis:
         for read_old_dE in (True, False):
             s1, h2 = self.two_steps(Grid(16, 16))
             if read_old_dE:
+                coef = weakref.ref(s1.e)
                 old = [weakref.ref(s1.p), weakref.ref(s1.dE)]
+                gc.collect()
+                assert coef() is None  # a built d_E stands in for its coefficients
             else:
                 old = [weakref.ref(s1.p), weakref.ref(s1.e)]
                 assert not isinstance(vars(s1)["dE"], VectorField2D)
