@@ -17,6 +17,7 @@ from .grid import (
 )
 from .linsolve import (
     SolverError,
+    harmonic_extension,
     heat_step,
     project_divergence_free,
     solve_poisson_dirichlet,
@@ -24,7 +25,6 @@ from .linsolve import (
 from .lifting import (
     LiftingState,
     appendix_diagnostics,
-    elliptic_lift,
     parabolic_lift_step,
 )
 from .dynamics import Forcing, PhysParams, SimState, init, run, step

@@ -154,7 +154,7 @@ def energy_record(state: "SimState", reference: VectorField2D | None = None) -> 
     res_stat_sq = float(np.vdot(res_stat, res_stat))
     res_hat = res_stat - _lifting_lap(lift.dE)
     res_hat_sq = float(np.vdot(res_hat, res_hat))
-    if lift.dP is lift.dE:
+    if state.forcing.static_trace:  # d_P equals d_E bitwise
         res_tilde_sq = res_hat_sq
     else:
         res_tilde = res_stat - interior_lap(lift.dP.data, hx, hy)

@@ -56,7 +56,7 @@ from .grid import (
     stress_rows,
     trusted_field,
 )
-from .lifting import LiftingState, _grad_lap_dP, elliptic_data, init_lifting, parabolic_lift_step
+from .lifting import LiftingState, _grad_lap_dP, init_lifting, parabolic_lift_step
 from .linsolve import SolverError, heat_solve_interior, project_divergence_free, with_trace
 
 logger = logging.getLogger(__name__)
@@ -75,8 +75,9 @@ class PhysParams:
 
     def __post_init__(self) -> None:
         for name in ("nu", "lam", "eta", "eps"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+            value = getattr(self, name)
+            if not 0 < value < np.inf:  # also refuses nan
+                raise ValueError(f"{name} must be positive and finite, got {value}")
 
 
 class Forcing:
@@ -265,8 +266,8 @@ def step(s: SimState) -> SimState:
     src = s.forcing.director_source(t1)
     if src is not None:
         rhs_d += dt * src[:, 1:-1]
-    e1, h1 = elliptic_data(lift1)
-    d_new_data = with_trace(g, heat_solve_interior(g, rhs_d[..., 1:-1], p.eta * dt, e1), h1)
+    interior = heat_solve_interior(g, rhs_d[..., 1:-1], p.eta * dt, lift1.e)
+    d_new_data = with_trace(g, interior, lift1.h)
     d_new_data.flags.writeable = False
     d_new = trusted_field(VectorField2D, g, d_new_data)
 

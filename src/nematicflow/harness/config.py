@@ -102,13 +102,13 @@ def parse_config(path: str | Path) -> ParsedConfig:
     forcing = values.get("forcing", {})
     runsec = values.get("run", {})
 
-    params = PhysParams(
-        nu=par.get("nu", 1.0),
-        lam=par.get("lambda", 1.0),
-        eta=par.get("eta", 1.0),
-        eps=par.get("eps", 0.25),
-    )
     try:
+        params = PhysParams(
+            nu=par.get("nu", 1.0),
+            lam=par.get("lambda", 1.0),
+            eta=par.get("eta", 1.0),
+            eps=par.get("eps", 0.25),
+        )
         scenario = Scenario(
             name=runsec.get("name", "run"),
             family=forcing.get("family", "autonomous"),

@@ -26,7 +26,7 @@ from ..grid import VectorField2D
 from ..lifting import appendix_diagnostics, evolve_lifting, write_lifting_csv
 from ..majorant import MajorantProblem, solve_majorant, write_majorant_csv
 from ..steady import Equilibrium, energy_script
-from ..lifting import elliptic_lift
+from ..linsolve import harmonic_extension
 from .io import output_root, write_manifest, write_snapshot
 from .scenarios import (
     GeneratedScenario,
@@ -259,7 +259,7 @@ def minimizer_perturbation() -> ExperimentResult:
     summary = run(gen.state, sc.t_end, sample_every=sc.sample_every, reference=psi_star.psi)
     recs = summary.records
     sup_dist = max(r.dist_d_H1 for r in recs)
-    d_star_e = elliptic_lift(gen.forcing.h_inf)
+    d_star_e = harmonic_extension(gen.forcing.h_inf)
     script_final = energy_script(summary.final.d, d_star_e, sc.params.eps)
     checks = [
         _check_le("generated |v0|", v0_norm, sc.sigma1),

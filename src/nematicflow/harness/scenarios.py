@@ -40,8 +40,8 @@ from ..grid import (
     random_sine_series,
     set_ring,
 )
-from ..lifting import boundary_norms_sq, elliptic_lift
-from ..linsolve import solve_poisson_dirichlet
+from ..lifting import boundary_norms_sq
+from ..linsolve import harmonic_extension, solve_poisson_dirichlet
 from ..steady import NEWTON_BASIN, Equilibrium, newton_refine, solve_gradient_flow
 
 FAMILIES = ("autonomous", "polynomial-decay", "minimizer-perturbation")
@@ -210,7 +210,7 @@ def _clip_unit_ball(d: np.ndarray) -> np.ndarray:
 def reference_equilibrium(sc: Scenario, forcing: Forcing, tol: float = 1e-11) -> Equilibrium:
     """Steady state for the asymptotic trace, shared by reports and presets:
     the relaxation brings the lift into Newton's basin, Newton reaches tol."""
-    lift = elliptic_lift(forcing.h_inf)
+    lift = harmonic_extension(forcing.h_inf)
     lift = VectorField2D(lift.grid, _clip_unit_ball(lift.data))
     for k in range(2):
         set_ring(lift.data[k], forcing.h_inf.values[:, k])
@@ -253,8 +253,8 @@ def _perturbed_minimizer_director(
     grid = forcing.grid
     rng = np.random.default_rng(sc.seed + 2)
     h0 = forcing.boundary(0.0)
-    lift0 = elliptic_lift(BoundaryTrace(grid, h0))
-    lift_inf = elliptic_lift(forcing.h_inf)
+    lift0 = harmonic_extension(BoundaryTrace(grid, h0))
+    lift_inf = harmonic_extension(forcing.h_inf)
     shift = lift0.data - lift_inf.data
     bump = np.stack([_smooth_bump(grid, rng), _smooth_bump(grid, rng)])
     amp = sc.sigma2

@@ -9,9 +9,13 @@ the coupled system clean.
 
 Both are advanced in the discrete sine basis, where the heat step is a
 diagonal update of the coefficients of d_P and the harmonic extension a
-division of the ring data's coefficients by the eigenvalues.  The time
-stepper reads only d_E's coefficients and ring values, so every lifting
-field is built from the coefficients when first read.
+division of the ring data's coefficients by the eigenvalues.  A
+``LiftingState`` holds only the ring values h and h_prev of the last two
+levels and the sine coefficients p, p_prev (d_P) and e (d_E); the time
+stepper reads e and h.  Each lifting field is built by one fixed rule when
+first read: d_E from (e, h), d_P from (p, h), dt d_P from
+((p - p_prev)/dt, (h - h_prev)/dt), and dt d_E as the harmonic extension of
+(h - h_prev)/dt, since d_E is linear in its trace.
 
 The two liftings are linked by the discrete identity
 -lap(d_P - d_E) = -dt d_P (the backward-Euler step makes this exact at
@@ -35,7 +39,6 @@ from .grid import (
     Grid,
     VectorField2D,
     boundary_segment_lengths,
-    extract_ring,
     interior_lap,
     trusted_field,
 )
@@ -45,7 +48,6 @@ from .linsolve import (
     harmonic_extension,
     heat_coefficient_step,
     ring_transform,
-    sine_coefficients,
     with_trace,
 )
 
@@ -56,98 +58,79 @@ if TYPE_CHECKING:
     from .dynamics import Forcing
 
 
-class _BuiltOnRead:
-    """A ``LiftingState`` field that may hold a builder: a function of the
-    state that returns the (2, nx, ny) array, which must own its memory.
+class _OnRead:
+    """A ``LiftingState`` field that, unless given, is built on first read.
 
-    The first read calls the builder and stores the field, read-only, in its
-    place; that drops the builder and everything it closed over.
+    ``rule(state)`` returns the (2, nx, ny) array, which must own its memory,
+    from the state's ring values and sine coefficients.  The first read
+    stores it, read-only, in the field; a given field is kept as given.
     """
+
+    def __init__(self, rule):
+        self.rule = rule
 
     def __set_name__(self, owner, name):
         self.name = name
 
     def __get__(self, obj, owner=None):
         if obj is None:
-            raise AttributeError(self.name)  # so the dataclass field has no default
+            return None  # the dataclass default: build on read
         value = obj.__dict__[self.name]
-        if not isinstance(value, VectorField2D):
-            data = value(obj)
+        if value is None:
+            data = self.rule(obj)
             data.flags.writeable = False
-            value = obj.__dict__[self.name] = trusted_field(VectorField2D, obj.dE0.grid, data)
+            value = obj.__dict__[self.name] = trusted_field(VectorField2D, obj.grid, data)
         return value
 
     def __set__(self, obj, value):
         obj.__dict__[self.name] = value
 
 
-@dataclass
-class LiftingState:
-    """Snapshot of both liftings at one time level.
-
-    ``dt_dP`` and ``dt_dE`` are first-order backward differences of the
-    respective liftings over the last step (zero fields at t = 0).  ``dE``,
-    ``dP``, ``dt_dP`` and ``dt_dE`` may be given as builders
-    (``_BuiltOnRead``), which run on first read; ``parabolic_lift_step``
-    returns them so.  ``p`` and ``e`` hold the sine coefficients of the
-    interiors of ``dP`` and ``dE`` (``sine_coefficients``), and ``h`` the
-    (nb, 2) ring values of both.  A state built without them derives them
-    from the fields when it is stepped (``elliptic_data``); building ``dE``
-    from ``e`` drops ``e``.
-    """
-
-    dE: VectorField2D = _BuiltOnRead()
-    dP: VectorField2D = _BuiltOnRead()
-    dE0: VectorField2D
-    dt_dP: VectorField2D = _BuiltOnRead()
-    dt_dE: VectorField2D = _BuiltOnRead()
-    t: float
-    p: np.ndarray | None = field(default=None, repr=False, compare=False)
-    e: np.ndarray | None = field(default=None, repr=False, compare=False)
-    h: np.ndarray | None = field(default=None, repr=False, compare=False)
-
-
-# Discrete-harmonic extension of ring values: both components in one direct solve.
-elliptic_lift = harmonic_extension
-
-
 def _field(grid: Grid, coef: np.ndarray, ring: np.ndarray) -> np.ndarray:
-    """(2, nx, ny) field from the sine coefficients of its interior and its
-    (nb, 2) ring values."""
+    """(2, nx, ny) field from its interior's sine coefficients and (nb, 2) ring."""
     return with_trace(grid, from_sine(grid, coef), ring)
 
 
-def _ring(data: np.ndarray) -> np.ndarray:
-    """(nb, 2) ring values of a (2, nx, ny) field."""
-    return np.stack([extract_ring(data[0]), extract_ring(data[1])], axis=1)
+@dataclass(eq=False)
+class LiftingState:
+    """Both liftings at one time level: the (nb, 2) ring values ``h`` and
+    ``h_prev`` of this level and the last, the sine coefficients ``p`` and
+    ``p_prev`` of d_P's interior at both and ``e`` of d_E's at this one, and
+    the step ``dt`` between the levels (inf at t = 0, where both liftings
+    stand still).  ``dE``, ``dP``, ``dt_dP`` and ``dt_dE`` are built on first
+    read by the rules in the module docstring, unless given.
 
+    ``p_prev`` is kept although, in exact arithmetic, the heat step makes
+    (p - p_prev)/dt equal lam (e - p).  Formed that way, dt d_P would
+    satisfy the lifting identity -lap(d_P - d_E) = -dt d_P for any p, so
+    the identity checks would no longer test the heat step.
+    """
 
-def elliptic_data(state: LiftingState) -> tuple[np.ndarray, np.ndarray]:
-    """(e, h): the sine coefficients of the interior of d_E and its ring
-    values, which the director update reads in place of d_E itself.  A state
-    built without them transforms ``dE``."""
-    if state.e is not None:
-        return state.e, state.h
-    dE = state.dE.data
-    return sine_coefficients(state.dE0.grid, dE[:, 1:-1, 1:-1]), _ring(dE)
+    grid: Grid
+    t: float
+    dt: float
+    h: np.ndarray = field(repr=False)
+    h_prev: np.ndarray = field(repr=False)
+    p: np.ndarray = field(repr=False)
+    p_prev: np.ndarray = field(repr=False)
+    e: np.ndarray = field(repr=False)
+    dE: VectorField2D = _OnRead(lambda s: _field(s.grid, s.e, s.h))
+    dP: VectorField2D = _OnRead(lambda s: _field(s.grid, s.p, s.h))
+    dt_dP: VectorField2D = _OnRead(
+        lambda s: _field(s.grid, (s.p - s.p_prev) / s.dt, (s.h - s.h_prev) / s.dt)
+    )
+    dt_dE: VectorField2D = _OnRead(  # d_E is linear in its trace
+        lambda s: harmonic_extension(BoundaryTrace(s.grid, (s.h - s.h_prev) / s.dt)).data
+    )
 
 
 def init_lifting(d0_trace: BoundaryTrace) -> LiftingState:
-    """Initial lifting state: d_P(0) equals the harmonic extension of the initial trace.
-
-    The three lifting fields start as the same object, built from one set of
-    sine coefficients; steps replace them rather than mutate, and the shared
-    identity lets diagnostics skip recomputation while the data remains
-    autonomous.  Its array is read-only, so diagnostics can memoize lap d_E
-    for as long as the trace stays static.
-    """
+    """Initial lifting state: d_P(0) equals the harmonic extension of the
+    initial trace, and both liftings stand still."""
     g = d0_trace.grid
     h = d0_trace.values.copy()
     e = harmonic_coefficients(g, ring_transform(g, h))
-    dE0 = trusted_field(VectorField2D, g, _field(g, e, h))
-    dE0.data.flags.writeable = False
-    zero = VectorField2D.zeros(g)
-    return LiftingState(dE=dE0, dP=dE0, dE0=dE0, dt_dP=zero, dt_dE=zero, t=0.0, p=e, e=e, h=h)
+    return LiftingState(grid=g, t=0.0, dt=float("inf"), h=h, h_prev=h, p=e, p_prev=e, e=e)
 
 
 def parabolic_lift_step(state: LiftingState, ring_next: np.ndarray, dt: float) -> LiftingState:
@@ -159,41 +142,17 @@ def parabolic_lift_step(state: LiftingState, ring_next: np.ndarray, dt: float) -
     contribution through the sine transform B^ (``ring_transform``, rank
     four).  d_P advances by its coefficients, p_new = (p + dt B^) / (1 + dt
     lam) (``heat_coefficient_step``, the step of ``heat_step``), and d_E's
-    are e = B^ / lam (``harmonic_coefficients``).  No field is formed here:
-    d_E, d_P, dt d_P and dt d_E are built on first read, which in a run is
-    only at sampled times; each is read-only and owns its memory.
+    are e = B^ / lam (``harmonic_coefficients``).  No field is formed here.
     """
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
-    g = state.dE0.grid
-    h1 = np.array(ring_next, dtype=float)  # the builders outlive the caller's array
+    g = state.grid
+    h1 = np.array(ring_next, dtype=float)  # the state outlives the caller's array
     bh = ring_transform(g, h1)
-    p0 = state.p
-    if p0 is None:
-        p0 = sine_coefficients(g, state.dP.data[:, 1:-1, 1:-1])
-    p1 = heat_coefficient_step(g, p0, bh, dt)
-    h0 = state.h if state.h is not None else _ring(state.dE.data)
-    # the old d_E as a field if it was read, else the data that builds it
-    old = vars(state)["dE"]
-    if not isinstance(old, VectorField2D):
-        old = (state.e, h0)
-
-    def dE(s: LiftingState) -> np.ndarray:
-        data = _field(g, s.e, s.h)
-        s.e = None  # the step has read it; a kept state holds d_E alone
-        return data
-
-    def dt_dE(s: LiftingState) -> np.ndarray:
-        prev = old.data if isinstance(old, VectorField2D) else _field(g, *old)
-        return (s.dE.data - prev) / dt
-
     return LiftingState(
-        dE=dE,
-        dP=lambda s: _field(g, s.p, s.h),
-        dE0=state.dE0,
-        dt_dP=lambda s: _field(g, (s.p - p0) / dt, (s.h - h0) / dt),
-        dt_dE=dt_dE,
-        t=state.t + dt, p=p1, e=harmonic_coefficients(g, bh), h=h1,
+        grid=g, t=state.t + dt, dt=dt, h=h1, h_prev=state.h,
+        p=heat_coefficient_step(g, state.p, bh, dt), p_prev=state.p,
+        e=harmonic_coefficients(g, bh),
     )
 
 
@@ -278,7 +237,7 @@ class AppendixReport:
 def _grad_lap_dP(state: LiftingState) -> float:
     """Edge seminorm of lap d_P, with the ring of the Laplacian field filled by
     the trace velocity (the Laplacian of d_P - d_E equals h_t on the ring)."""
-    g = state.dP.grid
+    g = state.grid
     lap = state.dt_dP.data.copy()
     lap[:, 1:-1, 1:-1] = interior_lap(state.dP.data - state.dE.data, g.hx, g.hy)
     return float(np.sqrt(edge_seminorm_sq(g, lap)))
@@ -286,8 +245,9 @@ def _grad_lap_dP(state: LiftingState) -> float:
 
 def lifting_series(history: Sequence[LiftingState]) -> dict[str, np.ndarray]:
     """Scalar time series needed by the decay checks, computed per sample."""
-    g = history[0].dP.grid
-    l2_sq, semi_sq, _ = boundary_norms_sq(g, np.stack([_ring(s.dt_dP.data) for s in history]))
+    g = history[0].grid
+    rings = np.stack([BoundaryTrace.from_field(s.dt_dP).values for s in history])
+    l2_sq, semi_sq, _ = boundary_norms_sq(g, rings)
     diffs = (s.dP.data - s.dE.data for s in history)
     h1_sq, lap_sq = np.array(
         [(_l2_sq(g, x) + edge_seminorm_sq(g, x), _lap_sq(g, x)) for x in diffs]

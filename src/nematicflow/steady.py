@@ -51,8 +51,7 @@ from .grid import (
     random_sine_series,
 )
 from .dynamics import PhysParams
-from .lifting import elliptic_lift
-from .linsolve import EPS, heat_solve_interior
+from .linsolve import EPS, harmonic_extension, heat_solve_interior
 
 # Corrections with neither a new smallest residual nor a new lowest energy
 # after which the relaxation stops (at the rounding floor the iterate only
@@ -114,7 +113,7 @@ def _make_equilibrium(
     iterations: int,
     h_inf: BoundaryTrace,
 ) -> Equilibrium:
-    d_star = elliptic_lift(h_inf)
+    d_star = harmonic_extension(h_inf)
     return Equilibrium(
         psi=psi,
         residual=stationary_residual(psi, params.eps),
@@ -304,7 +303,7 @@ def local_minimizer_check(
     if delta < 0:
         raise ValueError("delta must be nonnegative")
     g = e.psi.grid
-    d_star = elliptic_lift(BoundaryTrace.from_field(e.psi))
+    d_star = harmonic_extension(BoundaryTrace.from_field(e.psi))
     base = energy_script(e.psi, d_star, params.eps)
     if delta == 0.0 or n_probe == 0:
         return MinimizerVerdict("minimizer-consistent", float("nan"), 0.0)

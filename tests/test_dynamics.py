@@ -1,6 +1,7 @@
 import logging
 import re
 from dataclasses import astuple, replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -208,11 +209,14 @@ class TestInit:
 
     def test_lift_initialization(self):
         # d_P(0) must equal the harmonic extension of the initial trace
+        from nematicflow.linsolve import harmonic_extension
+
         g = Grid(16, 16)
         forcing = constant_forcing(g)
         d0 = bump_director(g, forcing)
         s = init(VectorField2D.zeros(g), d0, forcing, PhysParams())
-        assert s.lifting.dP.data is s.lifting.dE0.data
+        assert np.array_equal(s.lifting.dP.data, s.lifting.dE.data)
+        assert np.array_equal(s.lifting.dE.data, harmonic_extension(forcing.h_inf).data)
         assert np.max(np.abs(s.lifting.dE.data[0] - 1.0)) < 1e-12
 
     def test_default_dt_rule(self):
@@ -245,26 +249,6 @@ class TestStep:
                 assert np.array_equal(extract_ring(s.d.data[k]), h0[:, k])
             assert np.max(np.abs(divergence(s.v).data[1:-1, 1:-1])) < 1e-10
 
-    def test_lifting_given_as_fields_steps_like_its_own(self):
-        # a LiftingState built from fields alone carries no sine coefficients;
-        # the step derives them from d_E, equal to rounding, ring exact
-        from nematicflow.lifting import LiftingState
-        from nematicflow.linsolve import EPS
-
-        g = Grid(16, 12, ly=0.75)
-        forcing = constant_forcing(g, (0.6, 0.8))
-        d0 = bump_director(g, forcing)
-        s = init(make_divergence_free_velocity(g, 3, 0.3), d0, forcing, PhysParams(), dt=1e-3)
-        lift = s.lifting
-        plain = LiftingState(dE=lift.dE, dP=lift.dP, dE0=lift.dE0, dt_dP=lift.dt_dP,
-                             dt_dE=lift.dt_dE, t=lift.t)
-        a, b = step(s), step(replace(s, lifting=plain))
-        tol = (g.nx + g.ny) * EPS  # the length of the transforms' sums, |d| <= 1
-        assert np.max(np.abs(a.d.data - b.d.data)) <= tol
-        assert np.max(np.abs(a.v.data - b.v.data)) <= tol
-        for k in range(2):
-            assert np.array_equal(extract_ring(b.d.data[k]), forcing.boundary(0.0)[:, k])
-
     def test_pure_director_relaxation_matches_steady_solver(self):
         # v frozen at zero: the director must relax to the steady solver's
         # output on the same grid (cross-module oracle)
@@ -276,9 +260,9 @@ class TestStep:
         phi = 0.3 * np.sin(2 * np.pi * s_arc)
         trace = BoundaryTrace(g, np.stack([np.cos(phi), np.sin(phi)], axis=1))
         forcing = Forcing.autonomous_trace(g, trace)
-        from nematicflow.lifting import elliptic_lift
+        from nematicflow.linsolve import harmonic_extension
 
-        d0 = elliptic_lift(trace)
+        d0 = harmonic_extension(trace)
         mag = d0.magnitude()
         d0 = VectorField2D(g, d0.data * np.minimum(1.0, 1.0 / np.maximum(mag, 1e-300)))
         for k in range(2):
@@ -366,7 +350,6 @@ def _reference_step(s, ring_contribution):
     solve of d_P + dt B(h) with the dense ring contribution B (the
     ``ring_contribution`` oracle), not the sine-basis coefficient update, and
     d_E comes from ``harmonic_extension`` separately."""
-    from nematicflow.lifting import LiftingState
     from nematicflow.linsolve import (
         harmonic_extension,
         heat_solve_interior,
@@ -396,8 +379,8 @@ def _reference_step(s, ring_contribution):
     dP = dE.copy()  # the ring is h(t1)
     b = lift.dP.data[:, 1:-1, 1:-1] + dt * ring_contribution(g, trace.values)
     dP.data[:, 1:-1, 1:-1] = heat_solve_interior(g, b, dt)
-    lift1 = LiftingState(
-        dE=dE, dP=dP, dE0=lift.dE0, t=t1,
+    lift1 = SimpleNamespace(
+        dE=dE, dP=dP, t=t1,
         dt_dP=VectorField2D(g, (dP.data - lift.dP.data) / dt),
         dt_dE=VectorField2D(g, (dE.data - lift.dE.data) / dt),
     )

@@ -253,12 +253,12 @@ class TestElasticStress:
 
     def test_zero_when_discretely_harmonic(self):
         # lap d == 0 discretely implies the stress vanishes identically
-        from nematicflow.lifting import elliptic_lift
+        from nematicflow.linsolve import harmonic_extension
 
         g = Grid(16, 16)
         rng = np.random.default_rng(0)
         trace = BoundaryTrace(g, rng.uniform(-0.5, 0.5, (g.n_boundary, 2)))
-        dE = elliptic_lift(trace)
+        dE = harmonic_extension(trace)
         assert np.max(np.abs(elastic_stress_divergence(dE).data)) < 1e-8
 
 

@@ -195,6 +195,13 @@ class TestConfig:
         with pytest.raises(ConfigError, match="not found"):
             parse_config("does-not-exist.cfg")
 
+    @pytest.mark.parametrize("key,value", [("eps", "-1"), ("nu", "nan"), ("eps", "inf")])
+    def test_bad_physical_parameter_named(self, tmp_path, key, value):
+        p = tmp_path / "bad.cfg"
+        p.write_text(f"[params]\n{key} = {value}\n")
+        with pytest.raises(ConfigError, match=key):
+            parse_config(p)
+
 
 class TestCli:
     def test_list_presets(self, capsys):

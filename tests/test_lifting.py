@@ -1,5 +1,6 @@
 import gc
 import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,7 +19,6 @@ from nematicflow.lifting import (
     InsufficientDataError,
     LiftingState,
     appendix_diagnostics,
-    elliptic_lift,
     evolve_lifting,
     init_lifting,
     lifting_series,
@@ -27,6 +27,7 @@ from nematicflow.lifting import (
 from nematicflow.linsolve import (
     EPS,
     POISSON_BACKWARD_ERROR,
+    harmonic_extension,
     poisson_backward_error,
     solve_poisson_dirichlet,
 )
@@ -47,7 +48,7 @@ def decaying_boundary(grid, gamma=2.0, a_h=0.3, kappa=0.3):
 class TestEllipticLift:
     def test_constant_trace(self):
         g = Grid(12, 12)
-        lift = elliptic_lift(BoundaryTrace.constant(g, (0.3, -0.4)))
+        lift = harmonic_extension(BoundaryTrace.constant(g, (0.3, -0.4)))
         assert np.max(np.abs(lift.data[0] - 0.3)) < 1e-12
         assert np.max(np.abs(lift.data[1] + 0.4)) < 1e-12
 
@@ -56,7 +57,7 @@ class TestEllipticLift:
         X, Y = g.mesh()
         exact = np.stack([X, Y])
         trace = BoundaryTrace(g, np.stack([extract_ring(exact[0]), extract_ring(exact[1])], axis=1))
-        lift = elliptic_lift(trace)
+        lift = harmonic_extension(trace)
         assert np.max(np.abs(lift.data - exact)) < 1e-11
 
     def test_against_dense_oracle(self, lap_matrix, ring_contribution):
@@ -64,7 +65,7 @@ class TestEllipticLift:
         s = boundary_arclength(g)
         phi = np.pi * s / s.max()
         trace = BoundaryTrace(g, np.stack([np.cos(phi), np.sin(phi)], axis=1))
-        lift = elliptic_lift(trace)
+        lift = harmonic_extension(trace)
         # dense solve of the same interior system
         L = lap_matrix(g).toarray()
         for k in range(2):
@@ -78,7 +79,7 @@ class TestEllipticLift:
         g = Grid(nx, ny, lx, ly)
         rng = np.random.default_rng(nx + ny)
         trace = BoundaryTrace(g, rng.uniform(-1, 1, (g.n_boundary, 2)))
-        lift = elliptic_lift(trace)
+        lift = harmonic_extension(trace)
         zero = np.zeros((nx - 2, ny - 2))
         for k in range(2):
             ref = solve_poisson_dirichlet(g, zero[None], trace.values[:, k : k + 1])[0]
@@ -180,45 +181,24 @@ class TestLiftingInSineBasis:
             assert not field.data.flags.writeable, name
             assert field.data.base is None, name
 
-    def test_built_field_drops_what_it_was_built_from(self):
-        # dt d_P is built from the old d_P coefficients, and dt d_E from the
-        # old d_E: the field if it was read before the step, else the old
-        # coefficients, which rebuild it bitwise
-        for read_old_dE in (True, False):
-            s1, h2 = self.two_steps(Grid(16, 16))
-            if read_old_dE:
-                coef = weakref.ref(s1.e)
-                old = [weakref.ref(s1.p), weakref.ref(s1.dE)]
-                gc.collect()
-                assert coef() is None  # a built d_E stands in for its coefficients
-            else:
-                old = [weakref.ref(s1.p), weakref.ref(s1.e)]
-                assert not isinstance(vars(s1)["dE"], VectorField2D)
-            s2 = parabolic_lift_step(s1, h2, 0.02)
-            del s1
-            gc.collect()
-            assert all(ref() is not None for ref in old)  # dt d_P and dt d_E still need them
-            s2.dt_dP, s2.dt_dE  # noqa: B018 (reads build the fields)
-            gc.collect()
-            assert all(ref() is None for ref in old), read_old_dE
-
-    def test_plain_state_steps_like_returned_state(self):
-        g = Grid(24, 20, 1.0, 0.8)
+    def test_kept_state_holds_one_earlier_level(self):
+        # a state keeps the previous level's d_P coefficients and ring values
+        # (for dt d_P and dt d_E), and nothing older; built fields keep nothing
+        g = Grid(16, 16)
+        h = decaying_boundary(g)
         dt = 0.02
-        s1, h2 = self.two_steps(g, dt)
-        plain = LiftingState(
-            dE=s1.dE, dP=s1.dP, dE0=s1.dE0, dt_dP=s1.dt_dP, dt_dE=s1.dt_dE, t=s1.t
-        )
-        a = parabolic_lift_step(s1, h2, dt)
-        b = parabolic_lift_step(plain, h2, dt)
-        assert a.t == b.t
-        assert np.array_equal(a.dE.data, b.dE.data)
-        assert np.array_equal(a.dt_dE.data, b.dt_dE.data)
-        # the plain state's coefficients come from a forward transform of d_P
-        tol = EPS * (g.nx + g.ny - 4) * np.max(np.abs(a.dP.data))
-        assert np.max(np.abs(a.dP.data - b.dP.data)) <= tol
-        assert np.max(np.abs(a.dt_dP.data - b.dt_dP.data)) <= tol / dt
-        assert identity_ratio(b, dt) <= 64
+        states = [init_lifting(BoundaryTrace(g, h(0.0)))]
+        for k in range(1, 4):
+            states.append(parabolic_lift_step(states[-1], h(k * dt), dt))
+        for s in states:
+            for name in self.FIELDS:
+                getattr(s, name)
+        first = [weakref.ref(states[0].p), weakref.ref(states[0].h)]
+        second = [weakref.ref(states[1].p), weakref.ref(states[1].h)]
+        del states[:2]
+        gc.collect()
+        assert all(ref() is None for ref in first)
+        assert all(ref() is not None for ref in second)  # the third state's *_prev
 
     def test_identity_holds_after_200_steps(self):
         g = Grid(24, 20, 1.0, 0.8)
@@ -243,7 +223,7 @@ class TestAppendixDiagnostics:
     def test_synthetic_power_law_exponent(self):
         # inject |dt d_P|^2 = (1+t)^(-6): the fitted exponent must return 6
         g = Grid(16, 16)
-        zero = VectorField2D.zeros(g)
+        base = init_lifting(BoundaryTrace.constant(g, (0.0, 0.0)))
         bump = np.zeros((2, *g.shape))
         bump[0, 1:-1, 1:-1] = 1.0
         from nematicflow.grid import quad_weights
@@ -253,13 +233,7 @@ class TestAppendixDiagnostics:
         history = []
         for t in np.linspace(0.0, 20.0, 64):
             amp = (1.0 + t) ** -3.0
-            history.append(
-                LiftingState(
-                    dE=zero, dP=zero, dE0=zero,
-                    dt_dP=VectorField2D(g, amp * bump),
-                    dt_dE=zero, t=float(t),
-                )
-            )
+            history.append(replace(base, t=float(t), dt_dP=VectorField2D(g, amp * bump)))
         report = appendix_diagnostics(history, gamma=2.0)
         a8 = report.checks["A8"]
         assert abs(a8.fitted_exponent - 6.0) <= 0.05

@@ -155,12 +155,10 @@ class TestRingTransform:
 
 class TestHeatStep:
     def test_harmonic_fixed_point(self):
-        from nematicflow.lifting import elliptic_lift
-
         g = Grid(16, 16)
         rng = np.random.default_rng(2)
         trace = BoundaryTrace(g, rng.uniform(-1, 1, (g.n_boundary, 2)))
-        u = elliptic_lift(trace)
+        u = harmonic_extension(trace)
         out = heat_step(u, trace, dt=0.1)
         assert np.max(np.abs(out.data - u.data)) < 1e-10
 

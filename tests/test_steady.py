@@ -9,7 +9,7 @@ from nematicflow.grid import (
     boundary_arclength,
     set_ring,
 )
-from nematicflow.lifting import elliptic_lift
+from nematicflow.linsolve import harmonic_extension
 from nematicflow.steady import (
     DegenerateCriticalPointError,
     _linearization,
@@ -30,7 +30,7 @@ def angle_trace(grid, kappa=0.3):
 
 
 def unit_clipped_lift(trace):
-    lift = elliptic_lift(trace)
+    lift = harmonic_extension(trace)
     mag = lift.magnitude()
     d = lift.data * np.minimum(1.0, 1.0 / np.maximum(mag, 1e-300))
     for k in range(2):
@@ -225,7 +225,7 @@ class TestNewton:
         eq = solve_gradient_flow(trace, d0, params, tol=1e-2)
         refined = newton_refine(eq, params, tol=1e-11, max_iter=3)
         assert refined.converged
-        lift = elliptic_lift(trace)
+        lift = harmonic_extension(trace)
         assert np.max(np.abs(refined.psi.data - lift.data)) < 1e-7
 
     def test_basin_precondition(self):
@@ -322,7 +322,7 @@ class TestEnergies:
         # field carrying that trace (up to the harmonic-solve tolerance)
         g = Grid(16, 16)
         trace = angle_trace(g)
-        d_star = elliptic_lift(trace)
+        d_star = harmonic_extension(trace)
         rng = np.random.default_rng(0)
         params = PhysParams()
 
