@@ -10,8 +10,6 @@ from .grid import (
     VectorField2D,
     bulk_potential_F,
     divergence,
-    elastic_stress_divergence,
-    ginzburg_landau_f,
     gradient,
     laplacian,
 )

@@ -38,7 +38,7 @@ from typing import Callable
 
 import numpy as np
 
-from .diagnostics import EnergyRecord, energy_record
+from .diagnostics import EnergyRecord, _l2_sq, energy_record
 from .grid import (
     BoundaryTrace,
     Grid,
@@ -47,7 +47,6 @@ from .grid import (
     _ddx,
     _ddy,
     extract_ring,
-    quad_weights,
     random_sine_series,
     row_dx,
     row_dy,
@@ -74,8 +73,9 @@ class PhysParams:
     eps: float = 0.25
 
     def __post_init__(self) -> None:
-        for name in ("nu", "lam", "eta", "eps"):
-            value = getattr(self, name)
+        # named as in the equations and in the config's [params] section
+        named = (("nu", self.nu), ("lambda", self.lam), ("eta", self.eta), ("eps", self.eps))
+        for name, value in named:
             if not 0 < value < np.inf:  # also refuses nan
                 raise ValueError(f"{name} must be positive and finite, got {value}")
 
@@ -85,13 +85,13 @@ class Forcing:
 
     ``boundary_values`` maps t to CCW ring values (nb, 2) with |h| <= 1;
     ``body_force_values`` maps t to (2, nx, ny) arrays or None.  ``h_inf``
-    is the asymptotic trace and ``gamma`` the decay exponent of the
-    non-autonomous parts (None for autonomous data).
+    is the asymptotic trace.
 
     ``static_trace`` marks data whose boundary values never move: the
     liftings then stay frozen at their initial harmonic extension (exact, not
-    an approximation).  ``director_source_values`` injects an extra source
-    into the director equation; it exists for manufactured-solution tests.
+    an approximation), and dt d_E is zero.  ``director_source_values``
+    injects an extra source into the director equation; it exists for
+    manufactured-solution tests.
     ``boundary_rate`` is the analytic h_t when known (read by the hypothesis
     checker).  ``boundary(t)`` refuses a shape other than (nb, 2),
     non-finite values and |h| > 1, and ``body_force(t)`` non-finite values,
@@ -107,9 +107,7 @@ class Forcing:
         boundary_values: Callable[[float], np.ndarray],
         body_force_values: Callable[[float], np.ndarray] | None = None,
         h_inf: BoundaryTrace | None = None,
-        gamma: float | None = None,
-        autonomous: bool = False,
-        static_trace: bool | None = None,
+        static_trace: bool = False,
         director_source_values: Callable[[float], np.ndarray] | None = None,
         boundary_rate: Callable[[float], np.ndarray] | None = None,
     ):
@@ -119,9 +117,7 @@ class Forcing:
         self._last_body: tuple[float, VectorField2D] | None = None
         self._director_source = director_source_values
         self.boundary_rate = boundary_rate
-        self.gamma = gamma
-        self.is_autonomous = autonomous
-        self.static_trace = autonomous if static_trace is None else static_trace
+        self.static_trace = static_trace
         h0 = self.boundary(0.0)
         self.h_inf = h_inf if h_inf is not None else BoundaryTrace(grid, h0)
 
@@ -163,7 +159,7 @@ class Forcing:
     @classmethod
     def autonomous_trace(cls, grid: Grid, trace: BoundaryTrace) -> "Forcing":
         vals = trace.values.copy()
-        return cls(grid, lambda t: vals, None, h_inf=trace, gamma=None, autonomous=True)
+        return cls(grid, lambda t: vals, h_inf=trace, static_trace=True)
 
 
 @dataclass(frozen=True)
@@ -215,8 +211,7 @@ def init(
         raise SetupError(f"|d0| must not exceed 1, max is {np.max(mag):.6g}")
 
     d0 = d0.copy()
-    for k in range(2):  # pin the trace bitwise so shifted fields vanish exactly
-        set_ring(d0.data[k], h0[:, k])
+    set_ring(d0.data, h0)  # pin the trace bitwise so shifted fields vanish exactly
     d0.data.flags.writeable = False  # as every stepped director
 
     v_proj, pi0 = project_divergence_free(v0)
@@ -324,19 +319,15 @@ def run(
     if sample_every < 1:
         raise ValueError("sample_every must be >= 1")
     g = s0.v.grid
-    w = quad_weights(g)
 
     def g_norm(t: float) -> float:
         gf = s0.forcing.body_force(t)
-        if gf is None:
-            return 0.0
-        return float(np.sqrt(np.sum(w * (gf.data[0] ** 2 + gf.data[1] ** 2))))
+        return 0.0 if gf is None else float(np.sqrt(_l2_sq(g, gf.data)))
 
     def lifting_scalars(state: SimState) -> tuple[float, float]:
         if state.forcing.static_trace:
             return 0.0, 0.0
-        dtdp = float(np.sqrt(np.sum(w * (state.lifting.dt_dP.data[0] ** 2 + state.lifting.dt_dP.data[1] ** 2))))
-        return dtdp, _grad_lap_dP(state.lifting)
+        return float(np.sqrt(_l2_sq(g, state.lifting.dt_dP.data))), _grad_lap_dP(state.lifting)
 
     records: list[EnergyRecord] = []
     aux = {"t": [], "dt_dP": [], "grad_lap_dP": [], "g_l2": [], "grad_v": []}
@@ -396,9 +387,7 @@ def run(
     return summary
 
 
-def make_divergence_free_velocity(
-    grid: Grid, seed: int, amplitude: float, modes: int = 3
-) -> VectorField2D:
+def make_divergence_free_velocity(grid: Grid, seed: int, amplitude: float) -> VectorField2D:
     """Stream-function velocity sample: v = (dy zeta, -dx zeta), zeta = 0 on the ring.
 
     Central differencing of a nodal stream function commutes exactly with the
@@ -406,15 +395,14 @@ def make_divergence_free_velocity(
     ring component vanishes; the tangential ring values are zeroed (the
     analytic profile vanishes there already up to truncation).
     """
-    zeta = random_sine_series(grid, np.random.default_rng(seed), modes)
+    zeta = random_sine_series(grid, np.random.default_rng(seed), 3)
     X, Y = grid.mesh()
     xn, yn = X / grid.lx, Y / grid.ly
     zeta *= (xn * (1 - xn) * yn * (1 - yn)) ** 2  # flatten near the walls
     v = np.zeros((2, *grid.shape))
     v[0] = _ddy(zeta, grid.hy)
     v[1] = -_ddx(zeta, grid.hx)
-    for k in range(2):
-        set_ring(v[k], np.zeros(grid.n_boundary))
+    set_ring(v, np.zeros((grid.n_boundary, 2)))
     vmax = float(np.max(np.hypot(v[0], v[1])))
     if vmax > 0:
         v *= amplitude / vmax

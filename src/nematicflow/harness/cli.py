@@ -12,14 +12,20 @@ from pathlib import Path
 
 import numpy as np
 
-from ..diagnostics import CSV_COLUMNS, fit_decay_exponent, read_records_csv, write_records_csv
+from ..diagnostics import (
+    CSV_COLUMNS,
+    fit_decay_exponent,
+    read_records_csv,
+    write_csv,
+    write_records_csv,
+)
 from ..dynamics import run
-from ..lifting import appendix_diagnostics, evolve_lifting, write_lifting_csv
-from ..majorant import MajorantProblem, solve_majorant, write_majorant_csv
+from ..lifting import appendix_diagnostics, evolve_lifting
+from ..majorant import MajorantProblem, solve_majorant
 from ..steady import local_minimizer_check
 from .config import ConfigError, parse_config
 from .io import output_root, write_manifest, write_snapshot
-from .presets import MAX_D_SLACK, PRESETS, UnknownPresetError, run_experiment
+from .presets import MAX_D_SLACK, PRESETS, run_experiment
 from .scenarios import generate_scenario, make_forcing, reference_equilibrium
 
 
@@ -64,12 +70,11 @@ def _cmd_steady(args) -> int:
     eq = reference_equilibrium(sc, forcing)
     verdict = local_minimizer_check(eq, sc.params, seed=sc.seed)
     write_snapshot(out / "equilibrium.snap", eq.psi, float("inf"))
-    index = out / "index.csv"
-    with open(index, "w") as fh:
-        fh.write("residual,energy_E,energy_script,verdict\n")
-        fh.write(
-            f"{eq.residual:.17g},{eq.energy_E:.17g},{eq.energy_script:.17g},{verdict.kind}\n"
-        )
+    write_csv(
+        out / "index.csv",
+        ["residual", "energy_E", "energy_script", "verdict"],
+        [[eq.residual, eq.energy_E, eq.energy_script, verdict.kind]],
+    )
     print(
         f"residual={eq.residual:.3e} E={eq.energy_E:.6g} "
         f"script_E={eq.energy_script:.6g} verdict={verdict.kind}"
@@ -87,7 +92,7 @@ def _cmd_lifting_check(args) -> int:
     report = appendix_diagnostics(
         history, gamma=sc.gamma, dedpt_tol=parsed.tolerances.get("dedpt_tol", 1e-6)
     )
-    write_lifting_csv(out / "lifting.csv", report)
+    write_csv(out / "lifting.csv", *report.table())
     for name, chk in report.checks.items():
         print(f"{name}: {'PASS' if chk.passed else 'FAIL'}")
     return 0 if report.passed() else 2
@@ -95,21 +100,16 @@ def _cmd_lifting_check(args) -> int:
 
 def _cmd_majorant(args) -> int:
     parsed = parse_config(args.config)
-    m = parsed.majorant
+    m = dict(parsed.majorant)  # after the pops below: solve_majorant's dt, y_cap, t_horizon
     out = _out_dir(args, "majorant")
-    r3_const = m.get("r3_const", 0.0)
+    r3_const = m.pop("r3_const", 0.0)
     problem = MajorantProblem(
-        c_star=m.get("c_star", 1.0),
-        y0=m.get("y0", 1.0),
+        c_star=m.pop("c_star", 1.0),
+        y0=m.pop("y0", 1.0),
         r3=(lambda t: r3_const) if r3_const > 0 else None,
     )
-    sol = solve_majorant(
-        problem,
-        dt=m.get("dt", 1e-3),
-        y_cap=m.get("y_cap", 1e6),
-        t_horizon=m.get("t_horizon", 100.0),
-    )
-    write_majorant_csv(out / "majorant.csv", sol)
+    sol = solve_majorant(problem, **m)
+    write_csv(out / "majorant.csv", ["t", "Y"], zip(sol.t, sol.y))
     if sol.blew_up:
         print(f"T_max estimate: {sol.t_max:.8g}")
     else:
@@ -196,10 +196,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ConfigError, UnknownPresetError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except Exception as exc:  # solver failures, bad data
+    except Exception as exc:  # bad config, unknown preset, solver failures, bad data
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

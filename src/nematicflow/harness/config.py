@@ -1,23 +1,29 @@
 """Flat sectioned config files for the CLI.
 
-Sections and keys (all optional, defaults in parentheses):
+Sections and keys (all optional):
 
-    [grid]        nx (64), ny (64), lx (1.0), ly (1.0)
-    [params]      nu (1.0), lambda (1.0), eta (1.0), eps (0.25)
-    [forcing]     family (autonomous), gamma (2.0), a_h (0.3), a_g (0.1),
-                  kappa (0.35), winding (0), sigma1 (0.05), sigma2 (0.05)
-    [run]         name (run), t_end (5.0), dt (default rule), sample_every (1),
-                  seed (7), v0_amplitude (0.3), d0_perturbation (0.5)
-    [tolerances]  max_abs_d_slack (5e-3)
+    [grid]        nx, ny, lx, ly
+    [params]      nu, lambda, eta, eps
+    [forcing]     family, gamma, a_h, a_g, kappa, winding, sigma1, sigma2
+    [run]         name (run), t_end, dt, sample_every, seed, v0_amplitude,
+                  d0_perturbation
+    [tolerances]  max_abs_d_slack (5e-3), dedpt_tol (1e-6)
     [majorant]    c_star (1.0), y0 (1.0), dt (1e-3), y_cap (1e6),
                   t_horizon (100.0), r3_const (0.0)
 
+Every [grid], [forcing] and [run] key is the ``Scenario`` field of that name,
+and every [params] key the ``PhysParams`` field (``lam`` for lambda).  A
+missing key takes that field's default, which is written there alone; the
+defaults of the last two sections are in parentheses.
+
 Unknown sections or keys are errors: configs are contracts, not suggestions.
+Every float must be finite, and a refused value is named by its key.
 """
 
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -72,9 +78,12 @@ class ParsedConfig:
 
 def _typed(section: str, key: str, raw: str, typ: type):
     try:
-        return typ(raw)
+        value = typ(raw)
     except ValueError as exc:
         raise ConfigError(f"key '{key}' in section [{section}] is not a valid {typ.__name__}: {raw!r}") from exc
+    if typ is float and not math.isfinite(value):
+        raise ConfigError(f"key '{key}' in section [{section}] must be finite, got {raw!r}")
+    return value
 
 
 def parse_config(path: str | Path) -> ParsedConfig:
@@ -97,40 +106,12 @@ def parse_config(path: str | Path) -> ParsedConfig:
                 raise ConfigError(f"unknown key '{key}' in section [{section}]")
             values[section][key] = _typed(section, key, raw, _SCHEMA[section][key])
 
-    grid = values.get("grid", {})
-    par = values.get("params", {})
-    forcing = values.get("forcing", {})
-    runsec = values.get("run", {})
-
+    params = values.get("params", {})
+    if "lambda" in params:
+        params["lam"] = params.pop("lambda")
+    fields = {**values.get("grid", {}), **values.get("forcing", {}), **values.get("run", {})}
     try:
-        params = PhysParams(
-            nu=par.get("nu", 1.0),
-            lam=par.get("lambda", 1.0),
-            eta=par.get("eta", 1.0),
-            eps=par.get("eps", 0.25),
-        )
-        scenario = Scenario(
-            name=runsec.get("name", "run"),
-            family=forcing.get("family", "autonomous"),
-            nx=grid.get("nx", 64),
-            ny=grid.get("ny", 64),
-            lx=grid.get("lx", 1.0),
-            ly=grid.get("ly", 1.0),
-            params=params,
-            gamma=forcing.get("gamma", 2.0),
-            a_h=forcing.get("a_h", 0.3),
-            a_g=forcing.get("a_g", 0.1),
-            sigma1=forcing.get("sigma1", 0.05),
-            sigma2=forcing.get("sigma2", 0.05),
-            kappa=forcing.get("kappa", 0.35),
-            winding=forcing.get("winding", 0),
-            v0_amplitude=runsec.get("v0_amplitude", 0.3),
-            d0_perturbation=runsec.get("d0_perturbation", 0.5),
-            t_end=runsec.get("t_end", 5.0),
-            dt=runsec.get("dt"),
-            sample_every=runsec.get("sample_every", 1),
-            seed=runsec.get("seed", 7),
-        )
+        scenario = Scenario(**{"name": "run", **fields}, params=PhysParams(**params))
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 

@@ -56,11 +56,11 @@ from .grid import (
     Grid,
     ScalarField2D,
     VectorField2D,
-    boundary_indices,
     interior_dx,
     interior_dy,
     interior_lap,
     quad_weights,
+    set_ring,
     trusted_field,
 )
 
@@ -101,8 +101,7 @@ def with_trace(grid: Grid, interior: np.ndarray, ring_values: np.ndarray) -> np.
     interior and (nb, c) ring values."""
     out = np.empty((ring_values.shape[1], *grid.shape))
     out[:, 1:-1, 1:-1] = interior
-    ii, jj = boundary_indices(grid)
-    out[:, ii, jj] = ring_values.T
+    set_ring(out, ring_values)
     return out
 
 

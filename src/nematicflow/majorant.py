@@ -71,9 +71,9 @@ def solve_majorant(
     dt: float = 1e-3,
     y_cap: float = 1e6,
     t_horizon: float = 100.0,
-    rel_increment: float = 0.02,
 ) -> MajorantSolution:
-    """Integrate until the horizon or until Y crosses y_cap.
+    """Integrate until the horizon or until Y crosses y_cap; a step whose
+    increment exceeds 2% of max(|Y|, 1) is halved.
 
     Cap crossing is a result, not an error.  T_max is extrapolated from the
     crossings at y_cap/4 and y_cap via the inverse-square tail law, which
@@ -96,7 +96,7 @@ def solve_majorant(
     while t < t_horizon and y < y_cap:
         step = min(step, t_horizon - t)
         y_new = _rk4(f, t, y, step)
-        if abs(y_new - y) > rel_increment * max(abs(y), 1.0) and step > min_step:
+        if abs(y_new - y) > 0.02 * max(abs(y), 1.0) and step > min_step:
             step *= 0.5
             continue
         t_new = t + step
@@ -186,12 +186,3 @@ def comparison_check(
             witness = float(t[-1])
     return ComparisonVerdict(passed, c, witness, float(margin))
 
-
-def write_majorant_csv(path, sol: MajorantSolution) -> None:
-    import csv
-
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "Y"])
-        for tt, yy in zip(sol.t, sol.y):
-            writer.writerow([f"{tt:.17g}", f"{yy:.17g}"])

@@ -104,12 +104,12 @@ class TestForcing:
         def h(t):
             return np.full(bad, 0.5) if t > 0.5 else good.values
 
-        forcing = Forcing(g, h, h_inf=good, gamma=1.0)
+        forcing = Forcing(g, h, h_inf=good)
         expected = f"h at t=0.75 has shape {bad}, expected ({g.n_boundary}, 2)"
         with pytest.raises(ValueError, match=re.escape(expected)):
             forcing.boundary(0.75)
         with pytest.raises(ValueError, match=re.escape(f"h at t=0 has shape {bad}")):
-            Forcing(g, lambda t: np.full(bad, 0.5), h_inf=good, gamma=1.0)
+            Forcing(g, lambda t: np.full(bad, 0.5), h_inf=good)
 
     def test_nonfinite_body_force_refused_naming_t(self):
         g = Grid(8, 8)

@@ -10,10 +10,9 @@ from nematicflow.grid import (
     _ddy,
     _lap_interior,
     bulk_potential_F,
+    boundary_indices,
     divergence,
-    elastic_stress_divergence,
     extract_ring,
-    ginzburg_landau_f,
     gradient,
     integrate,
     interior_dx,
@@ -25,6 +24,7 @@ from nematicflow.grid import (
     row_lap,
     row_stencils,
     set_ring,
+    stress_rows,
 )
 
 
@@ -55,6 +55,25 @@ class TestGrid:
         assert arr[-1, 0] == g.nx - 1
         ring = extract_ring(arr)
         assert np.array_equal(ring, np.arange(g.n_boundary, dtype=float))
+
+    @pytest.mark.parametrize("nx,ny", [(8, 8), (9, 8), (13, 21)])
+    def test_ring_write_equals_index_scatter(self, nx, ny):
+        # the four edge slices write what the CCW index scatter writes, bit
+        # for bit, for one field and for a stack
+        g = Grid(nx, ny, lx=1.3, ly=0.7)
+        rng = np.random.default_rng(nx * ny)
+        ii, jj = boundary_indices(g)
+        values = rng.standard_normal((g.n_boundary, 3))
+        data = rng.standard_normal((3, nx, ny))
+        want = data.copy()
+        want[:, ii, jj] = values.T
+        set_ring(data, values)
+        assert np.array_equal(data, want)
+        one = rng.standard_normal((nx, ny))
+        want = one.copy()
+        want[ii, jj] = values[:, 0]
+        set_ring(one, values[:, 0])
+        assert np.array_equal(one, want)
 
 
 class TestGradientDivergence:
@@ -215,16 +234,28 @@ class TestStencilMemo:
             assert np.array_equal(got, want)
 
 
+def _stress(d):
+    """The elastic stress divergence that ``step`` subtracts, zero on the ring."""
+    out = np.zeros((2, *d.grid.shape))
+    out[:, 1:-1, 1:-1] = stress_rows(d)[..., 1:-1]
+    return out
+
+
+def _gl_f(d, eps):
+    """Oracle of the penalization f(d) = (|d|^2 - 1) d / eps^2, the gradient of F."""
+    return (d.data[0] ** 2 + d.data[1] ** 2 - 1.0) / eps**2 * d.data
+
+
 class TestElasticStress:
     def test_constant_director(self):
         g = Grid(12, 12)
         d = VectorField2D.from_functions(g, lambda X, Y: 0 * X + 0.6, lambda X, Y: 0 * X + 0.8)
-        assert np.max(np.abs(elastic_stress_divergence(d).data)) == 0.0
+        assert np.max(np.abs(_stress(d))) == 0.0
 
     def test_harmonic_linear_map(self):
         g = Grid(12, 12)
         d = VectorField2D.from_functions(g, lambda X, Y: X, lambda X, Y: Y)
-        assert np.max(np.abs(elastic_stress_divergence(d).data)) < 1e-10
+        assert np.max(np.abs(_stress(d))) < 1e-10
 
     def test_against_symbolic_expression(self):
         # d = (sin(pi x), 0): component 1 is (lap d1) * d/dx d1 =
@@ -233,18 +264,18 @@ class TestElasticStress:
         for n in (32, 64):
             g = Grid(n, n)
             d = VectorField2D.from_functions(g, lambda X, Y: np.sin(np.pi * X), lambda X, Y: 0.0 * X)
-            out = elastic_stress_divergence(d)
+            out = _stress(d)
             X, _ = g.mesh()
             exact1 = -np.pi**3 * np.sin(np.pi * X) * np.cos(np.pi * X)
-            errs.append(np.max(np.abs(out.data[0][1:-1, 1:-1] - exact1[1:-1, 1:-1])))
-            assert np.max(np.abs(out.data[1])) < 1e-12
+            errs.append(np.max(np.abs(out[0][1:-1, 1:-1] - exact1[1:-1, 1:-1])))
+            assert np.max(np.abs(out[1])) < 1e-12
         assert errs[0] < 50 * Grid(32, 32).hx ** 2
         assert 4.0 * 0.8 <= errs[0] / errs[1] <= 4.0 * 1.2
 
     def test_interior_formula_and_zero_ring(self):
         g = Grid(9, 11, lx=1.3, ly=0.7)
         d = VectorField2D(g, np.random.default_rng(5).standard_normal((2, *g.shape)))
-        out = elastic_stress_divergence(d).data
+        out = _stress(d)
         (dx0, dy0, lap0), (dx1, dy1, lap1) = (_stencil_reference(c, g.hx, g.hy) for c in d.data)
         want = np.stack([lap0 * dx0 + lap1 * dx1, lap0 * dy0 + lap1 * dy1])
         assert np.max(np.abs(out[:, 1:-1, 1:-1] - want)) <= 1e-14 * np.max(np.abs(want))
@@ -259,7 +290,7 @@ class TestElasticStress:
         rng = np.random.default_rng(0)
         trace = BoundaryTrace(g, rng.uniform(-0.5, 0.5, (g.n_boundary, 2)))
         dE = harmonic_extension(trace)
-        assert np.max(np.abs(elastic_stress_divergence(dE).data)) < 1e-8
+        assert np.max(np.abs(_stress(dE))) < 1e-8
 
 
 class TestGinzburgLandau:
@@ -267,27 +298,25 @@ class TestGinzburgLandau:
         g = Grid(8, 8)
         theta = np.linspace(0, 2 * np.pi, g.nx * g.ny).reshape(g.shape)
         d = VectorField2D(g, np.stack([np.cos(theta), np.sin(theta)]))
-        assert np.max(np.abs(ginzburg_landau_f(d, 0.25).data)) < 1e-12
+        assert np.max(np.abs(_gl_f(d, 0.25))) < 1e-12
         assert np.max(np.abs(bulk_potential_F(d, 0.25).data)) < 1e-12
 
     def test_zero_vector(self):
         g = Grid(8, 8)
         d = VectorField2D.zeros(g)
-        assert np.max(np.abs(ginzburg_landau_f(d, 1.0).data)) == 0.0
+        assert np.max(np.abs(_gl_f(d, 1.0))) == 0.0
         assert np.max(np.abs(bulk_potential_F(d, 1.0).data - 0.25)) < 1e-15
 
     def test_pointwise_value(self):
         g = Grid(8, 8)
         d = VectorField2D(g, np.stack([np.full(g.shape, 2.0), np.zeros(g.shape)]))
-        f = ginzburg_landau_f(d, 1.0)
-        assert np.allclose(f.data[0], 6.0)
-        assert np.allclose(f.data[1], 0.0)
+        f = _gl_f(d, 1.0)
+        assert np.allclose(f[0], 6.0)
+        assert np.allclose(f[1], 0.0)
 
     def test_eps_must_be_positive(self):
         g = Grid(8, 8)
         d = VectorField2D.zeros(g)
-        with pytest.raises(ValueError):
-            ginzburg_landau_f(d, 0.0)
         with pytest.raises(ValueError):
             bulk_potential_F(d, -1.0)
 
@@ -309,8 +338,8 @@ class TestGinzburgLandau:
             ]
         )
         d = VectorField2D(g, np.stack([np.full(g.shape, base[0]), np.full(g.shape, base[1])]))
-        f = ginzburg_landau_f(d, eps)
-        exact = np.array([f.data[0][0, 0], f.data[1][0, 0]])
+        f = _gl_f(d, eps)
+        exact = np.array([f[0][0, 0], f[1][0, 0]])
         assert np.max(np.abs(grad_fd - exact)) < 1e-6 * max(1.0, np.max(np.abs(exact)))
 
 
@@ -329,19 +358,13 @@ class TestFieldContainers:
         with pytest.raises(ValueError):
             ScalarField2D(g, data)
 
-    def test_vector_component_grid_mismatch(self):
-        a = ScalarField2D.zeros(Grid(8, 8))
-        b = ScalarField2D.zeros(Grid(8, 10))
-        with pytest.raises(ValueError):
-            VectorField2D.from_components(a, b)
-
     def test_trace_round_trip(self):
         g = Grid(9, 8)
         rng = np.random.default_rng(1)
         u = VectorField2D(g, rng.standard_normal((2, *g.shape)))
         tr = BoundaryTrace.from_field(u)
         rebuilt = np.zeros(g.shape)
-        set_ring(rebuilt, tr.component(0))
+        set_ring(rebuilt, tr.values[:, 0])
         assert np.array_equal(extract_ring(rebuilt), extract_ring(u.data[0]))
 
     def test_trace_shape_validated(self):

@@ -195,12 +195,47 @@ class TestConfig:
         with pytest.raises(ConfigError, match="not found"):
             parse_config("does-not-exist.cfg")
 
-    @pytest.mark.parametrize("key,value", [("eps", "-1"), ("nu", "nan"), ("eps", "inf")])
+    @pytest.mark.parametrize(
+        "key,value", [("eps", "-1"), ("nu", "nan"), ("eps", "inf"), ("lambda", "0")]
+    )
     def test_bad_physical_parameter_named(self, tmp_path, key, value):
         p = tmp_path / "bad.cfg"
         p.write_text(f"[params]\n{key} = {value}\n")
         with pytest.raises(ConfigError, match=key):
             parse_config(p)
+
+    @pytest.mark.parametrize(
+        "section,key,value",
+        [("forcing", "gamma", "inf"), ("forcing", "a_g", "nan"), ("run", "t_end", "inf"),
+         ("majorant", "c_star", "nan")],
+    )
+    def test_non_finite_float_named(self, tmp_path, capsys, section, key, value):
+        p = tmp_path / "bad.cfg"
+        p.write_text(f"[{section}]\n{key} = {value}\n")
+        with pytest.raises(ConfigError, match=f"'{key}' in section \\[{section}\\]"):
+            parse_config(p)
+        command = "majorant" if section == "majorant" else "run"
+        assert main([command, str(p), "--out", str(tmp_path / "out")]) == 1
+        assert f"'{key}'" in capsys.readouterr().err
+
+    def test_empty_config_is_the_scenario_defaults(self, tmp_path):
+        p = tmp_path / "empty.cfg"
+        p.write_text("")
+        assert parse_config(p).scenario == Scenario(name="run")
+
+    def test_schema_keys_are_field_names(self):
+        # a renamed field must fail here rather than silently drop its key
+        from dataclasses import fields
+
+        from nematicflow.dynamics import PhysParams
+        from nematicflow.harness.config import _SCHEMA
+
+        scenario_fields = {f.name for f in fields(Scenario)}
+        for section in ("grid", "forcing", "run"):
+            assert set(_SCHEMA[section]) <= scenario_fields, section
+        renamed = {"lambda": "lam"}
+        params = {renamed.get(k, k) for k in _SCHEMA["params"]}
+        assert params <= {f.name for f in fields(PhysParams)}
 
 
 class TestCli:

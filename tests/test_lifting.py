@@ -69,7 +69,7 @@ class TestEllipticLift:
         # dense solve of the same interior system
         L = lap_matrix(g).toarray()
         for k in range(2):
-            b = -ring_contribution(g, trace.component(k)).ravel()
+            b = -ring_contribution(g, trace.values[:, k]).ravel()
             dense = np.linalg.solve(L, b).reshape(g.nx - 2, g.ny - 2)
             assert np.max(np.abs(lift.data[k][1:-1, 1:-1] - dense)) < 1e-10
 
@@ -86,7 +86,7 @@ class TestEllipticLift:
             assert np.max(np.abs(lift.data[k] - ref)) <= 1e-14 * np.max(np.abs(ref))
             # the one-time exactness check that replaces a per-call residual test
             assert poisson_backward_error(g, lift.data[k], zero) <= POISSON_BACKWARD_ERROR
-            assert np.array_equal(extract_ring(lift.data[k]), trace.component(k))
+            assert np.array_equal(extract_ring(lift.data[k]), trace.values[:, k])
 
 
 class TestParabolicLift:

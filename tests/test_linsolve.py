@@ -150,7 +150,7 @@ class TestRingTransform:
         zero = np.zeros((nx - 2, ny - 2))
         for k in range(2):
             assert poisson_backward_error(g, lift.data[k], zero) <= POISSON_BACKWARD_ERROR
-            assert np.array_equal(extract_ring(lift.data[k]), trace.component(k))
+            assert np.array_equal(extract_ring(lift.data[k]), trace.values[:, k])
 
 
 class TestHeatStep:

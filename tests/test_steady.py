@@ -347,10 +347,11 @@ class TestEnergies:
         params = PhysParams()
         eq = solve_gradient_flow(trace, unit_clipped_lift(trace), params, tol=1e-4)
         eq = newton_refine(eq, params, tol=1e-12)
-        from nematicflow.grid import _lap_interior, ginzburg_landau_f
+        from nematicflow.grid import _lap_interior
 
         res = np.zeros((2, *g.shape))
-        f = ginzburg_landau_f(eq.psi, params.eps).data
+        psi = eq.psi.data
+        f = (psi[0] ** 2 + psi[1] ** 2 - 1.0) / params.eps**2 * psi  # f(psi)
         for k in range(2):
             res[k, 1:-1, 1:-1] = (
                 -_lap_interior(eq.psi.data[k], g.hx, g.hy)[1:-1, 1:-1]
