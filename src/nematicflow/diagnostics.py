@@ -204,6 +204,29 @@ def energy_inequality_residual(prev: EnergyRecord, next: EnergyRecord, dt: float
 
 
 @dataclass
+class CheckResult:
+    """One named pass/fail check of a value against a threshold."""
+
+    name: str
+    passed: bool
+    value: float
+    threshold: float
+    comparison: str  # "<=" or ">="
+
+    def line(self) -> str:
+        status = "PASS" if self.passed else "FAIL"
+        return f"{status} {self.name}: {self.value:.6g} {self.comparison} {self.threshold:.6g}"
+
+
+def check_le(name: str, value: float, threshold: float) -> CheckResult:
+    return CheckResult(name, bool(value <= threshold), float(value), float(threshold), "<=")
+
+
+def check_ge(name: str, value: float, threshold: float) -> CheckResult:
+    return CheckResult(name, bool(value >= threshold), float(value), float(threshold), ">=")
+
+
+@dataclass
 class GronwallVerdict:
     passed: bool
     bound: float
@@ -253,8 +276,11 @@ class FitError(ValueError):
     """Decay-rate fit rejected (non-positive values in the fitted window)."""
 
 
+FIT_TAIL = 0.5  # share of the samples a decay fit takes by default: the last half
+
+
 def fit_decay_exponent(
-    t: np.ndarray, values: np.ndarray, tail_fraction: float = 0.5
+    t: np.ndarray, values: np.ndarray, tail_fraction: float = FIT_TAIL
 ) -> tuple[float, float]:
     """Least-squares slope of log(value) against log(1+t) over the sample tail.
 
@@ -321,6 +347,9 @@ class RateModel:
         return cls(gamma=gamma, theta_prime=default_theta_prime(gamma))
 
 
+RATE_SLACK = 0.15  # how far the fitted distance exponent may fall short of the prediction
+
+
 @dataclass
 class ConvergenceReport:
     dist_L2_final: float
@@ -328,7 +357,7 @@ class ConvergenceReport:
     fitted_exp_dist: float
     fitted_r2_dist: float
     predicted_exponent: float
-    rate_pass: bool
+    rate: CheckResult
 
 
 def convergence_report(
@@ -340,11 +369,11 @@ def convergence_report(
 ) -> ConvergenceReport:
     """Compare a trajectory against its limit equilibrium and predicted rate.
 
-    The rate passes when the fitted exponent of the L2 distance reaches the
-    predicted one less 0.15.  ``fit_window`` restricts the rate fit to
-    samples with t in [lo, hi], which keeps the log-log regression clear of
-    both the initial transient and any late-time floor where the signal sinks
-    below discretization noise; without it the fit takes the last half.
+    The rate check passes when the fitted exponent of the L2 distance reaches
+    the predicted one less ``RATE_SLACK``.  ``fit_window`` restricts the rate
+    fit to samples with t in [lo, hi], which keeps the log-log regression clear
+    of both the initial transient and any late-time floor where the signal
+    sinks below discretization noise; without it the fit takes the last half.
     """
     if not records:
         raise ValueError("records must be nonempty")
@@ -356,33 +385,24 @@ def convergence_report(
 
     t = np.array([r.t for r in records])
     dist = np.array([r.dist_d_L2 for r in records])
-
+    frac = FIT_TAIL
     if fit_window is not None:
         lo, hi = fit_window
         mask = (t >= lo) & (t <= hi)
         if mask.sum() < 4:
             raise FitError("fit window contains fewer than 4 samples")
-        t_fit, dist_fit = t[mask], dist[mask]
-        frac = 1.0
-    else:
-        t_fit, dist_fit = t, dist
-        frac = 0.5
+        t, dist, frac = t[mask], dist[mask], 1.0
 
     try:
-        exp_dist, r2_dist = fit_decay_exponent(t_fit, dist_fit, frac)
+        exp_dist, r2_dist = fit_decay_exponent(t, dist, frac)
     except FitError:
         exp_dist, r2_dist = float("inf"), float("nan")
 
-    vacuous = bool(np.all(dist <= 1e-12))
-    rate_pass = vacuous or (exp_dist >= rate.predicted_exponent - 0.15)
-    return ConvergenceReport(
-        dist_L2_final=dist_l2,
-        dist_H1_final=dist_h1,
-        fitted_exp_dist=exp_dist,
-        fitted_r2_dist=r2_dist,
-        predicted_exponent=rate.predicted_exponent,
-        rate_pass=rate_pass,
+    predicted = rate.predicted_exponent
+    check = check_ge(
+        f"fitted L2-distance exponent vs predicted - {RATE_SLACK}", exp_dist, predicted - RATE_SLACK
     )
+    return ConvergenceReport(dist_l2, dist_h1, exp_dist, r2_dist, predicted, check)
 
 
 # ---------------------------------------------------------------------------

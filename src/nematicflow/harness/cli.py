@@ -14,13 +14,14 @@ import numpy as np
 
 from ..diagnostics import (
     CSV_COLUMNS,
+    FIT_TAIL,
     fit_decay_exponent,
     read_records_csv,
     write_csv,
     write_records_csv,
 )
 from ..dynamics import run
-from ..lifting import appendix_diagnostics, evolve_lifting
+from ..lifting import DEDPT_TOL, appendix_diagnostics, evolve_lifting
 from ..majorant import MajorantProblem, solve_majorant
 from ..steady import local_minimizer_check
 from .config import ConfigError, parse_config
@@ -90,7 +91,7 @@ def _cmd_lifting_check(args) -> int:
     dt = sc.dt if sc.dt is not None else 0.01
     history = evolve_lifting(forcing, sc.t_end, dt, sc.sample_every)
     report = appendix_diagnostics(
-        history, gamma=sc.gamma, dedpt_tol=parsed.tolerances.get("dedpt_tol", 1e-6)
+        history, gamma=sc.gamma, dedpt_tol=parsed.tolerances.get("dedpt_tol", DEDPT_TOL)
     )
     write_csv(out / "lifting.csv", *report.table())
     for name, chk in report.checks.items():
@@ -177,7 +178,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_fit = sub.add_parser("fit-rate", help="fit a decay exponent to a records.csv column")
     p_fit.add_argument("csv")
     p_fit.add_argument("column")
-    p_fit.add_argument("--tail", type=float, default=0.5)
+    p_fit.add_argument("--tail", type=float, default=FIT_TAIL)
     p_fit.set_defaults(fn=_cmd_fit_rate)
 
     p_list = sub.add_parser("list-presets", help="list prepackaged experiments")

@@ -7,7 +7,8 @@ Sections and keys (all optional):
     [forcing]     family, gamma, a_h, a_g, kappa, winding, sigma1, sigma2
     [run]         name (run), t_end, dt, sample_every, seed, v0_amplitude,
                   d0_perturbation
-    [tolerances]  max_abs_d_slack (5e-3), dedpt_tol (1e-6)
+    [tolerances]  max_abs_d_slack (presets.MAX_D_SLACK),
+                  dedpt_tol (lifting.DEDPT_TOL)
     [majorant]    c_star (1.0), y0 (1.0), dt (1e-3), y_cap (1e6),
                   t_horizon (100.0), r3_const (0.0)
 

@@ -94,8 +94,19 @@ class TestScenario:
         forcing = make_forcing(sc)
         checks = check_hypotheses(forcing, sc.gamma)
         names = {c.name for c in checks}
-        assert {"H1", "H2", "H3", "H4", "H5", "H6", "H7"} <= names
+        assert {f"hypothesis H{k} exponent" for k in range(1, 8)} <= names
         assert all(c.passed for c in checks)
+
+    def test_hypothesis_checker_fails_slow_decay(self):
+        # the family at gamma = 0.5 has |h_t| ~ (1+t)^(-2.5), half a power
+        # slower than the (1+t)^(-3) that gamma = 2 requires
+        forcing = make_forcing(small_scenario(gamma=0.5))
+        checks = {c.name: c for c in check_hypotheses(forcing, 2.0)}
+        for name in ("hypothesis H5 exponent", "hypothesis H6 exponent"):
+            c = checks[name]
+            assert not c.passed
+            assert c.value == pytest.approx(2.5, abs=0.05)
+            assert c.threshold == pytest.approx(3.0 - 0.05)
 
     def test_hypothesis_checker_autonomous_empty(self):
         sc = small_scenario(family="autonomous", a_g=0.0)
@@ -218,6 +229,25 @@ class TestConfig:
         assert main([command, str(p), "--out", str(tmp_path / "out")]) == 1
         assert f"'{key}'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "key,text",
+        [
+            ("t_end", "[run]\nt_end = 0\n"),
+            ("sample_every", "[run]\nsample_every = 0\n"),
+            ("dt", "[run]\ndt = 0\n"),
+            ("dt", "[run]\ndt = -1e-3\n"),
+            ("sigma1", "[forcing]\nfamily = minimizer-perturbation\nsigma1 = 0\n"),
+            ("sigma2", "[forcing]\nfamily = minimizer-perturbation\nsigma2 = -0.1\n"),
+        ],
+    )
+    def test_bad_run_key_refused_up_front(self, tmp_path, capsys, key, text):
+        p = tmp_path / "bad.cfg"
+        p.write_text("[grid]\nnx = 16\nny = 16\n" + text)
+        with pytest.raises(ConfigError, match=key):
+            parse_config(p)
+        assert main(["run", str(p), "--out", str(tmp_path / "out")]) == 1
+        assert key in capsys.readouterr().err
+
     def test_empty_config_is_the_scenario_defaults(self, tmp_path):
         p = tmp_path / "empty.cfg"
         p.write_text("")
@@ -299,7 +329,7 @@ class TestCli:
         assert index[0] == "residual,energy_E,energy_script,verdict"
         assert "minimizer-consistent" in index[1]
 
-    def test_lifting_check_subcommand(self, tmp_path):
+    def test_lifting_check_subcommand(self, tmp_path, capsys):
         cfg = tmp_path / "demo.cfg"
         cfg.write_text(
             CONFIG_OK.replace("t_end = 0.1", "t_end = 10.0")
@@ -307,7 +337,10 @@ class TestCli:
         )
         out_dir = tmp_path / "out"
         assert main(["lifting-check", str(cfg), "--out", str(out_dir)]) == 0
-        assert (out_dir / "lifting.csv").exists()
+        header = (out_dir / "lifting.csv").read_text().splitlines()[0]
+        assert header == "t,dPdE_H1,dt_dP,grad_lap_dP,A3,A5,A6,A8,A9,dedpt"
+        out = capsys.readouterr().out.splitlines()
+        assert out == [f"{k}: PASS" for k in ("A3", "A5", "A6", "A8", "A9", "dedpt")]
 
 
 class TestRunExperiment:
