@@ -59,10 +59,6 @@ class Grid:
     def n_boundary(self) -> int:
         return 2 * (self.nx + self.ny) - 4
 
-    @property
-    def key(self) -> tuple:
-        return (self.nx, self.ny, self.lx, self.ly)
-
     def xs(self) -> np.ndarray:
         return np.linspace(0.0, self.lx, self.nx)
 
@@ -115,10 +111,10 @@ def boundary_arclength(grid: Grid) -> np.ndarray:
 
 
 def extract_ring(data: np.ndarray) -> np.ndarray:
-    """Values of a (nx, ny) array on the boundary ring, CCW from (0,0)."""
-    nx, ny = data.shape
-    ii, jj = _boundary_index_arrays(nx, ny)
-    return data[ii, jj]
+    """Boundary ring values, CCW from (0,0): (nb,) of a (nx, ny) array, or
+    (nb, c) of a (c, nx, ny) stack, the layout ``set_ring`` writes."""
+    ii, jj = _boundary_index_arrays(*data.shape[-2:])
+    return data[..., ii, jj].T
 
 
 def set_ring(data: np.ndarray, values: np.ndarray) -> None:
@@ -213,7 +209,7 @@ class BoundaryTrace:
 
     @classmethod
     def from_field(cls, u: VectorField2D) -> "BoundaryTrace":
-        return cls(u.grid, np.stack([extract_ring(u.data[0]), extract_ring(u.data[1])], axis=1))
+        return cls(u.grid, extract_ring(u.data))
 
 
 def trusted_field(cls, grid: Grid, data: np.ndarray):
@@ -398,12 +394,11 @@ def bulk_potential_F(d: VectorField2D, eps: float) -> ScalarField2D:
 
 
 @lru_cache(maxsize=32)
-def _quad_weights_cached(nx: int, ny: int, lx: float, ly: float) -> np.ndarray:
-    hx = lx / (nx - 1)
-    hy = ly / (ny - 1)
-    wx = np.full(nx, hx)
+def _quad_weights_cached(grid: Grid) -> np.ndarray:
+    hx, hy = grid.hx, grid.hy
+    wx = np.full(grid.nx, hx)
     wx[0] = wx[-1] = 0.5 * hx
-    wy = np.full(ny, hy)
+    wy = np.full(grid.ny, hy)
     wy[0] = wy[-1] = 0.5 * hy
     w = np.outer(wx, wy)
     w.setflags(write=False)
@@ -412,7 +407,7 @@ def _quad_weights_cached(nx: int, ny: int, lx: float, ly: float) -> np.ndarray:
 
 def quad_weights(grid: Grid) -> np.ndarray:
     """Trapezoidal node weights on the full rectangle (cached, read-only)."""
-    return _quad_weights_cached(*grid.key)
+    return _quad_weights_cached(grid)
 
 
 def integrate(f: ScalarField2D) -> float:

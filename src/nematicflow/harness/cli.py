@@ -26,7 +26,7 @@ from ..majorant import MajorantProblem, solve_majorant
 from ..steady import local_minimizer_check
 from .config import ConfigError, parse_config
 from .io import output_root, write_manifest, write_snapshot
-from .presets import MAX_D_SLACK, PRESETS, run_experiment
+from .presets import MAX_D_SLACK, PRESETS, max_principle_check, run_experiment
 from .scenarios import generate_scenario, make_forcing, reference_equilibrium
 
 
@@ -41,21 +41,19 @@ def _cmd_run(args) -> int:
     sc = parsed.scenario
     out = _out_dir(args, sc.name)
     gen = generate_scenario(sc)
-    reference = gen.reference.psi if gen.reference is not None else None
-    summary = run(gen.state, sc.t_end, sample_every=sc.sample_every, reference=reference)
+    summary = run(gen.state, sc.t_end, sample_every=sc.sample_every, reference=gen.reference.psi)
     write_records_csv(out / "records.csv", summary.records)
     write_snapshot(out / "final.snap", summary.final.d, summary.final.t)
-    if gen.reference is not None:
-        write_snapshot(out / "equilibrium.snap", gen.reference.psi, float("inf"))
+    write_snapshot(out / "equilibrium.snap", gen.reference.psi, float("inf"))
     slack = parsed.tolerances.get("max_abs_d_slack", MAX_D_SLACK)
-    worst = max(r.max_abs_d for r in summary.records)
-    ok = (not summary.aborted) and worst <= 1.0 + slack
+    check = max_principle_check(summary.records, slack)
+    ok = not summary.aborted and check.passed
     lines = [
         f"scenario: {sc.name}",
         f"steps: {summary.n_steps}",
         f"aborted: {summary.aborted}" + (f" ({summary.abort_reason})" if summary.aborted else ""),
         f"max_cfl: {summary.max_cfl:.6g}",
-        f"max_abs_d: {worst:.17g} (limit {1.0 + slack:.6g})",
+        check.line(),
         f"passed: {ok}",
     ]
     write_manifest(out / "manifest.txt", lines)

@@ -102,11 +102,7 @@ class GeneratedScenario:
     state: SimState
     forcing: Forcing
     rate: RateModel | None      # None marks the exponential (autonomous) regime
-    reference: Equilibrium | None
-
-    @property
-    def regime(self) -> str:
-        return "polynomial" if self.rate is not None else "exponential"
+    reference: Equilibrium
 
 
 # ---------------------------------------------------------------------------
@@ -142,7 +138,7 @@ def _angle_functions(sc: Scenario, grid: Grid):
 
 
 def _body_force(sc: Scenario, grid: Grid):
-    if sc.family == "autonomous" or sc.a_g == 0.0:
+    if sc.a_g == 0.0:
         return None
     X, Y = grid.mesh()
     g0 = np.stack(
@@ -190,15 +186,6 @@ def _smooth_bump(grid: Grid, rng: np.random.Generator, modes: int = 3) -> np.nda
     return out / peak if peak > 0 else out
 
 
-def _harmonic_angle(grid: Grid, ring_angle: np.ndarray) -> np.ndarray:
-    zero = np.zeros((1, grid.nx - 2, grid.ny - 2))
-    return solve_poisson_dirichlet(grid, zero, ring_angle[:, None])[0]
-
-
-def _unit_director(angle: np.ndarray, grid: Grid) -> VectorField2D:
-    return VectorField2D(grid, np.stack([np.cos(angle), np.sin(angle)]))
-
-
 def make_initial_director(sc: Scenario, forcing: Forcing) -> VectorField2D:
     """Unit-length initial director compatible with h(0): angle field built from
     the harmonic extension of the boundary angle plus a seeded interior bump."""
@@ -206,10 +193,11 @@ def make_initial_director(sc: Scenario, forcing: Forcing) -> VectorField2D:
     rng = np.random.default_rng(sc.seed)
     h0 = forcing.boundary(0.0)
     ring_angle = np.unwrap(np.arctan2(h0[:, 1], h0[:, 0]))
-    angle = _harmonic_angle(grid, ring_angle)
+    zero = np.zeros((1, grid.nx - 2, grid.ny - 2))
+    angle = solve_poisson_dirichlet(grid, zero, ring_angle[:, None])[0]  # harmonic extension
     if sc.d0_perturbation != 0.0:
         angle = angle + sc.d0_perturbation * _smooth_bump(grid, rng)
-    d0 = _unit_director(angle, grid)
+    d0 = VectorField2D(grid, np.stack([np.cos(angle), np.sin(angle)]))
     set_ring(d0.data, h0)  # bitwise trace compatibility
     return d0
 

@@ -7,8 +7,10 @@ Every constant-coefficient operator is a Kronecker sum of 1-D matrices, so
 it is solved exactly by diagonalizing each 1-D factor once per grid
 (tensor-product diagonalization: Lynch, Rice & Thomas, Numer. Math. 6,
 1964).  A solve is then two small matrix products into the eigenbasis, a
-diagonal scaling and two products back; the bases and eigenvalues are cached
-per grid.
+diagonal scaling and two products back.  Each cache is an ``lru_cache``: the
+eigensystems ``_dirichlet_eigenvalues``, ``_heat_denominator`` (per coefficient)
+and ``_projection_eigensystem`` on the frozen ``Grid``, ``_sine_basis`` and
+``_edge_indices`` on its node counts; ``clear_cache`` empties all five.
 
 * The Dirichlet operators (5-point Laplacian, I - dt lap) are diagonal in the
   discrete sine basis, applied as dense sine-transform matrices, which beat
@@ -108,33 +110,28 @@ def with_trace(grid: Grid, interior: np.ndarray, ring_values: np.ndarray) -> np.
 # ---------------------------------------------------------------------------
 # eigensystem caches
 
-_cache: dict[tuple, object] = {}
-
 
 def clear_cache() -> None:
-    _cache.clear()
-    _dirichlet_eigenvalues.cache_clear()
+    """Empty every cache of this module, so the next solve on any grid starts cold."""
+    for cached in (_edge_indices, _dirichlet_eigenvalues, _heat_denominator, _sine_basis,
+                   _projection_eigensystem):
+        cached.cache_clear()
 
 
 @lru_cache(maxsize=32)
-def _dirichlet_eigenvalues(nx: int, ny: int, lx: float, ly: float):
+def _dirichlet_eigenvalues(grid: Grid) -> np.ndarray:
     """Eigenvalues of -lap (interior, Dirichlet) in the discrete sine basis."""
-    hx = lx / (nx - 1)
-    hy = ly / (ny - 1)
-    kx = np.arange(1, nx - 1)
-    ky = np.arange(1, ny - 1)
-    lamx = (2.0 - 2.0 * np.cos(kx * np.pi / (nx - 1))) / hx**2
-    lamy = (2.0 - 2.0 * np.cos(ky * np.pi / (ny - 1))) / hy**2
+    kx = np.arange(1, grid.nx - 1)
+    ky = np.arange(1, grid.ny - 1)
+    lamx = (2.0 - 2.0 * np.cos(kx * np.pi / (grid.nx - 1))) / grid.hx**2
+    lamy = (2.0 - 2.0 * np.cos(ky * np.pi / (grid.ny - 1))) / grid.hy**2
     return lamx[:, None] + lamy[None, :]
 
 
+@lru_cache(maxsize=32)
 def _heat_denominator(grid: Grid, coef: float) -> np.ndarray:
     """1 + coef lam: the operator I - coef lap in the sine basis."""
-    key = (grid.key, "heat", coef)
-    got = _cache.get(key)
-    if got is None:
-        got = _cache[key] = 1.0 + coef * _dirichlet_eigenvalues(*grid.key)
-    return got
+    return 1.0 + coef * _dirichlet_eigenvalues(grid)
 
 
 @lru_cache(maxsize=32)
@@ -205,6 +202,7 @@ def _difference_square_eigh(m: int, h: float) -> tuple[np.ndarray, np.ndarray]:
     return lam, q
 
 
+@lru_cache(maxsize=32)
 def _projection_eigensystem(grid: Grid) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
     """(Qx, Qy, inv, area) with D D^T = (Qx (x) Qy) diag(lx_i + ly_j) (Qx (x) Qy)^T.
 
@@ -212,17 +210,12 @@ def _projection_eigensystem(grid: Grid) -> tuple[np.ndarray, np.ndarray, np.ndar
     odd-odd grids, so applying it gives the minimum-norm solution.  ``area``
     is the sum of the quadrature weights, which normalizes the pressure.
     """
-    key = (grid.key, "proj")
-    got = _cache.get(key)
-    if got is None:
-        lam_x, qx = _difference_square_eigh(grid.nx - 2, grid.hx)
-        lam_y, qy = _difference_square_eigh(grid.ny - 2, grid.hy)
-        total = lam_x[:, None] + lam_y[None, :]
-        inv = np.zeros_like(total)  # total[0, 0] == 0 only on odd-odd grids
-        np.divide(1.0, total, out=inv, where=total != 0.0)
-        got = (qx, qy, inv, np.sum(quad_weights(grid)))
-        _cache[key] = got
-    return got
+    lam_x, qx = _difference_square_eigh(grid.nx - 2, grid.hx)
+    lam_y, qy = _difference_square_eigh(grid.ny - 2, grid.hy)
+    total = lam_x[:, None] + lam_y[None, :]
+    inv = np.zeros_like(total)  # total[0, 0] == 0 only on odd-odd grids
+    np.divide(1.0, total, out=inv, where=total != 0.0)
+    return qx, qy, inv, np.sum(quad_weights(grid))
 
 
 def heat_solve_interior(
@@ -248,7 +241,7 @@ def heat_solve_interior(
 def harmonic_coefficients(grid: Grid, bh: np.ndarray) -> np.ndarray:
     """Sine coefficients B^ / lam of the interior of the harmonic extension
     of ring data whose ``ring_transform`` is ``bh``: -lap_0 u = B(h)."""
-    return bh / _dirichlet_eigenvalues(*grid.key)
+    return bh / _dirichlet_eigenvalues(grid)
 
 
 def heat_coefficient_step(grid: Grid, p: np.ndarray, bh: np.ndarray, dt: float) -> np.ndarray:
@@ -298,7 +291,7 @@ def solve_poisson_dirichlet(grid: Grid, rhs_int: np.ndarray, ring_values: np.nda
             f"match ({grid.n_boundary}, c) and (c, {grid.nx - 2}, {grid.ny - 2})"
         )
     coef = ring_transform(grid, ring_values) - sine_coefficients(grid, rhs_int)
-    coef /= _dirichlet_eigenvalues(*grid.key)
+    coef /= _dirichlet_eigenvalues(grid)
     out = with_trace(grid, from_sine(grid, coef), ring_values)
     ratio = poisson_backward_error(grid, out, rhs_int)
     if ratio > POISSON_BACKWARD_ERROR:

@@ -3,6 +3,9 @@ attributes to trace them; both break silently when a binding is removed."""
 
 from pathlib import Path
 
+import numpy as np
+import pytest
+
 BENCHMARKS = Path(__file__).resolve().parents[1] / "benchmarks"
 
 
@@ -20,13 +23,16 @@ def test_benchmark_modules_import_and_tracer_installs(monkeypatch):
         assert owner.__dict__[attr].__name__ != "traced", f"{attr} left wrapped"
 
 
-def test_run_samples_through_the_energy_record_binding(monkeypatch):
+@pytest.mark.parametrize("family", ["autonomous", "polynomial-decay"])
+def test_run_samples_through_the_energy_record_binding(monkeypatch, family):
     # benchmarks/workloads.py keeps the states its checks read by wrapping
     # dynamics.energy_record; run must hand every sampled state to it once
     from nematicflow import dynamics
+    from nematicflow.diagnostics import _l2_sq
     from nematicflow.harness.scenarios import Scenario, generate_scenario
+    from nematicflow.lifting import _grad_lap_dP
 
-    state = generate_scenario(Scenario(name="x", nx=16, ny=16, seed=1)).state
+    state = generate_scenario(Scenario(name="x", family=family, nx=16, ny=16, seed=1)).state
     seen = []
     original = dynamics.energy_record
 
@@ -41,6 +47,43 @@ def test_run_samples_through_the_energy_record_binding(monkeypatch):
     assert seen[0] is state
     assert len({id(s) for s in seen}) == 6
     assert [s.t for s in seen] == [r.t for r in summary.records]
+
+    # the aux series are the gate's only reading of the liftings and of g:
+    # each entry is its sampled state's norm, bit for bit
+    aux = summary.aux
+    assert set(aux) == {"dt_dP", "grad_lap_dP", "g_l2"}
+    assert all(len(series) == len(summary.records) for series in aux.values())
+    g = state.v.grid
+    for k, s in enumerate(seen):
+        gf = s.forcing.body_force(s.t)
+        assert aux["g_l2"][k] == (0.0 if gf is None else np.sqrt(_l2_sq(g, gf.data)))
+        if family == "autonomous":  # a static trace: the liftings stand still
+            assert aux["dt_dP"][k] == 0.0 and aux["grad_lap_dP"][k] == 0.0
+        else:
+            assert aux["dt_dP"][k] == np.sqrt(_l2_sq(g, s.lifting.dt_dP.data))
+            assert aux["grad_lap_dP"][k] == _grad_lap_dP(s.lifting)
+    if family == "polynomial-decay":
+        assert np.all(aux["g_l2"] > 0.0) and np.all(aux["dt_dP"][1:] > 0.0)
+
+
+def test_clear_cache_empties_every_linsolve_cache():
+    # benchmarks/workloads.py starts each set-up cold through
+    # linsolve.clear_cache: after a scenario and a step every lru cache of
+    # linsolve is warm, and clear_cache must leave each one empty
+    from nematicflow import dynamics, linsolve
+    from nematicflow.harness.scenarios import Scenario, generate_scenario
+
+    state = generate_scenario(Scenario(name="c", family="polynomial-decay", nx=16, ny=16,
+                                       dt=2.5e-3, seed=1)).state
+    dynamics.step(state)
+    caches = {name: fn for name, fn in vars(linsolve).items() if hasattr(fn, "cache_info")}
+
+    def sizes():
+        return {name: fn.cache_info().currsize for name, fn in caches.items()}
+
+    assert caches and 0 not in sizes().values(), sizes()
+    linsolve.clear_cache()
+    assert set(sizes().values()) == {0}, sizes()
 
 
 def test_benchmark_selftests_pass(monkeypatch):

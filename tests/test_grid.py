@@ -74,6 +74,12 @@ class TestGrid:
         want[ii, jj] = values[:, 0]
         set_ring(one, values[:, 0])
         assert np.array_equal(one, want)
+        # extract_ring reads a stack in the (nb, c) layout set_ring writes,
+        # bit for bit what stacking its per-component rings gives
+        ring = extract_ring(data)
+        assert ring.shape == (g.n_boundary, 3)
+        assert np.array_equal(ring, np.stack([extract_ring(c) for c in data], axis=1))
+        assert np.array_equal(ring, values)
 
 
 class TestGradientDivergence:

@@ -74,7 +74,6 @@ class TestScenario:
         assert gen.rate.predicted_exponent == pytest.approx(0.5)
         gen_auto = generate_scenario(small_scenario(family="autonomous", a_g=0.0))
         assert gen_auto.rate is None
-        assert gen_auto.regime == "exponential"
 
     def test_minimizer_family_budgets(self):
         from nematicflow.diagnostics import norms
@@ -319,6 +318,20 @@ class TestCli:
         assert (out_dir / "records.csv").exists()
         assert (out_dir / "final.snap").exists()
         assert (out_dir / "manifest.txt").exists()
+        assert (out_dir / "equilibrium.snap").exists()
+
+    def test_run_max_principle_check_fails_exit_2(self, tmp_path, capsys):
+        # a negative slack puts the limit below every unit director: the
+        # check line reports FAIL and run exits 2, in stdout and manifest alike
+        cfg = tmp_path / "demo.cfg"
+        cfg.write_text(CONFIG_OK + "\n[tolerances]\nmax_abs_d_slack = -0.5\n")
+        out_dir = tmp_path / "out"
+        assert main(["run", str(cfg), "--out", str(out_dir)]) == 2
+        out = capsys.readouterr().out.splitlines()
+        line = next(s for s in out if "max|d|" in s)
+        assert line.startswith("FAIL max|d| <= 1 + slack: ") and line.endswith("<= 0.5")
+        assert out[-1] == "passed: False"
+        assert (out_dir / "manifest.txt").read_text().splitlines() == out
 
     def test_steady_subcommand(self, tmp_path, capsys):
         cfg = tmp_path / "demo.cfg"
