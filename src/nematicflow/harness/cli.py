@@ -92,8 +92,8 @@ def _cmd_lifting_check(args) -> int:
         history, gamma=sc.gamma, dedpt_tol=parsed.tolerances.get("dedpt_tol", DEDPT_TOL)
     )
     write_csv(out / "lifting.csv", *report.table())
-    for name, chk in report.checks.items():
-        print(f"{name}: {'PASS' if chk.passed else 'FAIL'}")
+    for chk in report.checks.values():
+        print(chk.line())
     return 0 if report.passed() else 2
 
 

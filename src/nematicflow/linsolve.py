@@ -12,19 +12,17 @@ eigensystems ``_dirichlet_eigenvalues``, ``_heat_denominator`` (per coefficient)
 and ``_projection_eigensystem`` on the frozen ``Grid``, ``_sine_basis`` and
 ``_edge_indices`` on its node counts; ``clear_cache`` empties all five.
 
-* The Dirichlet operators (5-point Laplacian, I - dt lap) are diagonal in the
-  discrete sine basis, applied as dense sine-transform matrices, which beat
-  FFTs at these sizes.  Dirichlet ring data enter only the first and last
-  interior rows and columns, so their transform is a rank-four product
-  (``ring_transform``).  Every solve with ring data goes through it: a
-  Poisson solve or a harmonic extension is one back-transform of
-  coefficients divided by the eigenvalues, a heat step with a trace is one
-  coefficient update (``heat_coefficient_step``, or ``heat_solve_interior``
-  given the coefficients of the trace's harmonic extension) and one
-  back-transform.  Neither the ring contribution nor the harmonic extension
-  needs to be formed on the grid.
-* The projection operator is diagonalized by ``numpy.linalg.eigh`` of its two
-  1-D factors (below).
+Every solve, the projection included, is diagonal in one discrete sine
+basis, applied as dense sine-transform matrices, which beat FFTs at these
+sizes.  Dirichlet ring data enter only the first and last interior rows and
+columns, so their transform is a rank-four product (``ring_transform``).
+Every solve with ring data goes through it: a Poisson solve or a harmonic
+extension is one back-transform of coefficients divided by the eigenvalues
+of the 5-point Laplacian, a heat step with a trace is one coefficient update
+(``heat_coefficient_step``, or ``heat_solve_interior`` given the
+coefficients of the trace's harmonic extension) and one back-transform.
+Neither the ring contribution nor the harmonic extension is formed on the
+grid.
 
 The projection is the exact discrete Leray projector for the central
 difference divergence with the boundary values held fixed: it solves the
@@ -39,12 +37,19 @@ Kx = Qx diag(lx) Qx^T and Ky = Qy diag(ly) Qy^T the solve is
 
     lam = Qx ((Qx^T div Qy) / (lx_i + ly_j)) Qy^T.
 
-K has a null vector exactly when its size is odd, so D D^T is singular only
-when nx and ny are both odd (a single checkerboard mode supported on odd-odd
-nodes).  That eigenvalue is set to zero and its reciprocal to zero, which
-yields the minimum-norm multiplier; with u = 0 on the ring the right-hand
-side is orthogonal to that mode, so the divergence of the result sits at
-rounding level rather than truncation error.
+With A = tridiag(1, 0, 1) and E = diag(+1, +1, -1, -1, +1, ...), T^T T =
+E A^2 E, and A is diagonal in the sine basis, so Q = sqrt(2/(m+1)) E S and
+K's eigenvalues are cos^2(k pi/(m+1)) / h^2.  Every sine and eigenvalue thus
+comes from one helper, sin(pi i / (2 (m+1))) for integer i: the sine matrix
+S with i = 2 (jk mod 2(m+1)), whose integer reduction keeps S orthogonal to
+a few eps; the Dirichlet eigenvalues 4 sin^2(k pi/(2(m+1))) / h^2 with
+i = k, which do not cancel as 2 - 2 cos does; and K's with i = |m+1 - 2k|,
+exactly zero at k = (m+1)/2.  So D D^T is singular exactly when nx and ny
+are both odd (one checkerboard mode on odd-odd nodes), with no rounding to
+remove.  Its reciprocal is set to zero, which yields the minimum-norm
+multiplier; with u = 0 on the ring the right-hand side is orthogonal to that
+mode, so the divergence of the result sits at rounding level rather than
+truncation error.
 """
 
 from __future__ import annotations
@@ -118,13 +123,17 @@ def clear_cache() -> None:
         cached.cache_clear()
 
 
+def _half_angle_sine(i: np.ndarray, m: int) -> np.ndarray:
+    """sin(pi i / (2 (m + 1))) for integers i, on m interior nodes."""
+    return np.sin(i * (np.pi / (2 * (m + 1))))
+
+
 @lru_cache(maxsize=32)
 def _dirichlet_eigenvalues(grid: Grid) -> np.ndarray:
-    """Eigenvalues of -lap (interior, Dirichlet) in the discrete sine basis."""
-    kx = np.arange(1, grid.nx - 1)
-    ky = np.arange(1, grid.ny - 1)
-    lamx = (2.0 - 2.0 * np.cos(kx * np.pi / (grid.nx - 1))) / grid.hx**2
-    lamy = (2.0 - 2.0 * np.cos(ky * np.pi / (grid.ny - 1))) / grid.hy**2
+    """Eigenvalues 4 sin^2(k pi / (2 (m + 1))) / h^2 of -lap (interior,
+    Dirichlet) in the discrete sine basis."""
+    lamx, lamy = (4.0 * _half_angle_sine(np.arange(1, n - 1), n - 2) ** 2 / h**2
+                  for n, h in ((grid.nx, grid.hx), (grid.ny, grid.hy)))
     return lamx[:, None] + lamy[None, :]
 
 
@@ -136,14 +145,10 @@ def _heat_denominator(grid: Grid, coef: float) -> np.ndarray:
 
 @lru_cache(maxsize=32)
 def _sine_basis(nx: int, ny: int):
-    """Dense sine-transform matrices; at desk scales BLAS beats small FFTs."""
-    mx, my = nx - 2, ny - 2
-    jx = np.arange(1, mx + 1)
-    jy = np.arange(1, my + 1)
-    Sx = np.sin(np.outer(jx, jx) * np.pi / (mx + 1))
-    Sy = np.sin(np.outer(jy, jy) * np.pi / (my + 1))
-    scale = 4.0 / ((mx + 1) * (my + 1))
-    return Sx, Sy, scale
+    """Sine-transform matrices S_jk = sin(jk pi / (m + 1)), jk reduced mod 2(m + 1)."""
+    sx, sy = (_half_angle_sine(2 * (np.outer(j, j) % (2 * (j.size + 1))), j.size)
+              for j in (np.arange(1, nx - 1), np.arange(1, ny - 1)))
+    return sx, sy, 4.0 / ((nx - 1) * (ny - 1))
 
 
 def sine_coefficients(grid: Grid, interior: np.ndarray) -> np.ndarray:
@@ -188,18 +193,14 @@ def ring_transform(grid: Grid, ring_values: np.ndarray) -> np.ndarray:
     return cols @ rows
 
 
-def _difference_square_eigh(m: int, h: float) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenpairs of K = T^T T / (4 h^2), T = tridiag(-1, 0, 1) of size m.
-
-    Eigenvalues ascend; for odd m the first is exactly zero (the checkerboard
-    vector (1, 0, 1, 0, ..., 1) spans the kernel of T), and its rounding is
-    removed.
-    """
-    t = np.eye(m, k=1) - np.eye(m, k=-1)
-    lam, q = np.linalg.eigh(t.T @ t / (4.0 * h * h))
-    if m % 2:
-        lam[0] = 0.0
-    return lam, q
+def _projection_modes(s: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
+    """(Q, lam) with K = T^T T / (4 h^2) = Q diag(lam) Q^T, from the m x m sine
+    matrix ``s``: Q = sqrt(2/(m+1)) E s, lam_k = cos^2(k pi / (m + 1)) / h^2."""
+    m = s.shape[0]
+    k = np.arange(1, m + 1)
+    signs = 1.0 - 2.0 * ((k - 1) // 2 % 2)  # E = diag(+1, +1, -1, -1, ...)
+    q = np.sqrt(2.0 / (m + 1)) * signs[:, None] * s
+    return q, (_half_angle_sine(np.abs(m + 1 - 2 * k), m) / h) ** 2
 
 
 @lru_cache(maxsize=32)
@@ -210,10 +211,10 @@ def _projection_eigensystem(grid: Grid) -> tuple[np.ndarray, np.ndarray, np.ndar
     odd-odd grids, so applying it gives the minimum-norm solution.  ``area``
     is the sum of the quadrature weights, which normalizes the pressure.
     """
-    lam_x, qx = _difference_square_eigh(grid.nx - 2, grid.hx)
-    lam_y, qy = _difference_square_eigh(grid.ny - 2, grid.hy)
+    (qx, lam_x), (qy, lam_y) = (_projection_modes(s, h) for s, h in
+                                zip(_sine_basis(grid.nx, grid.ny), (grid.hx, grid.hy)))
     total = lam_x[:, None] + lam_y[None, :]
-    inv = np.zeros_like(total)  # total[0, 0] == 0 only on odd-odd grids
+    inv = np.zeros_like(total)  # total is zero only on the odd-odd null mode
     np.divide(1.0, total, out=inv, where=total != 0.0)
     return qx, qy, inv, np.sum(quad_weights(grid))
 
@@ -336,19 +337,16 @@ def project_divergence_free(u: VectorField2D) -> tuple[VectorField2D, ScalarFiel
     normalized to zero mean).
     """
     g = u.grid
-    ud = u.data
-
-    div = interior_dx(ud[0], g.hx) + interior_dy(ud[1], g.hy)
+    div = interior_dx(u.data[0], g.hx) + interior_dy(u.data[1], g.hy)
 
     qx, qy, inv, area = _projection_eigensystem(g)
     lam_pad = np.zeros(g.shape)
     lam_pad[1:-1, 1:-1] = qx @ ((qx.T @ div @ qy) * inv) @ qy.T
 
-    v = ud.copy()
+    v = u.data.copy()
     # v_int -= D^T lam, and D^T lam is minus the zero-extension central gradient
     v[0, 1:-1, 1:-1] += interior_dx(lam_pad, g.hx)
     v[1, 1:-1, 1:-1] += interior_dy(lam_pad, g.hy)
 
-    pi = -lam_pad
-    pi = pi - np.sum(quad_weights(g) * pi) / area
+    pi = np.sum(quad_weights(g) * lam_pad) / area - lam_pad
     return trusted_field(VectorField2D, g, v), trusted_field(ScalarField2D, g, pi)

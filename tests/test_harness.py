@@ -107,6 +107,25 @@ class TestScenario:
             assert c.value == pytest.approx(2.5, abs=0.05)
             assert c.threshold == pytest.approx(3.0 - 0.05)
 
+    def test_hypothesis_tail_integrals_gain_exactly_one_power(self):
+        # |h_t| and |g|^2 are exactly (1+t)^-4 shapes, so the tail integrals of
+        # |h_t|, |h_t|^2 and |g|^2 decay like (1+t)^-3, (1+t)^-7 and (1+t)^-3;
+        # a quadrature stopped at t = 60 read 3.068 for H1
+        from nematicflow.dynamics import Forcing
+
+        g = Grid(16, 16)
+        rng = np.random.default_rng(3)
+        rate, body = rng.uniform(-1, 1, (g.n_boundary, 2)), rng.uniform(-1, 1, (2, *g.shape))
+        forcing = Forcing(
+            g,
+            lambda t: np.tile([1.0, 0.0], (g.n_boundary, 1)),
+            body_force_values=lambda t: (1.0 + t) ** -2 * body,
+            boundary_rate=lambda t: (1.0 + t) ** -4 * rate,
+        )
+        checks = {c.name: c.value for c in check_hypotheses(forcing, 2.0)}
+        for name, exponent in (("H1", 3.0), ("H2", 7.0), ("H3", 3.0)):
+            assert checks[f"hypothesis {name} exponent"] == pytest.approx(exponent, abs=1e-3)
+
     def test_hypothesis_checker_autonomous_empty(self):
         sc = small_scenario(family="autonomous", a_g=0.0)
         forcing = make_forcing(sc)
@@ -237,11 +256,16 @@ class TestConfig:
             ("dt", "[run]\ndt = -1e-3\n"),
             ("sigma1", "[forcing]\nfamily = minimizer-perturbation\nsigma1 = 0\n"),
             ("sigma2", "[forcing]\nfamily = minimizer-perturbation\nsigma2 = -0.1\n"),
+            ("nx", "[grid]\nnx = 4\n"),
+            ("ny", "[grid]\nny = 7\n"),
+            ("lx", "[grid]\nlx = 0\n"),
+            ("ly", "[grid]\nly = -1\n"),
+            ("seed", "[run]\nseed = -1\n"),
         ],
     )
     def test_bad_run_key_refused_up_front(self, tmp_path, capsys, key, text):
         p = tmp_path / "bad.cfg"
-        p.write_text("[grid]\nnx = 16\nny = 16\n" + text)
+        p.write_text(text if text.startswith("[grid]") else "[grid]\nnx = 16\nny = 16\n" + text)
         with pytest.raises(ConfigError, match=key):
             parse_config(p)
         assert main(["run", str(p), "--out", str(tmp_path / "out")]) == 1
@@ -352,8 +376,14 @@ class TestCli:
         assert main(["lifting-check", str(cfg), "--out", str(out_dir)]) == 0
         header = (out_dir / "lifting.csv").read_text().splitlines()[0]
         assert header == "t,dPdE_H1,dt_dP,grad_lap_dP,A3,A5,A6,A8,A9,dedpt"
+        # each check's value, comparison and threshold, as ``preset`` prints them
         out = capsys.readouterr().out.splitlines()
-        assert out == [f"{k}: PASS" for k in ("A3", "A5", "A6", "A8", "A9", "dedpt")]
+        assert [line.split(":")[0] for line in out] == [
+            "PASS A3 weighted-integral bound holds", "PASS A5 cumulative bound holds",
+            "PASS A6 cumulative bound holds", "PASS dt d_P squared decay exponent",
+            "PASS A9 sliding-integral exponent", "PASS dt d_P at t_end",
+        ]
+        assert out[-1].endswith("<= 0.001")
 
 
 class TestRunExperiment:

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -15,7 +17,9 @@ from nematicflow.linsolve import (
     EPS,
     POISSON_BACKWARD_ERROR,
     SolverError,
+    _dirichlet_eigenvalues,
     _projection_eigensystem,
+    _projection_modes,
     _sine_basis,
     harmonic_extension,
     heat_solve_interior,
@@ -314,3 +318,40 @@ class TestProjection:
         w = quad_weights(g)
         pi_ref -= np.sum(w * pi_ref) / np.sum(w)
         assert np.max(np.abs(pi.data - pi_ref)) <= 1e-13 * np.max(np.abs(pi_ref))
+
+
+class TestClosedFormBasis:
+    """The sine matrices and every eigenvalue come from sin(pi i / (2 (m+1)))."""
+
+    @pytest.mark.parametrize("m", [6, 7, 62, 63, 254, 255])
+    def test_projection_modes_diagonalize_difference_square(self, m):
+        h = 1.0 / (m + 1)
+        q, lam = _projection_modes(_sine_basis(m + 2, 8)[0], h)
+        t = np.eye(m, k=1) - np.eye(m, k=-1)
+        k_mat = t.T @ t / (4.0 * h * h)  # |K| <= 1 / h^2
+        assert np.max(np.abs(q.T @ q - np.eye(m))) <= m * EPS
+        assert np.max(np.abs(k_mat @ q - q * lam)) <= m * EPS / h**2
+        # the checkerboard null mode of odd m is exactly zero, with no patch
+        assert np.count_nonzero(lam == 0.0) == m % 2
+        if m % 2:
+            assert lam[(m - 1) // 2] == 0.0
+
+    @pytest.mark.parametrize(
+        "nx, ny, lx, ly", [(8, 8, 1.0, 1.0), (33, 20, 2.0, 1.0), (66, 66, 1.0, 1.0), (258, 258, 1.0, 1.0)]
+    )
+    def test_dirichlet_eigenvalues_are_the_half_angle_form(self, nx, ny, lx, ly):
+        # 2 - 2 cos(k pi/(m+1)) cancels on the smoothest modes: 206 eps at 66^2
+        g = Grid(nx, ny, lx, ly)
+
+        def ref(n, h):
+            return np.array([4.0 * math.sin(k * math.pi / (2 * (n - 1))) ** 2 / h**2
+                             for k in range(1, n - 1)])
+
+        lam = ref(nx, g.hx)[:, None] + ref(ny, g.hy)[None, :]
+        assert np.max(np.abs(_dirichlet_eigenvalues(g) / lam - 1.0)) <= 4 * EPS
+
+    def test_sine_basis_orthogonal_at_254(self):
+        # the integer reduction of jk keeps every argument below 2 pi; the
+        # unreduced sin(jk pi / (m+1)) leaves 54 eps here
+        s = _sine_basis(256, 8)[0]
+        assert np.max(np.abs(s @ s * (2.0 / 255) - np.eye(254))) <= 16 * EPS
