@@ -59,12 +59,6 @@ def edge_seminorm_sq(grid: Grid, data: np.ndarray) -> float:
     return float(grid.hy / grid.hx * np.vdot(ex, ex) + grid.hx / grid.hy * np.vdot(ey, ey))
 
 
-def _lap_sq(grid: Grid, data: np.ndarray) -> float:
-    """Interior |lap_h u|^2 summed over cells, for a field or a (c, nx, ny) stack."""
-    lap = interior_lap(data, grid.hx, grid.hy)
-    return float(grid.hx * grid.hy * np.vdot(lap, lap))
-
-
 def norms(field: ScalarField2D | VectorField2D, kind: str) -> float:
     """Discrete L2 / H1 / Hminus1 norm of a field."""
     g = field.grid

@@ -55,7 +55,7 @@ from .grid import (
     stress_rows,
     trusted_field,
 )
-from .lifting import LiftingState, _grad_lap_dP, init_lifting, parabolic_lift_step
+from .lifting import LiftingState, init_lifting, lifting_sample, parabolic_lift_step
 from .linsolve import SolverError, heat_solve_interior, project_divergence_free, with_trace
 
 logger = logging.getLogger(__name__)
@@ -322,10 +322,9 @@ def run(
 
     def sample(state: SimState) -> None:
         records.append(energy_record(state, reference))
-        lift = state.lifting
-        moving = not state.forcing.static_trace
-        aux["dt_dP"].append(float(np.sqrt(_l2_sq(g, lift.dt_dP.data))) if moving else 0.0)
-        aux["grad_lap_dP"].append(_grad_lap_dP(lift) if moving else 0.0)
+        lift = None if state.forcing.static_trace else lifting_sample(state.lifting)
+        for key in ("dt_dP", "grad_lap_dP"):
+            aux[key].append(0.0 if lift is None else lift[key])
         gf = state.forcing.body_force(state.t)
         aux["g_l2"].append(0.0 if gf is None else float(np.sqrt(_l2_sq(g, gf.data))))
 

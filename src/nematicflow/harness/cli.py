@@ -85,11 +85,10 @@ def _cmd_lifting_check(args) -> int:
     parsed = parse_config(args.config)
     sc = parsed.scenario
     out = _out_dir(args, f"{sc.name}-lifting")
-    forcing = make_forcing(sc)
     dt = sc.dt if sc.dt is not None else 0.01
-    history = evolve_lifting(forcing, sc.t_end, dt, sc.sample_every)
     report = appendix_diagnostics(
-        history, gamma=sc.gamma, dedpt_tol=parsed.tolerances.get("dedpt_tol", DEDPT_TOL)
+        evolve_lifting(make_forcing(sc), sc.t_end, dt, sc.sample_every),
+        gamma=sc.gamma, dedpt_tol=parsed.tolerances.get("dedpt_tol", DEDPT_TOL),
     )
     write_csv(out / "lifting.csv", *report.table())
     for chk in report.checks.values():

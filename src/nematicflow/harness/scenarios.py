@@ -182,9 +182,12 @@ def make_forcing(sc: Scenario) -> Forcing:
 # initial data
 
 
-def _smooth_bump(grid: Grid, rng: np.random.Generator, modes: int = 3) -> np.ndarray:
+BUMP_MODES = 3  # sine modes per direction of a random initial bump
+
+
+def _smooth_bump(grid: Grid, rng: np.random.Generator) -> np.ndarray:
     """Smooth scalar with zero ring values, max amplitude 1."""
-    out = random_sine_series(grid, rng, modes)
+    out = random_sine_series(grid, rng, BUMP_MODES)
     peak = np.max(np.abs(out))
     return out / peak if peak > 0 else out
 
@@ -249,7 +252,11 @@ def _perturbed_minimizer_director(
     sc: Scenario, forcing: Forcing, reference: Equilibrium
 ) -> VectorField2D:
     """psi* plus the lift of (h(0) - h_inf) plus a zero-trace bump, shrunk until
-    the H1 distance to psi* fits within sigma2."""
+    the H1 distance to psi* fits within sigma2.
+
+    Without the bump the director is the nearest the shrinking reaches: when
+    that one is farther than sigma2, the trace shift of a_h alone exceeds the
+    budget, and the scenario is refused before any try."""
     grid = forcing.grid
     rng = np.random.default_rng(sc.seed + 2)
     h0 = forcing.boundary(0.0)
@@ -257,18 +264,25 @@ def _perturbed_minimizer_director(
     lift_inf = harmonic_extension(forcing.h_inf)
     shift = lift0.data - lift_inf.data
     bump = np.stack([_smooth_bump(grid, rng), _smooth_bump(grid, rng)])
-    amp = sc.sigma2
-    for _ in range(60):
+
+    def director(amp: float) -> tuple[np.ndarray, float]:
         d0 = _clip_unit_ball(reference.psi.data + shift + amp * bump)
         set_ring(d0, h0)
-        dist = norms(VectorField2D(grid, d0 - reference.psi.data), "H1")
+        return d0, norms(VectorField2D(grid, d0 - reference.psi.data), "H1")
+
+    nearest, dist = director(0.0)
+    if dist > sc.sigma2:
+        raise ValueError(
+            f"a_h = {sc.a_h:g} shifts the initial trace by H1 distance {dist:.6g} "
+            f"from psi*, more than sigma2 = {sc.sigma2:g}"
+        )
+    amp = sc.sigma2
+    for _ in range(60):
+        d0, dist = director(amp)
         if dist <= sc.sigma2:
             return VectorField2D(grid, d0)
         amp *= 0.7
-    raise RuntimeError(
-        "could not fit the perturbed initial director inside sigma2; "
-        "the boundary shift alone may exceed the budget"
-    )
+    return VectorField2D(grid, nearest)
 
 
 # ---------------------------------------------------------------------------

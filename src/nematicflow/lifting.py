@@ -23,13 +23,16 @@ interior nodes up to rounding), and by a family of decay
 estimates: when the boundary data settles at rate (1+t)^(-1-gamma), the
 quantity |dt d_P(t)|^2 must decay at least like (1+t)^(-2-2gamma).
 ``appendix_diagnostics`` checks those estimates on a computed trajectory,
-one ``CheckResult`` per estimate.
+one ``CheckResult`` per estimate.  The check streams its samples:
+``evolve_lifting`` yields each sampled state, and ``lifting_series`` reads
+it once through ``lifting_sample`` and drops it, so no sampled state is
+kept.  ``dynamics.run`` samples its liftings through ``lifting_sample`` too.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 import numpy as np
 
@@ -37,7 +40,6 @@ from .diagnostics import (
     CheckResult,
     FitError,
     _l2_sq,
-    _lap_sq,
     check_ge,
     check_le,
     edge_seminorm_sq,
@@ -200,19 +202,15 @@ def boundary_norms_sq(grid: Grid, values: np.ndarray) -> tuple[np.ndarray, np.nd
 
 def evolve_lifting(
     forcing: "Forcing", t_end: float, dt: float, sample_every: int = 1
-) -> list[LiftingState]:
-    """March both liftings under the forcing's trace; return sampled states.
-
-    ``forcing.boundary`` checks each trace, once."""
-    grid = forcing.grid
-    state = init_lifting(BoundaryTrace(grid, forcing.boundary(0.0)))
-    history = [state]
-    n_steps = int(round(t_end / dt))
-    for k in range(1, n_steps + 1):
+) -> Iterator[LiftingState]:
+    """March both liftings under the forcing's trace, yielding the sampled
+    states; no state is kept.  ``forcing.boundary`` checks each trace, once."""
+    state = init_lifting(BoundaryTrace(forcing.grid, forcing.boundary(0.0)))
+    yield state
+    for k in range(1, int(round(t_end / dt)) + 1):
         state = parabolic_lift_step(state, forcing.boundary(k * dt), dt)
         if k % sample_every == 0:
-            history.append(state)
-    return history
+            yield state
 
 
 # ---------------------------------------------------------------------------
@@ -242,33 +240,39 @@ class AppendixReport:
         return ["t", "dPdE_H1", "dt_dP", "grad_lap_dP", *self.checks], rows
 
 
-def _grad_lap_dP(state: LiftingState) -> float:
-    """Edge seminorm of lap d_P, with the ring of the Laplacian field filled by
-    the trace velocity (the Laplacian of d_P - d_E equals h_t on the ring)."""
+def lifting_sample(state: LiftingState) -> dict:
+    """One state's entries of the lifting series: |d_P - d_E| in H1 and H2,
+    |dt d_P| and |dt d_E|^2 in L2, the edge seminorm of lap d_P with its ring
+    filled by the trace velocity (lap(d_P - d_E) = h_t there), and dt d_P's ring."""
     g = state.grid
+    diff = state.dP.data - state.dE.data
+    h1_sq = _l2_sq(g, diff) + edge_seminorm_sq(g, diff)
+    inner = interior_lap(diff, g.hx, g.hy)
     lap = state.dt_dP.data.copy()
-    lap[:, 1:-1, 1:-1] = interior_lap(state.dP.data - state.dE.data, g.hx, g.hy)
-    return float(np.sqrt(edge_seminorm_sq(g, lap)))
-
-
-def lifting_series(history: Sequence[LiftingState]) -> dict[str, np.ndarray]:
-    """Scalar time series needed by the decay checks, computed per sample."""
-    g = history[0].grid
-    rings = np.stack([BoundaryTrace.from_field(s.dt_dP).values for s in history])
-    l2_sq, semi_sq, _ = boundary_norms_sq(g, rings)
-    diffs = (s.dP.data - s.dE.data for s in history)
-    h1_sq, lap_sq = np.array(
-        [(_l2_sq(g, x) + edge_seminorm_sq(g, x), _lap_sq(g, x)) for x in diffs]
-    ).T
+    lap[:, 1:-1, 1:-1] = inner
     return {
-        "t": np.array([s.t for s in history]),
+        "t": state.t,
         "dPdE_h1": np.sqrt(h1_sq),
-        "dPdE_h2": np.sqrt(h1_sq + lap_sq),
-        "dt_dP": np.sqrt([_l2_sq(g, s.dt_dP.data) for s in history]),
-        "dt_dE_sq": np.array([_l2_sq(g, s.dt_dE.data) for s in history]),
-        "grad_lap_dP": np.array([_grad_lap_dP(s) for s in history]),
-        "ht_h12_sq": l2_sq + semi_sq,
+        "dPdE_h2": np.sqrt(h1_sq + float(g.hx * g.hy * np.vdot(inner, inner))),
+        "dt_dP": np.sqrt(_l2_sq(g, state.dt_dP.data)),
+        "dt_dE_sq": _l2_sq(g, state.dt_dE.data),
+        "grad_lap_dP": float(np.sqrt(edge_seminorm_sq(g, lap))),
+        "ring": BoundaryTrace.from_field(state.dt_dP).values,
     }
+
+
+def lifting_series(states: Iterable[LiftingState]) -> dict[str, np.ndarray]:
+    """Scalar time series needed by the decay checks, read in one pass over
+    ``states`` (a list, or the generator ``evolve_lifting``): each state gives
+    its ``lifting_sample`` and is dropped."""
+    grid, samples = None, []
+    for s in states:
+        grid = s.grid
+        samples.append(lifting_sample(s))
+    ser = {k: np.array([x[k] for x in samples]) for k in samples[0]}
+    l2_sq, semi_sq, _ = boundary_norms_sq(grid, ser.pop("ring"))
+    ser["ht_h12_sq"] = l2_sq + semi_sq
+    return ser
 
 
 def _exp_weighted_integral(t: np.ndarray, s: np.ndarray) -> np.ndarray:
@@ -308,7 +312,7 @@ class InsufficientDataError(ValueError):
 
 
 def appendix_diagnostics(
-    history: Sequence[LiftingState],
+    history: Iterable[LiftingState],
     gamma: float,
     dedpt_tol: float = DEDPT_TOL,
 ) -> AppendixReport:
@@ -320,16 +324,14 @@ def appendix_diagnostics(
     cumulative bounds on |dt d_P|^2 + |d_P - d_E|_{H2}^2 and on the time
     integral of |grad lap d_P|^2, the (1+t)^(-2-2gamma) pointwise decay, the
     (1+t)^(-1-2gamma) tail-integral decay, and that dt d_P vanishes at the
-    final time.
+    final time.  ``history`` is read once, by ``lifting_series``.
     """
     if gamma <= 0:
         raise ValueError(f"gamma must be positive, got {gamma}")
-    if len(history) < 16:
-        raise InsufficientDataError(
-            f"need at least 16 lifting samples, got {len(history)}"
-        )
     ser = lifting_series(history)
     t = ser["t"]
+    if t.size < 16:
+        raise InsufficientDataError(f"need at least 16 lifting samples, got {t.size}")
     cum_ht = _cumtrapz(t, ser["ht_h12_sq"])
     cum_g = _cumtrapz(t, ser["grad_lap_dP"] ** 2)
 
@@ -347,13 +349,13 @@ def appendix_diagnostics(
     }
     # (A8)-type: |dt dP(t)|^2 decays at least like (1+t)^(-2-2gamma)
     exp8 = _safe_exponent(t, ser["dt_dP"] ** 2)
-    checks["A8"] = check_ge("dt d_P squared decay exponent", exp8, 2 + 2 * gamma - LIFTING_SLACK)
+    checks["A8"] = check_ge("A8 dt d_P squared decay exponent", exp8, 2 + 2 * gamma - LIFTING_SLACK)
     # (A9)-type: int_{t/2}^t |grad lap dP|^2 decays at least like (1+t)^(-1-2gamma)
     sliding = cum_g - np.interp(t / 2.0, t, cum_g)
     half = t >= max(t[-1] * 0.2, t[1])
     exp9 = _safe_exponent(t[half], sliding[half])
     checks["A9"] = check_ge("A9 sliding-integral exponent", exp9, 1 + 2 * gamma - LIFTING_SLACK)
-    checks["dedpt"] = check_le("dt d_P at t_end", float(ser["dt_dP"][-1]), dedpt_tol)
+    checks["dedpt"] = check_le("dedpt dt d_P at t_end", float(ser["dt_dP"][-1]), dedpt_tol)
     return AppendixReport(t, ser["dPdE_h1"], ser["dt_dP"], ser["grad_lap_dP"], checks)
 
 

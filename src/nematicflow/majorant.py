@@ -27,6 +27,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+COMPARISON_SLACK = 1e-9  # relative excess of A_P over Y that ``comparison_check`` forgives
+
 
 @dataclass
 class MajorantProblem:
@@ -148,13 +150,12 @@ def comparison_check(
     r3: Sequence[float],
     c_star: float | None = None,
     y0: float | None = None,
-    slack: float = 1e-9,
 ) -> ComparisonVerdict:
     """Verify 0 <= A_P(t) <= Y(t) on a shared time axis.
 
     The majorant is advanced by explicit Euler with the same right-hand side
     used to fit C*, so domination is exact by monotone induction whenever the
-    fitted inequality holds; the slack only absorbs rounding.
+    fitted inequality holds; ``COMPARISON_SLACK`` only absorbs rounding.
     """
     t = np.asarray(t, float)
     a = np.asarray(a_p, float)
@@ -170,7 +171,7 @@ def comparison_check(
     passed = True
     for k in range(t.size - 1):
         margin = min(margin, y - a[k])
-        if a[k] > y * (1.0 + slack) + 1e-300:
+        if a[k] > y * (1.0 + COMPARISON_SLACK) + 1e-300:
             passed = False
             witness = float(t[k])
             break
@@ -181,7 +182,7 @@ def comparison_check(
             y = np.inf
     if passed:
         margin = min(margin, y - a[-1])
-        if a[-1] > y * (1.0 + slack) + 1e-300:
+        if a[-1] > y * (1.0 + COMPARISON_SLACK) + 1e-300:
             passed = False
             witness = float(t[-1])
     return ComparisonVerdict(passed, c, witness, float(margin))

@@ -25,13 +25,16 @@ correction contracts every mode by at most |S - f'|/(S + mu_1): the count
 does not grow with the grid, but it grows like 1/eps^2.  The solve is the
 cached sine-basis heat kernel (the correction has zero trace).
 
+The relaxation gives up after ``GRADIENT_FLOW_MAX_ITER`` corrections.
 Below the residual ``NEWTON_BASIN`` Newton takes over, Jacobian-free as in
 Knoll & Keyes, J. Comput. Phys. 193 (2004): J = -lap_h + f'(psi) is applied
 by the interior stencil plus the pointwise 2x2 block of f'.  J is symmetric
 but indefinite at saddles, so each step is solved by MINRES (Paige &
-Saunders, SINUM 12, 1975), preconditioned by the same (S - lap_h)^-1 solve.
-A local-minimizer check probes script_E along random smooth zero-trace
-directions and reports the smallest Rayleigh quotient of J among them.
+Saunders, SINUM 12, 1975), preconditioned by the same (S - lap_h)^-1 solve,
+for at most ``NEWTON_MAX_ITER`` steps.  A local-minimizer check probes
+script_E along ``MINIMIZER_PROBES`` random smooth zero-trace directions of H1
+size at most ``MINIMIZER_DELTA`` and reports the smallest Rayleigh quotient
+of J among them.  The functions read these constants at call time.
 """
 
 from __future__ import annotations
@@ -58,14 +61,21 @@ from .linsolve import EPS, harmonic_extension, heat_solve_interior
 # jitters).  Far from equilibrium the residual can rise for dozens of
 # corrections while the energy falls, so a falling energy is progress too.
 STALL_ITERATIONS = 5
-# Residual below which Newton takes over from the relaxation.
+# Corrections after which the relaxation gives up, converged or not.
+GRADIENT_FLOW_MAX_ITER = 400_000
+# Residual below which Newton takes over from the relaxation, and its step cap.
 NEWTON_BASIN = 1e-2
+NEWTON_MAX_ITER = 25
 # Relative preconditioned residual at which MINRES stops (far above its
 # rounding floor, about 1e-13), and its iteration cap; the cap is far above
 # the counts the preconditioner gives (at most 25 per Newton step on grids
 # from 32^2 to 256^2 and eps down to 0.05), so reaching it is stagnation.
 MINRES_TOL = 1e-10
 MINRES_MAX_ITER = 200
+# Random zero-trace directions that the local-minimizer check probes, and the
+# largest H1 size of a probe.
+MINIMIZER_PROBES = 32
+MINIMIZER_DELTA = 0.05
 
 
 class DegenerateCriticalPointError(RuntimeError):
@@ -129,8 +139,6 @@ def solve_gradient_flow(
     d_init: VectorField2D,
     params: PhysParams,
     tol: float = 1e-8,
-    max_iter: int = 400_000,
-    energy_history: list | None = None,
 ) -> Equilibrium:
     """Relax -lap d + f(d) = 0 with frozen trace until the residual meets tol.
 
@@ -155,15 +163,13 @@ def solve_gradient_flow(
         r = _stationary_defect(g, d, params.eps)
         res = _defect_norm(g, r)
         energy = energy_E(VectorField2D(g, d), params.eps)
-        if energy_history is not None:
-            energy_history.append(energy)
         stalled += 1
         if res < best_res:
             best[...] = d
             best_res, stalled = res, 0
         if energy < low_energy:
             low_energy, stalled = energy, 0
-        if best_res <= tol or it >= max_iter or stalled >= STALL_ITERATIONS:
+        if best_res <= tol or it >= GRADIENT_FLOW_MAX_ITER or stalled >= STALL_ITERATIONS:
             break
         d[:, 1:-1, 1:-1] -= heat_solve_interior(g, r / stab, 1.0 / stab)
         it += 1
@@ -247,15 +253,14 @@ def newton_refine(
     e: Equilibrium,
     params: PhysParams,
     tol: float = 1e-12,
-    max_iter: int = 25,
-    basin_radius: float = NEWTON_BASIN,
 ) -> Equilibrium:
-    """Newton iteration on -lap psi + f(psi) = 0 with the trace held fixed;
-    each step solves the linearization by preconditioned MINRES, and a
+    """Newton iteration on -lap psi + f(psi) = 0 with the trace held fixed,
+    from a residual below ``NEWTON_BASIN``, for at most ``NEWTON_MAX_ITER``
+    steps; each step solves the linearization by preconditioned MINRES, and a
     singular linearization raises ``DegenerateCriticalPointError``."""
-    if e.residual > basin_radius:
+    if e.residual > NEWTON_BASIN:
         raise ValueError(
-            f"residual {e.residual:.3g} too large for Newton (limit {basin_radius:.3g})"
+            f"residual {e.residual:.3g} too large for Newton (limit {NEWTON_BASIN:.3g})"
         )
     g = e.psi.grid
     d = e.psi.data.copy()
@@ -267,7 +272,7 @@ def newton_refine(
 
     res = e.residual
     it = 0
-    while res > tol and it < max_iter:
+    while res > tol and it < NEWTON_MAX_ITER:
         r = _stationary_defect(g, d, params.eps)
         d[:, 1:-1, 1:-1] += _minres(_linearization(g, d, params.eps), precondition, -r)
         res = stationary_residual(VectorField2D(g, d), params.eps)
@@ -292,28 +297,23 @@ class MinimizerVerdict:
 def local_minimizer_check(
     e: Equilibrium,
     params: PhysParams,
-    n_probe: int = 32,
-    delta: float = 0.05,
     seed: int = 0,
 ) -> MinimizerVerdict:
-    """Probe script_E around psi with random zero-trace perturbations of H1 size
-    at most delta; saddle is declared on any strict energy descent."""
+    """Probe script_E around psi with ``MINIMIZER_PROBES`` random zero-trace
+    perturbations of H1 size at most ``MINIMIZER_DELTA``; saddle is declared
+    on any strict energy descent."""
     if not e.converged:
         raise ValueError("equilibrium must be converged before probing")
-    if delta < 0:
-        raise ValueError("delta must be nonnegative")
     g = e.psi.grid
     d_star = harmonic_extension(BoundaryTrace.from_field(e.psi))
     base = energy_script(e.psi, d_star, params.eps)
-    if delta == 0.0 or n_probe == 0:
-        return MinimizerVerdict("minimizer-consistent", float("nan"), 0.0)
-
     rng = np.random.default_rng(seed)
     jac = _linearization(g, e.psi.data, params.eps)
     cell = g.hx * g.hy
 
     probes = [
-        np.stack([random_sine_series(g, rng, 4) for _ in range(2)]) for _ in range(n_probe)
+        np.stack([random_sine_series(g, rng, 4) for _ in range(2)])
+        for _ in range(MINIMIZER_PROBES)
     ]
 
     tol_gap = 1e-13 * (1.0 + abs(base))
@@ -326,7 +326,7 @@ def local_minimizer_check(
         )
         if h1 == 0.0:
             continue
-        w = w * (delta * rng.uniform(0.3, 1.0) / h1)
+        w = w * (MINIMIZER_DELTA * rng.uniform(0.3, 1.0) / h1)
         wint = w[:, 1:-1, 1:-1]
         ray = float(np.vdot(wint, jac(wint)) / np.vdot(wint, wint))
         min_rayleigh = min(min_rayleigh, ray)

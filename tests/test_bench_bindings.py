@@ -30,7 +30,7 @@ def test_run_samples_through_the_energy_record_binding(monkeypatch, family):
     from nematicflow import dynamics
     from nematicflow.diagnostics import _l2_sq
     from nematicflow.harness.scenarios import Scenario, generate_scenario
-    from nematicflow.lifting import _grad_lap_dP
+    from nematicflow.lifting import lifting_sample
 
     state = generate_scenario(Scenario(name="x", family=family, nx=16, ny=16, seed=1)).state
     seen = []
@@ -61,7 +61,7 @@ def test_run_samples_through_the_energy_record_binding(monkeypatch, family):
             assert aux["dt_dP"][k] == 0.0 and aux["grad_lap_dP"][k] == 0.0
         else:
             assert aux["dt_dP"][k] == np.sqrt(_l2_sq(g, s.lifting.dt_dP.data))
-            assert aux["grad_lap_dP"][k] == _grad_lap_dP(s.lifting)
+            assert aux["grad_lap_dP"][k] == lifting_sample(s.lifting)["grad_lap_dP"]
     if family == "polynomial-decay":
         assert np.all(aux["g_l2"] > 0.0) and np.all(aux["dt_dP"][1:] > 0.0)
 

@@ -357,6 +357,15 @@ class TestCli:
         assert out[-1] == "passed: False"
         assert (out_dir / "manifest.txt").read_text().splitlines() == out
 
+    def test_minimizer_family_defaults_refused_up_front(self, tmp_path, capsys):
+        # with the family's own a_h = 0.3 the trace shift alone lies farther
+        # from psi* than its sigma2 = 0.05, so no bump fits: refused, naming both
+        cfg = tmp_path / "min.cfg"
+        cfg.write_text("[grid]\nnx = 16\nny = 16\n[forcing]\nfamily = minimizer-perturbation\n")
+        assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert "a_h = 0.3" in err and "sigma2 = 0.05" in err
+
     def test_steady_subcommand(self, tmp_path, capsys):
         cfg = tmp_path / "demo.cfg"
         cfg.write_text(CONFIG_OK)
@@ -380,8 +389,8 @@ class TestCli:
         out = capsys.readouterr().out.splitlines()
         assert [line.split(":")[0] for line in out] == [
             "PASS A3 weighted-integral bound holds", "PASS A5 cumulative bound holds",
-            "PASS A6 cumulative bound holds", "PASS dt d_P squared decay exponent",
-            "PASS A9 sliding-integral exponent", "PASS dt d_P at t_end",
+            "PASS A6 cumulative bound holds", "PASS A8 dt d_P squared decay exponent",
+            "PASS A9 sliding-integral exponent", "PASS dedpt dt d_P at t_end",
         ]
         assert out[-1].endswith("<= 0.001")
 

@@ -1,4 +1,5 @@
 import gc
+import tracemalloc
 import weakref
 from dataclasses import replace
 
@@ -258,3 +259,28 @@ class TestAppendixDiagnostics:
         history = evolve_lifting(Forcing(g, lambda t: BoundaryTrace.constant(g, (1, 0)).values), 2.0, 0.1)
         ser = lifting_series(history)
         assert set(ser) >= {"t", "dPdE_h1", "dt_dP", "grad_lap_dP", "ht_h12_sq"}
+
+    def test_series_of_a_generator_equals_series_of_a_list(self):
+        g = Grid(16, 12, 1.0, 0.8)
+        forcing = Forcing(g, decaying_boundary(g))
+        streamed = lifting_series(evolve_lifting(forcing, 2.0, 0.05, sample_every=2))
+        listed = lifting_series(list(evolve_lifting(forcing, 2.0, 0.05, sample_every=2)))
+        assert streamed.keys() == listed.keys()
+        assert streamed["t"].size == 21
+        for key, series in listed.items():
+            assert streamed[key].tobytes() == series.tobytes(), key  # bit for bit
+
+    def test_lifting_check_keeps_no_sampled_state(self):
+        # a kept state holds three coefficient arrays and four built fields,
+        # about 100 kB at 32^2, so 401 kept states would take some 40 MB; read
+        # one at a time, each sample leaves six scalars and its (nb, 2) ring
+        g = Grid(32, 32)
+        forcing = Forcing(g, decaying_boundary(g))
+        tracemalloc.start()
+        try:
+            report = appendix_diagnostics(evolve_lifting(forcing, 4.0, 0.01), gamma=2.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.t.size == 401
+        assert peak <= 5e6

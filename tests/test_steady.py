@@ -9,6 +9,7 @@ from nematicflow.grid import (
     boundary_arclength,
     set_ring,
 )
+from nematicflow import steady
 from nematicflow.linsolve import harmonic_extension
 from nematicflow.steady import (
     DegenerateCriticalPointError,
@@ -27,6 +28,20 @@ def angle_trace(grid, kappa=0.3):
     s = boundary_arclength(grid) / (2 * (grid.lx + grid.ly))
     phi = kappa * np.sin(2 * np.pi * s)
     return BoundaryTrace(grid, np.stack([np.cos(phi), np.sin(phi)], axis=1))
+
+
+def record_energies(monkeypatch) -> list:
+    """The energy of each iterate of ``solve_gradient_flow``, in order, with
+    the returned equilibrium's own energy last."""
+    seen = []
+    original = steady.energy_E
+
+    def recording(psi, eps):
+        seen.append(original(psi, eps))
+        return seen[-1]
+
+    monkeypatch.setattr(steady, "energy_E", recording)
+    return seen
 
 
 def unit_clipped_lift(trace):
@@ -49,14 +64,14 @@ class TestGradientFlow:
         assert abs(eq.energy_E) < 1e-12
         assert np.max(np.abs(eq.psi.data[0] - 1.0)) < 1e-10
 
-    def test_energy_never_increases(self):
+    def test_energy_never_increases(self, monkeypatch):
         g = Grid(16, 16)
         trace = angle_trace(g)
         d0 = unit_clipped_lift(trace)
-        hist = []
-        eq = solve_gradient_flow(trace, d0, PhysParams(), tol=1e-8, energy_history=hist)
+        hist = record_energies(monkeypatch)
+        eq = solve_gradient_flow(trace, d0, PhysParams(), tol=1e-8)
         assert eq.converged
-        e = np.array(hist)
+        e = np.array(hist[:-1])
         assert np.all(np.diff(e) <= 1e-10 * (1 + np.abs(e[:-1])))
 
     def test_trace_compatibility_required(self):
@@ -66,7 +81,7 @@ class TestGradientFlow:
         with pytest.raises(ValueError, match="trace"):
             solve_gradient_flow(trace, d0, PhysParams())
 
-    def test_residual_monotone_to_convergence(self):
+    def test_residual_monotone_to_convergence(self, monkeypatch):
         # zero-winding boundary angle: the flow converges and the residual of
         # resumed solves keeps shrinking monotonically
         g = Grid(32, 32)
@@ -75,13 +90,15 @@ class TestGradientFlow:
         params = PhysParams()
         residuals = []
         cur = d0
+        monkeypatch.setattr(steady, "GRADIENT_FLOW_MAX_ITER", 2000)
         for _ in range(6):
-            eq = solve_gradient_flow(trace, cur, params, tol=1e-14, max_iter=2000)
+            eq = solve_gradient_flow(trace, cur, params, tol=1e-14)
             residuals.append(eq.residual)
             cur = eq.psi
         # monotone down to the roundoff floor of the residual evaluation
         assert all(b <= a + 1e-16 for a, b in zip(residuals[:-1], residuals[1:]))
-        eq = solve_gradient_flow(trace, cur, params, tol=1e-10, max_iter=600_000)
+        monkeypatch.setattr(steady, "GRADIENT_FLOW_MAX_ITER", 600_000)
+        eq = solve_gradient_flow(trace, cur, params, tol=1e-10)
         assert eq.converged
         assert eq.residual <= 1e-10
 
@@ -160,18 +177,17 @@ class TestReferenceRelaxation:
         assert eq.converged
         assert eq.residual <= 1e-11
 
-    def test_energy_non_increasing(self):
+    def test_energy_non_increasing(self, monkeypatch):
         h_inf, d0, params = self.decay_start(64)
-        hist = []
-        eq = solve_gradient_flow(h_inf, d0, params, tol=1e-11, energy_history=hist)
+        hist = record_energies(monkeypatch)
+        eq = solve_gradient_flow(h_inf, d0, params, tol=1e-11)
         assert eq.converged
-        e = np.array(hist)
+        assert hist[-1] == eq.energy_E
+        e = np.array(hist[:-1])
         assert len(e) == eq.iterations + 1
         assert np.all(np.diff(e) <= 1e-14 * (1 + np.abs(e[:-1])))
 
     def test_unreachable_tol_stops_at_smallest_residual(self, monkeypatch):
-        import nematicflow.steady as steady
-
         h_inf, d0, params = self.decay_start(64)
         seen = []
         original = steady._defect_norm
@@ -183,7 +199,7 @@ class TestReferenceRelaxation:
         monkeypatch.setattr(steady, "_defect_norm", recording)
         eq = solve_gradient_flow(h_inf, d0, params, tol=1e-14)
         assert not eq.converged
-        assert eq.iterations <= 100  # max_iter is 400 000
+        assert eq.iterations <= 100  # GRADIENT_FLOW_MAX_ITER is 400 000
         # the last value is the re-evaluation for the returned iterate
         assert eq.residual == min(seen[:-1]) == seen[-1]
         assert eq.residual <= 1e-11
@@ -198,7 +214,7 @@ class TestNewton:
         refined = newton_refine(eq, PhysParams(), tol=1e-12)
         assert np.max(np.abs(refined.psi.data - eq.psi.data)) < 1e-11
 
-    def test_quadratic_residual_drop(self):
+    def test_quadratic_residual_drop(self, monkeypatch):
         g = Grid(24, 24)
         trace = angle_trace(g, kappa=0.5)
         d0 = unit_clipped_lift(trace)
@@ -206,8 +222,9 @@ class TestNewton:
         eq = solve_gradient_flow(trace, d0, params, tol=1e-4)
         res = [eq.residual]
         cur = eq
+        monkeypatch.setattr(steady, "NEWTON_MAX_ITER", 1)
         for _ in range(3):
-            cur = newton_refine(cur, params, tol=1e-15, max_iter=1)
+            cur = newton_refine(cur, params, tol=1e-15)
             res.append(cur.residual)
             if res[-1] < 1e-13:
                 break
@@ -215,7 +232,7 @@ class TestNewton:
         for a, b in zip(res[:-1], res[1:]):
             assert b <= 0.1 * a or b < 1e-13
 
-    def test_linear_limit_large_eps(self):
+    def test_linear_limit_large_eps(self, monkeypatch):
         # eps -> infinity kills the nonlinearity: Newton solves the harmonic
         # problem in one step from any starting point near the lift
         g = Grid(16, 16)
@@ -223,19 +240,22 @@ class TestNewton:
         params = PhysParams(eps=1e6)
         d0 = unit_clipped_lift(trace)
         eq = solve_gradient_flow(trace, d0, params, tol=1e-2)
-        refined = newton_refine(eq, params, tol=1e-11, max_iter=3)
+        monkeypatch.setattr(steady, "NEWTON_MAX_ITER", 3)
+        refined = newton_refine(eq, params, tol=1e-11)
         assert refined.converged
         lift = harmonic_extension(trace)
         assert np.max(np.abs(refined.psi.data - lift.data)) < 1e-7
 
-    def test_basin_precondition(self):
+    def test_basin_precondition(self, monkeypatch):
         g = Grid(16, 16)
         trace = angle_trace(g)
         d0 = unit_clipped_lift(trace)
-        eq = solve_gradient_flow(trace, d0, PhysParams(), tol=1e-8, max_iter=1)
+        monkeypatch.setattr(steady, "GRADIENT_FLOW_MAX_ITER", 1)
+        eq = solve_gradient_flow(trace, d0, PhysParams(), tol=1e-8)
         assert not eq.converged
+        monkeypatch.setattr(steady, "NEWTON_BASIN", 1e-9)  # read at call time
         with pytest.raises(ValueError, match="Newton"):
-            newton_refine(eq, PhysParams(), basin_radius=1e-9)
+            newton_refine(eq, PhysParams())
 
 
 def jacobian_matrix(lap_matrix, grid, d, eps):
@@ -368,15 +388,16 @@ class TestEnergies:
 
 
 class TestMinimizerCheck:
-    def test_constant_unit_is_minimizer(self):
+    def test_constant_unit_is_minimizer(self, monkeypatch):
         g = Grid(16, 16)
         trace = BoundaryTrace.constant(g, (1.0, 0.0))
         eq = solve_gradient_flow(trace, unit_clipped_lift(trace), PhysParams(), tol=1e-11)
-        verdict = local_minimizer_check(eq, PhysParams(), n_probe=24, delta=0.05, seed=0)
+        monkeypatch.setattr(steady, "MINIMIZER_PROBES", 24)
+        verdict = local_minimizer_check(eq, PhysParams(), seed=0)
         assert verdict.kind == "minimizer-consistent"
         assert verdict.min_rayleigh > 0
 
-    def test_zero_state_is_saddle_for_small_eps(self):
+    def test_zero_state_is_saddle_for_small_eps(self, monkeypatch):
         # psi = 0 solves the stationary problem with h_inf = 0; for eps small
         # enough the potential well at |d| = 1 dominates the gradient cost and
         # a descent direction exists
@@ -388,22 +409,17 @@ class TestMinimizerCheck:
 
         eq = _make_equilibrium(psi, params, True, 0, trace)
         assert eq.residual < 1e-14
-        verdict = local_minimizer_check(eq, params, n_probe=16, delta=0.05, seed=0)
+        monkeypatch.setattr(steady, "MINIMIZER_PROBES", 16)
+        verdict = local_minimizer_check(eq, params, seed=0)
         assert verdict.kind == "saddle-detected"
         assert verdict.min_rayleigh < 0
         assert verdict.witness is not None
 
-    def test_zero_delta_trivially_consistent(self):
-        g = Grid(16, 16)
-        trace = BoundaryTrace.constant(g, (1.0, 0.0))
-        eq = solve_gradient_flow(trace, unit_clipped_lift(trace), PhysParams(), tol=1e-11)
-        verdict = local_minimizer_check(eq, PhysParams(), n_probe=8, delta=0.0)
-        assert verdict.kind == "minimizer-consistent"
-
-    def test_unconverged_rejected(self):
+    def test_unconverged_rejected(self, monkeypatch):
         g = Grid(16, 16)
         trace = angle_trace(g)
-        eq = solve_gradient_flow(trace, unit_clipped_lift(trace), PhysParams(), max_iter=1)
+        monkeypatch.setattr(steady, "GRADIENT_FLOW_MAX_ITER", 1)
+        eq = solve_gradient_flow(trace, unit_clipped_lift(trace), PhysParams())
         with pytest.raises(ValueError, match="converged"):
             local_minimizer_check(eq, PhysParams())
 
