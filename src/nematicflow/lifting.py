@@ -269,6 +269,8 @@ def lifting_series(states: Iterable[LiftingState]) -> dict[str, np.ndarray]:
     for s in states:
         grid = s.grid
         samples.append(lifting_sample(s))
+    if not samples:
+        raise InsufficientDataError("no lifting samples")
     ser = {k: np.array([x[k] for x in samples]) for k in samples[0]}
     l2_sq, semi_sq, _ = boundary_norms_sq(grid, ser.pop("ring"))
     ser["ht_h12_sq"] = l2_sq + semi_sq

@@ -253,6 +253,8 @@ class TestAppendixDiagnostics:
         history = evolve_lifting(Forcing(g, lambda t: BoundaryTrace.constant(g, (1, 0)).values), 0.5, 0.1)
         with pytest.raises(InsufficientDataError):
             appendix_diagnostics(history, gamma=1.0)
+        with pytest.raises(InsufficientDataError):
+            appendix_diagnostics(iter([]), gamma=1.0)
 
     def test_series_keys(self):
         g = Grid(8, 8)
