@@ -32,9 +32,7 @@ from .grid import (
     VectorField2D,
     interior_dx,
     interior_dy,
-    interior_lap,
     row_stencils,
-    one_slot_memo,
     quad_weights,
 )
 from .linsolve import solve_poisson_dirichlet
@@ -101,14 +99,6 @@ class EnergyRecord:
 CSV_COLUMNS = [f.name for f in fields(EnergyRecord)]
 
 
-@one_slot_memo
-def _lifting_lap(field: VectorField2D) -> np.ndarray:
-    """Interior lap of a lifting; with a static trace d_E never changes, so
-    this is evaluated once per run."""
-    g = field.grid
-    return interior_lap(field.data, g.hx, g.hy)
-
-
 def energy_record(state: "SimState", reference: VectorField2D | None = None) -> EnergyRecord:
     """Sample every scalar diagnostic from a simulation state (pure function)."""
     g = state.v.grid
@@ -128,21 +118,21 @@ def energy_record(state: "SimState", reference: VectorField2D | None = None) -> 
     potential = float(np.vdot(w * bulk, bulk)) / (4.0 * p.eps**2)
     e_hat = kinetic + elastic_hat + potential
 
-    # interior residuals lap(d - l) - f(d) for l = 0, d_E and d_P, all from
-    # the lap d that the step has already evaluated
+    # interior residual lap d - f(d), from the lap d that the step has already
+    # evaluated.  The scheme makes lap d_E = 0 (harmonic extension) and
+    # lap d_P = dt d_P (backward-Euler heat step) at interior nodes, so it is
+    # also D2's residual lap(d - d_E) - f(d), and A_P's less dt d_P.
     f_int = (bulk[1:-1, 1:-1] / p.eps**2) * d[:, 1:-1, 1:-1]
     res_stat = row_stencils(state.d)[2][..., 1:-1] - f_int
     res_stat_sq = float(np.vdot(res_stat, res_stat))
-    res_hat = res_stat - _lifting_lap(lift.dE)
-    res_hat_sq = float(np.vdot(res_hat, res_hat))
     if state.forcing.static_trace:  # d_P equals d_E bitwise
-        res_tilde_sq = res_hat_sq
+        res_tilde_sq = res_stat_sq
     else:
-        res_tilde = res_stat - interior_lap(lift.dP.data, hx, hy)
+        res_tilde = res_stat - lift.dt_dP.data[:, 1:-1, 1:-1]
         res_tilde_sq = float(np.vdot(res_tilde, res_tilde))
 
     grad_v_sq = edge_seminorm_sq(g, v)
-    d2 = p.nu * grad_v_sq + cell * res_hat_sq
+    d2 = p.nu * grad_v_sq + cell * res_stat_sq
     a_p = grad_v_sq + cell * res_tilde_sq
 
     # the budget's |dt d_E| is zero on a static trace, and its |g|_dual (the
@@ -420,9 +410,9 @@ def read_records_csv(path) -> list[EnergyRecord]:
     out = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, None)  # None for an empty file
         if header != CSV_COLUMNS:
-            raise ValueError(f"unexpected CSV header {header}")
+            raise ValueError(f"{path}: expected the header {','.join(CSV_COLUMNS)}, got {header}")
         for row in reader:
             out.append(EnergyRecord(*[float(x) for x in row]))
     return out

@@ -315,8 +315,8 @@ def one_slot_memo(fn):
     The key is the identity of the field's data array and its grid.  Only a
     read-only array that owns its memory is cached: no write can change it
     behind the memo, and the slot keeps it alive, so its identity is not
-    reused.  A writable array is evaluated afresh on every call.  Results
-    are shared between callers and marked read-only.
+    reused.  A writable array is evaluated afresh on every call.  The
+    result, a tuple of arrays, is shared between callers and marked read-only.
     """
     last = None
 
@@ -329,7 +329,7 @@ def one_slot_memo(fn):
             return entry[2]
         result = fn(field)
         if not data.flags.writeable and data.base is None:
-            for a in result if isinstance(result, tuple) else (result,):
+            for a in result:
                 a.flags.writeable = False
             last = (data, field.grid, result)
         return result

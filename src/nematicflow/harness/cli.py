@@ -26,7 +26,7 @@ from ..majorant import MajorantProblem, solve_majorant
 from ..steady import local_minimizer_check
 from .config import ConfigError, parse_config
 from .io import output_root, write_manifest, write_snapshot
-from .presets import MAX_D_SLACK, PRESETS, max_principle_check, run_experiment
+from .presets import MAX_D_SLACK, PRESETS, divergence_check, max_principle_check, run_experiment
 from .scenarios import generate_scenario, make_forcing, reference_equilibrium
 
 
@@ -46,14 +46,17 @@ def _cmd_run(args) -> int:
     write_snapshot(out / "final.snap", summary.final.d, summary.final.t)
     write_snapshot(out / "equilibrium.snap", gen.reference.psi, float("inf"))
     slack = parsed.tolerances.get("max_abs_d_slack", MAX_D_SLACK)
-    check = max_principle_check(summary.records, slack)
-    ok = not summary.aborted and check.passed
+    checks = [
+        max_principle_check(summary.records, slack),
+        divergence_check(summary.records, sc.grid),
+    ]
+    ok = not summary.aborted and all(c.passed for c in checks)
     lines = [
         f"scenario: {sc.name}",
         f"steps: {summary.n_steps}",
         f"aborted: {summary.aborted}" + (f" ({summary.abort_reason})" if summary.aborted else ""),
         f"max_cfl: {summary.max_cfl:.6g}",
-        check.line(),
+        *(c.line() for c in checks),
         f"passed: {ok}",
     ]
     write_manifest(out / "manifest.txt", lines)

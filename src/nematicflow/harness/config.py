@@ -93,9 +93,11 @@ def parse_config(path: str | Path) -> ParsedConfig:
         raise ConfigError(f"config file not found: {path}")
     cp = configparser.ConfigParser()
     try:
-        cp.read(path)
+        read = cp.read(path)  # skips, without a word, a path it cannot open
     except configparser.Error as exc:
         raise ConfigError(f"malformed config: {exc}") from exc
+    if not read:
+        raise ConfigError(f"cannot read config file: {path}")
 
     values: dict[str, dict] = {}
     for section in cp.sections():

@@ -28,7 +28,7 @@ from ..diagnostics import (
     write_records_csv,
 )
 from ..dynamics import RunSummary, run
-from ..grid import VectorField2D
+from ..grid import Grid, VectorField2D
 from ..lifting import appendix_diagnostics, evolve_lifting
 from ..majorant import MajorantProblem, solve_majorant
 from ..steady import Equilibrium, energy_script
@@ -37,6 +37,7 @@ from .io import output_root, write_manifest, write_snapshot
 from .scenarios import Scenario, check_hypotheses, generate_scenario, make_forcing
 
 MAX_D_SLACK = 5e-3  # maximum-principle overshoot allowance
+DIV_ROUNDING = 64  # divergence after projection allowed, in units of eps |D| max_k |v_k|
 
 
 @dataclass
@@ -56,6 +57,18 @@ class ExperimentResult:
 def max_principle_check(records: list[EnergyRecord], slack: float) -> CheckResult:
     worst = max(r.max_abs_d for r in records)
     return check_le("max|d| <= 1 + slack", worst, 1.0 + slack)
+
+
+def divergence_check(records: list[EnergyRecord], grid: Grid) -> CheckResult:
+    """Largest sampled |div v|_L2 against the projection's rounding scale
+    ``DIV_ROUNDING`` eps |D| max_k |v_k|_L2, with |D| = sqrt(hx^-2 + hy^-2)
+    the scale of the central divergence.  The projection is exact, so only
+    rounding remains; the run's largest |v| sets the scale, because a sample
+    at rest keeps the rounding of the flow it came from."""
+    worst = max(r.div_v_norm for r in records)
+    v_max = max(r.norm_v_L2 for r in records)
+    scale = DIV_ROUNDING * np.finfo(float).eps * np.hypot(1.0 / grid.hx, 1.0 / grid.hy) * v_max
+    return check_le(f"div v after projection <= {DIV_ROUNDING} eps |D| max|v|", worst, scale)
 
 
 # ---------------------------------------------------------------------------
@@ -90,6 +103,7 @@ def energy_law_autonomous() -> ExperimentResult:
         check_le("energy-inequality residual (max over steps)", max(residuals), slack),
         check_le("energy monotone (max increment)", max(increments), 1e-13 * (1.0 + e0)),
         max_principle_check(recs, MAX_D_SLACK),
+        divergence_check(recs, sc.grid),
     ]
     return ExperimentResult(sc.name, checks, recs, summary, gen.reference)
 
@@ -125,6 +139,7 @@ def omega_limit() -> ExperimentResult:
         check_le("L2 distance to steady solve", dist, 1e-4),
         check_le("grad v eventual monotonicity (max tail increase)", tail_increase, 1e-12),
         max_principle_check(recs, MAX_D_SLACK),
+        divergence_check(recs, sc.grid),
     ]
     return ExperimentResult(sc.name, checks, recs, summary, gen.reference)
 
@@ -157,6 +172,7 @@ def rate_gamma2() -> ExperimentResult:
         check_le("H1 distance to steady state at t_end", report.dist_H1_final, 1e-3),
         report.rate,
         max_principle_check(recs, MAX_D_SLACK),
+        divergence_check(recs, sc.grid),
         *check_hypotheses(gen.forcing, sc.gamma),
     ]
     return ExperimentResult(sc.name, checks, recs, summary, gen.reference, {"report": report})
@@ -220,6 +236,7 @@ def minimizer_perturbation() -> ExperimentResult:
             1e-6,
         ),
         max_principle_check(recs, MAX_D_SLACK),
+        divergence_check(recs, sc.grid),
     ]
     return ExperimentResult(sc.name, checks, recs, summary, psi_star)
 

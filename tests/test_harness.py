@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from nematicflow.diagnostics import EnergyRecord, CSV_COLUMNS, write_records_csv
+from nematicflow import dynamics
 from nematicflow.dynamics import run
 from nematicflow.grid import Grid, ScalarField2D, VectorField2D
 from nematicflow.harness.cli import main
@@ -224,6 +225,15 @@ class TestConfig:
         with pytest.raises(ConfigError, match="not found"):
             parse_config("does-not-exist.cfg")
 
+    def test_unreadable_path_refused(self, tmp_path, capsys):
+        # configparser skips a path it cannot open; a directory must not run
+        # as the default scenario
+        with pytest.raises(ConfigError, match="cannot read") as info:
+            parse_config(tmp_path)
+        assert str(tmp_path) in str(info.value)
+        assert main(["run", str(tmp_path), "--out", str(tmp_path / "out")]) == 1
+        assert str(tmp_path) in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "key,value", [("eps", "-1"), ("nu", "nan"), ("eps", "inf"), ("lambda", "0")]
     )
@@ -317,6 +327,13 @@ class TestCli:
         write_records_csv(p, [])
         assert main(["fit-rate", str(p), "bogus"]) == 1
 
+    def test_fit_rate_empty_csv_names_file_and_header(self, tmp_path, capsys):
+        p = tmp_path / "empty.csv"
+        p.write_text("")
+        assert main(["fit-rate", str(p), "t"]) == 1
+        err = capsys.readouterr().err
+        assert str(p) in err and ",".join(CSV_COLUMNS) in err
+
     def test_run_missing_config_exits_1(self, capsys):
         assert main(["run", "missing.cfg"]) == 1
         assert "error:" in capsys.readouterr().err
@@ -356,6 +373,20 @@ class TestCli:
         assert line.startswith("FAIL max|d| <= 1 + slack: ") and line.endswith("<= 0.5")
         assert out[-1] == "passed: False"
         assert (out_dir / "manifest.txt").read_text().splitlines() == out
+
+    def test_run_divergence_check_fails_without_projection(self, tmp_path, capsys, monkeypatch):
+        # with v^{n+1} = u* the velocity keeps the divergence of its predictor
+        cfg = tmp_path / "demo.cfg"
+        cfg.write_text(CONFIG_OK)
+        assert main(["run", str(cfg), "--out", str(tmp_path / "ok")]) == 0
+        line = next(s for s in capsys.readouterr().out.splitlines() if "div v" in s)
+        assert line.startswith("PASS div v after projection")
+        zero_pressure = lambda u: (u, ScalarField2D(u.grid, np.zeros(u.grid.shape)))
+        monkeypatch.setattr(dynamics, "project_divergence_free", zero_pressure)
+        assert main(["run", str(cfg), "--out", str(tmp_path / "skipped")]) == 2
+        out = capsys.readouterr().out.splitlines()
+        assert next(s for s in out if "div v" in s).startswith("FAIL div v after projection")
+        assert out[-1] == "passed: False"
 
     def test_minimizer_family_defaults_refused_up_front(self, tmp_path, capsys):
         # with the family's own a_h = 0.3 the trace shift alone lies farther

@@ -6,9 +6,11 @@ constructions run inside ``step`` and how many dense sine transforms it
 makes.  Each per-step quantity is computed once: the stencils
 of a new director feed the elastic stress, its energy record and the next
 step's advection, and fields derived from checked data are not re-checked.
-With a moving trace, the lifting update stays in the sine basis and builds
-d_E, d_P, dt d_P and dt d_E only for the states that are sampled; the
-director solve reads d_E by its sine coefficients.
+No stencil is applied to a lifting: the samples take lap d_E = 0 and
+lap d_P = dt d_P from the scheme.  With a moving trace, the lifting update
+stays in the sine basis and builds d_E, dt d_P and dt d_E only for the
+states that are sampled, and d_P never; the director solve reads d_E by its
+sine coefficients.
 """
 
 from nematicflow import diagnostics, dynamics, grid, lifting, linsolve
@@ -71,9 +73,8 @@ def test_energy_law_step_computes_each_quantity_once(monkeypatch):
     # one evaluation per step and its sample, plus the initial sample
     for name in STENCILS:
         assert on_directors(name) <= N_STEPS + 1, (name, on_directors(name))
-    # lap d_E of the static trace: once per run
-    d_e = s0.lifting.dE.data
-    assert sum(a is d_e for a in args["row_lap"]) == 1
+    # and only on directors: lap d_E = 0 is taken from the scheme, not formed
+    assert on_directors("row_lap") == len(args["row_lap"])
     assert validated_in_step == []
 
 
@@ -137,9 +138,11 @@ def test_decay_step_solves_twice_and_builds_liftings_only_at_samples(monkeypatch
 
     assert calls["step heat"] == 2 * N_STEPS  # the director and the velocity
     assert calls["lifting solves"] == []
+    # a sample reads d_E, dt d_P and dt d_E; d_P only through lap d_P = dt d_P
     for s in stepped:
-        built = [isinstance(vars(s.lifting)[name], VectorField2D) for name in LAZY_FIELDS]
-        assert built == [any(s is x for x in sampled)] * len(LAZY_FIELDS), s.t
+        built = {name: isinstance(vars(s.lifting)[name], VectorField2D) for name in LAZY_FIELDS}
+        at_sample = any(s is x for x in sampled)
+        assert built == {"dE": at_sample, "dP": False, "dt_dP": at_sample, "dt_dE": at_sample}, s.t
 
 
 def test_moving_trace_step_makes_two_dense_transform_pairs(monkeypatch):
