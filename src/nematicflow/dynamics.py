@@ -381,9 +381,10 @@ def make_divergence_free_velocity(grid: Grid, seed: int, amplitude: float) -> Ve
     analytic profile vanishes there already up to truncation).
     """
     zeta = random_sine_series(grid, np.random.default_rng(seed), 3)
-    X, Y = grid.mesh()
-    xn, yn = X / grid.lx, Y / grid.ly
-    zeta *= (xn * (1 - xn) * yn * (1 - yn)) ** 2  # flatten near the walls
+    xn, yn = grid.xs() / grid.lx, grid.ys() / grid.ly
+    # flatten near the walls: ((xn (1 - xn)) yn) (1 - yn), the product a mesh
+    # would form, from the 1-D coordinates
+    zeta *= ((xn * (1 - xn))[:, None] * yn[None, :] * (1 - yn)[None, :]) ** 2
     v = np.zeros((2, *grid.shape))
     v[0] = _ddy(zeta, grid.hy)
     v[1] = -_ddx(zeta, grid.hx)

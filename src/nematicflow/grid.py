@@ -422,12 +422,17 @@ def random_sine_series(grid: Grid, rng: np.random.Generator, modes: int) -> np.n
     """sum_{kx, ky <= modes} c sin(pi kx x/lx) sin(pi ky y/ly), c ~ N(0, 1)/(kx^2 + ky^2).
 
     A smooth scalar with zero ring values; coefficients are drawn kx-major.
+    The sines are evaluated once per mode on the 1-D coordinates x/lx and
+    y/ly, 2 * modes calls in all, and each term is their outer product: the
+    same products in the same order as on a mesh, so bit for bit the sum a
+    mesh evaluation gives.
     """
-    X, Y = grid.mesh()
-    xn, yn = X / grid.lx, Y / grid.ly
+    xn, yn = grid.xs() / grid.lx, grid.ys() / grid.ly
+    sx = [np.sin(np.pi * k * xn) for k in range(1, modes + 1)]
+    sy = [np.sin(np.pi * k * yn) for k in range(1, modes + 1)]
     out = np.zeros(grid.shape)
     for kx in range(1, modes + 1):
         for ky in range(1, modes + 1):
             c = rng.standard_normal() / (kx**2 + ky**2)
-            out += c * np.sin(np.pi * kx * xn) * np.sin(np.pi * ky * yn)
+            out += (c * sx[kx - 1])[:, None] * sy[ky - 1][None, :]
     return out

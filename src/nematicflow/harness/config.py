@@ -18,7 +18,9 @@ missing key takes that field's default, which is written there alone; the
 defaults of the last two sections are in parentheses.
 
 Unknown sections or keys are errors: configs are contracts, not suggestions.
-Every float must be finite, and a refused value is named by its key.
+Every float must be finite, and a refused value is named by its key.  A
+negative max_abs_d_slack (a bound below |h| = 1, which the ring meets) and a
+dedpt_tol of 0 or less are refused, as no run could pass them.
 """
 
 from __future__ import annotations
@@ -112,6 +114,16 @@ def parse_config(path: str | Path) -> ParsedConfig:
     params = values.get("params", {})
     if "lambda" in params:
         params["lam"] = params.pop("lambda")
+    tolerances = values.get("tolerances", {})
+    for key, bad, need in (
+        ("max_abs_d_slack", lambda x: x < 0, "at least 0"),
+        ("dedpt_tol", lambda x: x <= 0, "positive"),
+    ):
+        if key in tolerances and bad(tolerances[key]):
+            raise ConfigError(
+                f"key '{key}' in section [tolerances] must be {need}, got {tolerances[key]:g}"
+            )
+
     fields = {**values.get("grid", {}), **values.get("forcing", {}), **values.get("run", {})}
     try:
         scenario = Scenario(**{"name": "run", **fields}, params=PhysParams(**params))
@@ -120,6 +132,6 @@ def parse_config(path: str | Path) -> ParsedConfig:
 
     return ParsedConfig(
         scenario=scenario,
-        tolerances=values.get("tolerances", {}),
+        tolerances=tolerances,
         majorant=values.get("majorant", {}),
     )

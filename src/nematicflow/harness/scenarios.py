@@ -82,7 +82,7 @@ class Scenario:
         if self.family not in FAMILIES:
             raise ValueError(f"unknown forcing family {self.family!r}")
         # refused here, before any solve, and named by their config keys
-        for key, low in (("nx", 8), ("ny", 8), ("seed", 0)):
+        for key, low in (("nx", 8), ("ny", 8), ("seed", 0), ("v0_amplitude", 0)):
             if getattr(self, key) < low:
                 raise ValueError(f"{key} must be at least {low}, got {getattr(self, key)}")
         positive = ["lx", "ly", "t_end", "sample_every"] + (["dt"] if self.dt is not None else [])
@@ -217,11 +217,13 @@ def _clip_unit_ball(d: np.ndarray) -> np.ndarray:
 def reference_equilibrium(sc: Scenario, forcing: Forcing) -> Equilibrium:
     """Steady state for the asymptotic trace, shared by reports and presets:
     the relaxation brings the lift into Newton's basin, Newton reaches a
-    residual of 1e-11."""
-    lift = harmonic_extension(forcing.h_inf)
-    lift = VectorField2D(lift.grid, _clip_unit_ball(lift.data))
-    set_ring(lift.data, forcing.h_inf.values)
-    eq = solve_gradient_flow(forcing.h_inf, lift, sc.params, tol=NEWTON_BASIN)
+    residual of 1e-11.  The lift, the one harmonic extension of h_inf that
+    set-up makes, also starts the relaxation (clipped to the unit ball) and
+    stays on the result as its ``d_star_E``."""
+    d_star_E = harmonic_extension(forcing.h_inf)
+    start = VectorField2D(d_star_E.grid, _clip_unit_ball(d_star_E.data))
+    set_ring(start.data, forcing.h_inf.values)
+    eq = solve_gradient_flow(d_star_E, start, sc.params, tol=NEWTON_BASIN)
     return newton_refine(eq, sc.params, tol=1e-11)
 
 
@@ -261,8 +263,7 @@ def _perturbed_minimizer_director(
     rng = np.random.default_rng(sc.seed + 2)
     h0 = forcing.boundary(0.0)
     lift0 = harmonic_extension(BoundaryTrace(grid, h0))
-    lift_inf = harmonic_extension(forcing.h_inf)
-    shift = lift0.data - lift_inf.data
+    shift = lift0.data - reference.d_star_E.data
     bump = np.stack([_smooth_bump(grid, rng), _smooth_bump(grid, rng)])
 
     def director(amp: float) -> tuple[np.ndarray, float]:

@@ -39,22 +39,22 @@ of J among them.  The functions read these constants at call time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .diagnostics import edge_seminorm_sq
 from .grid import (
-    BoundaryTrace,
     Grid,
     VectorField2D,
     bulk_potential_F,
+    extract_ring,
     integrate,
     interior_lap,
     random_sine_series,
 )
 from .dynamics import PhysParams
-from .linsolve import EPS, harmonic_extension, heat_solve_interior
+from .linsolve import EPS, heat_solve_interior
 
 # Corrections with neither a new smallest residual nor a new lowest energy
 # after which the relaxation stops (at the rounding floor the iterate only
@@ -84,7 +84,16 @@ class DegenerateCriticalPointError(RuntimeError):
 
 @dataclass
 class Equilibrium:
+    """A stationary state psi with its residual and energies.
+
+    ``d_star_E`` is the harmonic extension of psi's trace h_inf, the shift
+    of script_E.  The relaxation takes it in, Newton passes it on and the
+    local-minimizer check reads it, so a set-up extends h_inf once for its
+    start, its energies and every later reader of the reference.
+    """
+
     psi: VectorField2D
+    d_star_E: VectorField2D
     residual: float
     energy_E: float
     energy_script: float
@@ -121,26 +130,29 @@ def _make_equilibrium(
     params: PhysParams,
     converged: bool,
     iterations: int,
-    h_inf: BoundaryTrace,
+    d_star_E: VectorField2D,
 ) -> Equilibrium:
-    d_star = harmonic_extension(h_inf)
     return Equilibrium(
         psi=psi,
+        d_star_E=d_star_E,
         residual=stationary_residual(psi, params.eps),
         energy_E=energy_E(psi, params.eps),
-        energy_script=energy_script(psi, d_star, params.eps),
+        energy_script=energy_script(psi, d_star_E, params.eps),
         converged=converged,
         iterations=iterations,
     )
 
 
 def solve_gradient_flow(
-    h_inf: BoundaryTrace,
+    d_star_E: VectorField2D,
     d_init: VectorField2D,
     params: PhysParams,
     tol: float = 1e-8,
 ) -> Equilibrium:
     """Relax -lap d + f(d) = 0 with frozen trace until the residual meets tol.
+
+    ``d_star_E`` is the harmonic extension of the trace h_inf to hold, which
+    ``d_init`` must carry; the result keeps it as its ``d_star_E``.
 
     Each correction is one stabilized implicit step of infinite length (module
     docstring).  The residual is checked after every correction; the iterate
@@ -152,7 +164,7 @@ def solve_gradient_flow(
     if tol <= 0:
         raise ValueError("tol must be positive")
     g = d_init.grid
-    if np.max(np.abs(BoundaryTrace.from_field(d_init).values - h_inf.values)) > 1e-10:
+    if np.max(np.abs(extract_ring(d_init.data) - extract_ring(d_star_E.data))) > 1e-10:
         raise ValueError("d_init trace must equal h_inf")
 
     stab = 1.0 / params.eps**2
@@ -173,20 +185,23 @@ def solve_gradient_flow(
             break
         d[:, 1:-1, 1:-1] -= heat_solve_interior(g, r / stab, 1.0 / stab)
         it += 1
-    return _make_equilibrium(VectorField2D(g, best), params, best_res <= tol, it, h_inf)
+    return _make_equilibrium(VectorField2D(g, best), params, best_res <= tol, it, d_star_E)
 
 
 def _linearization(grid: Grid, d: np.ndarray, eps: float):
     """w -> (-lap_h + f'(psi)) w on (2, mx, my) interior arrays with zero trace.
 
     f'(psi) w = ((|psi|^2 - 1) w + 2 (psi . w) psi) / eps^2, the pointwise 2x2
-    block of the penalization; the operator is symmetric.
+    block of the penalization; the operator is symmetric.  Each application
+    writes w into the interior of one buffer whose zero ring is made once per
+    linearization, and the stencil reads it there.
     """
     c = d[:, 1:-1, 1:-1]
     sq = c[0] ** 2 + c[1] ** 2 - 1.0
+    ring = np.zeros_like(d)
 
     def apply(w: np.ndarray) -> np.ndarray:
-        ring = np.pad(w, ((0, 0), (1, 1), (1, 1)))
+        ring[:, 1:-1, 1:-1] = w
         pointwise = (sq * w + 2.0 * (c[0] * w[0] + c[1] * w[1]) * c) / eps**2
         return pointwise - interior_lap(ring, grid.hx, grid.hy)
 
@@ -257,14 +272,15 @@ def newton_refine(
     """Newton iteration on -lap psi + f(psi) = 0 with the trace held fixed,
     from a residual below ``NEWTON_BASIN``, for at most ``NEWTON_MAX_ITER``
     steps; each step solves the linearization by preconditioned MINRES, and a
-    singular linearization raises ``DegenerateCriticalPointError``."""
+    singular linearization raises ``DegenerateCriticalPointError``.  From a
+    residual already at ``tol`` it takes no step, and the result keeps e's
+    residual and energies instead of evaluating them again."""
     if e.residual > NEWTON_BASIN:
         raise ValueError(
             f"residual {e.residual:.3g} too large for Newton (limit {NEWTON_BASIN:.3g})"
         )
     g = e.psi.grid
     d = e.psi.data.copy()
-    h_inf = BoundaryTrace.from_field(e.psi)
     stab = 1.0 / params.eps**2
 
     def precondition(r: np.ndarray) -> np.ndarray:
@@ -277,8 +293,10 @@ def newton_refine(
         d[:, 1:-1, 1:-1] += _minres(_linearization(g, d, params.eps), precondition, -r)
         res = stationary_residual(VectorField2D(g, d), params.eps)
         it += 1
+    if it == 0:  # psi unchanged: e's residual and energies stand
+        return replace(e, psi=VectorField2D(g, d), converged=res <= tol)
     return _make_equilibrium(
-        VectorField2D(g, d), params, res <= tol, e.iterations + it, h_inf
+        VectorField2D(g, d), params, res <= tol, e.iterations + it, e.d_star_E
     )
 
 
@@ -305,8 +323,7 @@ def local_minimizer_check(
     if not e.converged:
         raise ValueError("equilibrium must be converged before probing")
     g = e.psi.grid
-    d_star = harmonic_extension(BoundaryTrace.from_field(e.psi))
-    base = energy_script(e.psi, d_star, params.eps)
+    base = energy_script(e.psi, e.d_star_E, params.eps)
     rng = np.random.default_rng(seed)
     jac = _linearization(g, e.psi.data, params.eps)
     cell = g.hx * g.hy
@@ -330,7 +347,7 @@ def local_minimizer_check(
         wint = w[:, 1:-1, 1:-1]
         ray = float(np.vdot(wint, jac(wint)) / np.vdot(wint, wint))
         min_rayleigh = min(min_rayleigh, ray)
-        gap = energy_script(VectorField2D(g, e.psi.data + w), d_star, params.eps) - base
+        gap = energy_script(VectorField2D(g, e.psi.data + w), e.d_star_E, params.eps) - base
         if gap < min_gap:
             min_gap = gap
             witness = VectorField2D(g, w)

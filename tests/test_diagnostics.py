@@ -354,7 +354,7 @@ class TestConvergenceReport:
         g = Grid(16, 16)
         trace = BoundaryTrace.constant(g, (1.0, 0.0))
         lift = harmonic_extension(trace)
-        eq = solve_gradient_flow(trace, lift, PhysParams(), tol=1e-11)
+        eq = solve_gradient_flow(harmonic_extension(trace), lift, PhysParams(), tol=1e-11)
         # a trajectory that never leaves the equilibrium: all distances zero
         recs = []
         for t in np.linspace(0, 5, 20):
@@ -373,7 +373,7 @@ class TestConvergenceReport:
 
         g = Grid(16, 16)
         trace = BoundaryTrace.constant(g, (1.0, 0.0))
-        eq = solve_gradient_flow(trace, harmonic_extension(trace), PhysParams(), tol=1e-8)
+        eq = solve_gradient_flow(harmonic_extension(trace), harmonic_extension(trace), PhysParams(), tol=1e-8)
         with pytest.raises(ValueError, match="nonempty"):
             convergence_report([], eq.psi, eq, RateModel.for_gamma(2.0))
 

@@ -272,7 +272,7 @@ class TestStep:
         for _ in range(int(6.0 / s.dt)):
             s = step(s)
             s = replace(s, v=zero_v)
-        eq = solve_gradient_flow(trace, d0, PhysParams(), tol=1e-5)
+        eq = solve_gradient_flow(harmonic_extension(trace), d0, PhysParams(), tol=1e-5)
         eq = newton_refine(eq, PhysParams(), tol=1e-12)
         dist = norms(VectorField2D(g, s.d.data - eq.psi.data), "L2")
         assert dist <= 1e-6

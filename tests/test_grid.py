@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from nematicflow.dynamics import make_divergence_free_velocity
 from nematicflow.grid import (
     BoundaryTrace,
     Grid,
@@ -19,6 +20,7 @@ from nematicflow.grid import (
     interior_dy,
     interior_lap,
     laplacian,
+    random_sine_series,
     row_dx,
     row_dy,
     row_lap,
@@ -377,3 +379,55 @@ class TestFieldContainers:
         g = Grid(8, 8)
         with pytest.raises(ValueError):
             BoundaryTrace(g, np.zeros((5, 2)))
+
+
+def _mesh_sine_series(grid, rng, modes):
+    """Oracle: the random sine series evaluated term by term on the full mesh."""
+    X, Y = grid.mesh()
+    xn, yn = X / grid.lx, Y / grid.ly
+    out = np.zeros(grid.shape)
+    for kx in range(1, modes + 1):
+        for ky in range(1, modes + 1):
+            c = rng.standard_normal() / (kx**2 + ky**2)
+            out += c * np.sin(np.pi * kx * xn) * np.sin(np.pi * ky * yn)
+    return out
+
+
+def _mesh_velocity(grid, seed, amplitude):
+    """Oracle: the stream-function velocity with its wall weight on the mesh."""
+    zeta = _mesh_sine_series(grid, np.random.default_rng(seed), 3)
+    X, Y = grid.mesh()
+    xn, yn = X / grid.lx, Y / grid.ly
+    zeta *= (xn * (1 - xn) * yn * (1 - yn)) ** 2
+    v = np.zeros((2, *grid.shape))
+    v[0] = _ddy(zeta, grid.hy)
+    v[1] = -_ddx(zeta, grid.hx)
+    set_ring(v, np.zeros((grid.n_boundary, 2)))
+    vmax = float(np.max(np.hypot(v[0], v[1])))
+    if vmax > 0:
+        v *= amplitude / vmax
+    return v
+
+
+ORACLE_GRIDS = [
+    Grid(8, 8), Grid(13, 21), Grid(24, 20, 1.0, 0.75), Grid(32, 32), Grid(17, 40, 2.0, 0.5),
+    Grid(64, 64), Grid(96, 130, 1.0, 1.3),
+]
+
+
+class TestRandomFieldsAgainstMesh:
+    """The separable random fields equal, bit for bit, their mesh evaluation."""
+
+    @pytest.mark.parametrize("grid", ORACLE_GRIDS, ids=lambda g: f"{g.nx}x{g.ny}")
+    @pytest.mark.parametrize("modes", [3, 4])
+    def test_random_sine_series(self, grid, modes):
+        for seed in (0, 1, 7, 123):
+            got = random_sine_series(grid, np.random.default_rng(seed), modes)
+            want = _mesh_sine_series(grid, np.random.default_rng(seed), modes)
+            assert np.array_equal(got, want), seed
+
+    @pytest.mark.parametrize("grid", ORACLE_GRIDS, ids=lambda g: f"{g.nx}x{g.ny}")
+    def test_velocity_wall_weight(self, grid):
+        for seed in (2, 3, 8):
+            got = make_divergence_free_velocity(grid, seed, 0.3).data
+            assert np.array_equal(got, _mesh_velocity(grid, seed, 0.3)), seed

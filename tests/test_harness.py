@@ -271,6 +271,10 @@ class TestConfig:
             ("lx", "[grid]\nlx = 0\n"),
             ("ly", "[grid]\nly = -1\n"),
             ("seed", "[run]\nseed = -1\n"),
+            ("v0_amplitude", "[run]\nv0_amplitude = -1\n"),
+            # the bound 1 + slack would lie below |h| = 1 on the ring
+            ("max_abs_d_slack", "[tolerances]\nmax_abs_d_slack = -1\n"),
+            ("dedpt_tol", "[tolerances]\ndedpt_tol = 0\n"),
         ],
     )
     def test_bad_run_key_refused_up_front(self, tmp_path, capsys, key, text):
@@ -362,15 +366,18 @@ class TestCli:
         assert (out_dir / "equilibrium.snap").exists()
 
     def test_run_max_principle_check_fails_exit_2(self, tmp_path, capsys):
-        # a negative slack puts the limit below every unit director: the
+        # at dt = 0.05 the explicit penalization step, 2 dt/eps^2 = 1.6 > 1,
+        # overshoots |d| = 1 (max|d| about 1.001), so a zero slack fails: the
         # check line reports FAIL and run exits 2, in stdout and manifest alike
+        text = CONFIG_OK.replace("dt = 5e-3", "dt = 0.05")
+        text = text.replace("sample_every = 4", "sample_every = 1")
         cfg = tmp_path / "demo.cfg"
-        cfg.write_text(CONFIG_OK + "\n[tolerances]\nmax_abs_d_slack = -0.5\n")
+        cfg.write_text(text + "\n[tolerances]\nmax_abs_d_slack = 0\n")
         out_dir = tmp_path / "out"
         assert main(["run", str(cfg), "--out", str(out_dir)]) == 2
         out = capsys.readouterr().out.splitlines()
         line = next(s for s in out if "max|d|" in s)
-        assert line.startswith("FAIL max|d| <= 1 + slack: ") and line.endswith("<= 0.5")
+        assert line.startswith("FAIL max|d| <= 1 + slack: 1.0") and line.endswith(" <= 1")
         assert out[-1] == "passed: False"
         assert (out_dir / "manifest.txt").read_text().splitlines() == out
 

@@ -58,7 +58,7 @@ class TestGradientFlow:
         g = Grid(16, 16)
         trace = BoundaryTrace.constant(g, (1.0, 0.0))
         d0 = unit_clipped_lift(trace)
-        eq = solve_gradient_flow(trace, d0, PhysParams(), tol=1e-10)
+        eq = solve_gradient_flow(harmonic_extension(trace), d0, PhysParams(), tol=1e-10)
         assert eq.converged
         assert eq.residual <= 1e-10
         assert abs(eq.energy_E) < 1e-12
@@ -69,7 +69,7 @@ class TestGradientFlow:
         trace = angle_trace(g)
         d0 = unit_clipped_lift(trace)
         hist = record_energies(monkeypatch)
-        eq = solve_gradient_flow(trace, d0, PhysParams(), tol=1e-8)
+        eq = solve_gradient_flow(harmonic_extension(trace), d0, PhysParams(), tol=1e-8)
         assert eq.converged
         e = np.array(hist[:-1])
         assert np.all(np.diff(e) <= 1e-10 * (1 + np.abs(e[:-1])))
@@ -79,7 +79,7 @@ class TestGradientFlow:
         trace = angle_trace(g)
         d0 = unit_clipped_lift(BoundaryTrace.constant(g, (1.0, 0.0)))
         with pytest.raises(ValueError, match="trace"):
-            solve_gradient_flow(trace, d0, PhysParams())
+            solve_gradient_flow(harmonic_extension(trace), d0, PhysParams())
 
     def test_residual_monotone_to_convergence(self, monkeypatch):
         # zero-winding boundary angle: the flow converges and the residual of
@@ -92,13 +92,13 @@ class TestGradientFlow:
         cur = d0
         monkeypatch.setattr(steady, "GRADIENT_FLOW_MAX_ITER", 2000)
         for _ in range(6):
-            eq = solve_gradient_flow(trace, cur, params, tol=1e-14)
+            eq = solve_gradient_flow(harmonic_extension(trace), cur, params, tol=1e-14)
             residuals.append(eq.residual)
             cur = eq.psi
         # monotone down to the roundoff floor of the residual evaluation
         assert all(b <= a + 1e-16 for a, b in zip(residuals[:-1], residuals[1:]))
         monkeypatch.setattr(steady, "GRADIENT_FLOW_MAX_ITER", 600_000)
-        eq = solve_gradient_flow(trace, cur, params, tol=1e-10)
+        eq = solve_gradient_flow(harmonic_extension(trace), cur, params, tol=1e-10)
         assert eq.converged
         assert eq.residual <= 1e-10
 
@@ -131,7 +131,7 @@ class TestReferenceRelaxation:
         # the relaxation alone reaches the reference tolerance in a
         # grid-independent number of corrections
         h_inf, d0, params = self.decay_start(nx, ny, ly)
-        flow = solve_gradient_flow(h_inf, d0, params, tol=1e-11)
+        flow = solve_gradient_flow(harmonic_extension(h_inf), d0, params, tol=1e-11)
         assert flow.converged
         assert flow.residual <= 1e-11
         assert flow.iterations <= 40
@@ -180,7 +180,7 @@ class TestReferenceRelaxation:
     def test_energy_non_increasing(self, monkeypatch):
         h_inf, d0, params = self.decay_start(64)
         hist = record_energies(monkeypatch)
-        eq = solve_gradient_flow(h_inf, d0, params, tol=1e-11)
+        eq = solve_gradient_flow(harmonic_extension(h_inf), d0, params, tol=1e-11)
         assert eq.converged
         assert hist[-1] == eq.energy_E
         e = np.array(hist[:-1])
@@ -197,7 +197,7 @@ class TestReferenceRelaxation:
             return seen[-1]
 
         monkeypatch.setattr(steady, "_defect_norm", recording)
-        eq = solve_gradient_flow(h_inf, d0, params, tol=1e-14)
+        eq = solve_gradient_flow(harmonic_extension(h_inf), d0, params, tol=1e-14)
         assert not eq.converged
         assert eq.iterations <= 100  # GRADIENT_FLOW_MAX_ITER is 400 000
         # the last value is the re-evaluation for the returned iterate
@@ -210,7 +210,7 @@ class TestNewton:
         g = Grid(16, 16)
         trace = BoundaryTrace.constant(g, (1.0, 0.0))
         d0 = unit_clipped_lift(trace)
-        eq = solve_gradient_flow(trace, d0, PhysParams(), tol=1e-12)
+        eq = solve_gradient_flow(harmonic_extension(trace), d0, PhysParams(), tol=1e-12)
         refined = newton_refine(eq, PhysParams(), tol=1e-12)
         assert np.max(np.abs(refined.psi.data - eq.psi.data)) < 1e-11
 
@@ -219,7 +219,7 @@ class TestNewton:
         trace = angle_trace(g, kappa=0.5)
         d0 = unit_clipped_lift(trace)
         params = PhysParams()
-        eq = solve_gradient_flow(trace, d0, params, tol=1e-4)
+        eq = solve_gradient_flow(harmonic_extension(trace), d0, params, tol=1e-4)
         res = [eq.residual]
         cur = eq
         monkeypatch.setattr(steady, "NEWTON_MAX_ITER", 1)
@@ -239,7 +239,7 @@ class TestNewton:
         trace = angle_trace(g)
         params = PhysParams(eps=1e6)
         d0 = unit_clipped_lift(trace)
-        eq = solve_gradient_flow(trace, d0, params, tol=1e-2)
+        eq = solve_gradient_flow(harmonic_extension(trace), d0, params, tol=1e-2)
         monkeypatch.setattr(steady, "NEWTON_MAX_ITER", 3)
         refined = newton_refine(eq, params, tol=1e-11)
         assert refined.converged
@@ -251,7 +251,7 @@ class TestNewton:
         trace = angle_trace(g)
         d0 = unit_clipped_lift(trace)
         monkeypatch.setattr(steady, "GRADIENT_FLOW_MAX_ITER", 1)
-        eq = solve_gradient_flow(trace, d0, PhysParams(), tol=1e-8)
+        eq = solve_gradient_flow(harmonic_extension(trace), d0, PhysParams(), tol=1e-8)
         assert not eq.converged
         monkeypatch.setattr(steady, "NEWTON_BASIN", 1e-9)  # read at call time
         with pytest.raises(ValueError, match="Newton"):
@@ -365,7 +365,7 @@ class TestEnergies:
         g = Grid(16, 16)
         trace = angle_trace(g)
         params = PhysParams()
-        eq = solve_gradient_flow(trace, unit_clipped_lift(trace), params, tol=1e-4)
+        eq = solve_gradient_flow(harmonic_extension(trace), unit_clipped_lift(trace), params, tol=1e-4)
         eq = newton_refine(eq, params, tol=1e-12)
         from nematicflow.grid import _lap_interior
 
@@ -391,7 +391,7 @@ class TestMinimizerCheck:
     def test_constant_unit_is_minimizer(self, monkeypatch):
         g = Grid(16, 16)
         trace = BoundaryTrace.constant(g, (1.0, 0.0))
-        eq = solve_gradient_flow(trace, unit_clipped_lift(trace), PhysParams(), tol=1e-11)
+        eq = solve_gradient_flow(harmonic_extension(trace), unit_clipped_lift(trace), PhysParams(), tol=1e-11)
         monkeypatch.setattr(steady, "MINIMIZER_PROBES", 24)
         verdict = local_minimizer_check(eq, PhysParams(), seed=0)
         assert verdict.kind == "minimizer-consistent"
@@ -407,7 +407,7 @@ class TestMinimizerCheck:
         psi = VectorField2D.zeros(g)
         from nematicflow.steady import _make_equilibrium
 
-        eq = _make_equilibrium(psi, params, True, 0, trace)
+        eq = _make_equilibrium(psi, params, True, 0, harmonic_extension(trace))
         assert eq.residual < 1e-14
         monkeypatch.setattr(steady, "MINIMIZER_PROBES", 16)
         verdict = local_minimizer_check(eq, params, seed=0)
@@ -419,7 +419,7 @@ class TestMinimizerCheck:
         g = Grid(16, 16)
         trace = angle_trace(g)
         monkeypatch.setattr(steady, "GRADIENT_FLOW_MAX_ITER", 1)
-        eq = solve_gradient_flow(trace, unit_clipped_lift(trace), PhysParams())
+        eq = solve_gradient_flow(harmonic_extension(trace), unit_clipped_lift(trace), PhysParams())
         with pytest.raises(ValueError, match="converged"):
             local_minimizer_check(eq, PhysParams())
 

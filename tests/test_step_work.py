@@ -11,11 +11,25 @@ lap d_P = dt d_P from the scheme.  With a moving trace, the lifting update
 stays in the sine basis and builds d_E, dt d_P and dt d_E only for the
 states that are sampled, and d_P never; the director solve reads d_E by its
 sine coefficients.
+
+Set-up is guarded the same way: it extends the asymptotic trace h_inf once,
+and that extension serves the relaxation's start, the equilibria's energies
+and the later readers of the reference; Newton's operator pads no array.
 """
 
-from nematicflow import diagnostics, dynamics, grid, lifting, linsolve
+import sys
+
+import numpy as np
+import pytest
+
+from nematicflow import diagnostics, dynamics, grid, lifting, linsolve, steady
 from nematicflow.grid import VectorField2D
-from nematicflow.harness.scenarios import Scenario, generate_scenario
+from nematicflow.harness.scenarios import (
+    Scenario,
+    generate_scenario,
+    make_forcing,
+    reference_equilibrium,
+)
 
 STENCILS = ("row_dx", "row_dy", "row_lap")
 N_STEPS = 10
@@ -172,3 +186,76 @@ def test_moving_trace_step_makes_two_dense_transform_pairs(monkeypatch):
         s = dynamics.step(s)
         stack = (2, sc.nx - 2, sc.ny - 2)
         assert sorted(calls) == [("from_sine", stack)] * 2 + [("sine_coefficients", stack)] * 2
+
+
+def _count_harmonic_extensions(monkeypatch) -> list:
+    """Patch every binding of ``harmonic_extension`` in the package; the list
+    collects the ring values of each trace extended."""
+    traces = []
+    original = linsolve.harmonic_extension
+
+    def counting(trace):
+        traces.append(trace.values.copy())
+        return original(trace)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "nematicflow" and getattr(module, "harmonic_extension", None) is original:
+            monkeypatch.setattr(module, "harmonic_extension", counting)
+    return traces
+
+
+@pytest.mark.parametrize("family", ["polynomial-decay", "minimizer-perturbation"])
+def test_setup_extends_the_asymptotic_trace_once(monkeypatch, family):
+    # one harmonic extension of h_inf starts the relaxation, gives both
+    # equilibria their script energy and serves every later reader of the
+    # reference: the perturbed minimizer's trace shift and the minimizer check
+    traces = _count_harmonic_extensions(monkeypatch)
+    sc = Scenario(name="setup", family=family, nx=16, ny=16, a_h=0.01, a_g=0.01, seed=1)
+    gen = generate_scenario(sc)
+    steady.local_minimizer_check(gen.reference, sc.params, seed=sc.seed)
+    h_inf = gen.forcing.h_inf.values
+    assert sum(np.array_equal(t, h_inf) for t in traces) == 1
+    # the minimizer family also lifts h(0) - h_inf, which is not h_inf
+    assert len(traces) == (2 if family == "minimizer-perturbation" else 1)
+
+
+def test_newton_operator_pads_nothing(monkeypatch):
+    # the linearization reads w through one zero-ring buffer, not a new pad
+    # per application
+    sc = Scenario(name="setup", family="polynomial-decay", nx=16, ny=12, ly=0.75, seed=1)
+    forcing = make_forcing(sc)
+    minres_calls = []
+    minres = steady._minres
+
+    def counting(*args):
+        minres_calls.append(1)
+        return minres(*args)
+
+    def no_pad(*args, **kwargs):
+        raise AssertionError("numpy.pad called")
+
+    monkeypatch.setattr(steady, "_minres", counting)
+    monkeypatch.setattr(np, "pad", no_pad)
+    eq = reference_equilibrium(sc, forcing)
+    verdict = steady.local_minimizer_check(eq, sc.params, seed=sc.seed)
+    assert eq.converged and minres_calls
+    assert verdict.kind == "minimizer-consistent"
+
+
+def test_newton_at_tolerance_evaluates_nothing_again(monkeypatch):
+    # a constant trace: the lift is the equilibrium to rounding, so Newton
+    # takes no step and keeps the relaxation's residual and energies
+    sc = Scenario(name="energy-law", family="autonomous", nx=16, ny=16, kappa=0.0, seed=1)
+    forcing = make_forcing(sc)
+    defects = []
+    defect = steady._stationary_defect
+
+    def counting(*args):
+        defects.append(1)
+        return defect(*args)
+
+    monkeypatch.setattr(steady, "_stationary_defect", counting)
+    eq = reference_equilibrium(sc, forcing)
+    assert eq.converged and eq.iterations == 0
+    # the relaxation's one evaluation and its equilibrium's residual
+    assert len(defects) == 2
