@@ -26,6 +26,9 @@ One step of the splitting scheme:
      elastic coupling evaluated on the *new* director;
   4. exact discrete projection onto divergence-free fields.
 
+The autonomous datum h(t) = h_inf is given to ``Forcing`` as a ``BoundaryTrace``,
+a static trace: step 1 then only moves the liftings' clock.
+
 Diffusion is backward Euler throughout, so stability is limited only by the
 explicit advection (CFL warning) and the penalization scale dt/eps^2.
 """
@@ -56,7 +59,7 @@ from .grid import (
     trusted_field,
 )
 from .lifting import LiftingState, init_lifting, parabolic_lift_step
-from .linsolve import SolverError, heat_solve_interior, project_divergence_free, with_trace
+from .linsolve import heat_solve_interior, project_divergence_free, with_trace
 
 logger = logging.getLogger(__name__)
 
@@ -83,15 +86,16 @@ class PhysParams:
 class Forcing:
     """Boundary data h(t) and body force g(t) driving the system.
 
-    ``boundary_values`` maps t to CCW ring values (nb, 2) with |h| <= 1;
-    ``body_force_values`` maps t to (2, nx, ny) arrays or None.  ``h_inf``
-    is the asymptotic trace.
+    ``boundary`` is a ``BoundaryTrace``, the autonomous datum h(t) = h_inf,
+    or a function mapping t to CCW ring values (nb, 2) with |h| <= 1, whose
+    asymptotic trace ``h_inf`` defaults to h(0).  A trace is its own h_inf,
+    and one given beside it is refused.  ``body_force_values`` maps t to
+    (2, nx, ny) arrays or None.
 
-    ``static_trace`` marks data whose boundary values never move: the
-    liftings then stay frozen at their initial harmonic extension (exact, not
-    an approximation), and dt d_E is zero.  ``director_source_values``
-    injects an extra source into the director equation; it exists for
-    manufactured-solution tests.
+    ``static_trace`` is set for a trace: the liftings then stay frozen at
+    their initial harmonic extension (exact, not an approximation), and
+    dt d_E is zero.  ``director_source_values`` injects an extra source into
+    the director equation; it exists for manufactured-solution tests.
     ``boundary_rate`` is the analytic h_t when known (read by the hypothesis
     checker).  ``boundary(t)`` refuses a shape other than (nb, 2),
     non-finite values and |h| > 1, and ``body_force(t)`` non-finite values,
@@ -104,20 +108,22 @@ class Forcing:
     def __init__(
         self,
         grid: Grid,
-        boundary_values: Callable[[float], np.ndarray],
+        boundary: BoundaryTrace | Callable[[float], np.ndarray],
         body_force_values: Callable[[float], np.ndarray] | None = None,
         h_inf: BoundaryTrace | None = None,
-        static_trace: bool = False,
         director_source_values: Callable[[float], np.ndarray] | None = None,
         boundary_rate: Callable[[float], np.ndarray] | None = None,
     ):
         self.grid = grid
-        self._boundary = boundary_values
+        self.static_trace = isinstance(boundary, BoundaryTrace)
+        if self.static_trace:
+            if h_inf is not None:
+                raise ValueError("a BoundaryTrace is its own h_inf; pass no h_inf beside it")
+            h_inf = boundary
+        self._boundary = (lambda t: boundary.values) if self.static_trace else boundary
         self._body = body_force_values
-        self._last_body: tuple[float, VectorField2D] | None = None
         self._director_source = director_source_values
         self.boundary_rate = boundary_rate
-        self.static_trace = static_trace
         h0 = self.boundary(0.0)
         self.h_inf = h_inf if h_inf is not None else BoundaryTrace(grid, h0)
 
@@ -135,31 +141,17 @@ class Forcing:
         return vals
 
     def body_force(self, t: float) -> VectorField2D | None:
-        """g(t) as a read-only field; the last t asked for is answered from a
-        one-slot memo, so the step and its sample call ``body_force_values`` once."""
         if self._body is None:
             return None
-        last = self._last_body
-        if last is not None and last[0] == t:
-            return last[1]
         try:
-            field = VectorField2D(self.grid, self._body(t))
+            return VectorField2D(self.grid, self._body(t))
         except ValueError as exc:
             raise ValueError(f"body force at t={t:.6g}: {exc}") from exc
-        field.data = field.data.view()  # read-only view; the caller's array stays as it was
-        field.data.flags.writeable = False
-        self._last_body = (t, field)
-        return field
 
     def director_source(self, t: float) -> np.ndarray | None:
         if self._director_source is None:
             return None
         return np.asarray(self._director_source(t), dtype=float)
-
-    @classmethod
-    def autonomous_trace(cls, grid: Grid, trace: BoundaryTrace) -> "Forcing":
-        vals = trace.values.copy()
-        return cls(grid, lambda t: vals, h_inf=trace, static_trace=True)
 
 
 @dataclass(frozen=True)
@@ -307,10 +299,9 @@ def run(
 
     With each record it samples the series the higher-order checks read:
     ``aux`` holds |dt d_P|, |grad lap d_P| (both 0 on a static trace) and |g|.
-    Aborts with the last good state if a step fails (including a linear solve
-    that misses its tolerance, or forcing data that is not finite) or the
-    fields stop being finite.  That check after every step stands in for the
-    validation the step skips on the fields it derives.
+    Aborts with the last good state if a step fails (forcing data that is not
+    finite, say) or the fields stop being finite.  That check after every
+    step stands in for the validation the step skips on the fields it derives.
     """
     if t_end <= s0.t:
         raise ValueError("t_end must exceed the initial time")
@@ -341,10 +332,6 @@ def run(
             s_next = step(s)
         except (ValueError, FloatingPointError) as exc:
             aborted, reason = True, f"step failed at t={s.t:.6g}: {exc}"
-            break
-        except SolverError as exc:
-            aborted = True
-            reason = f"step failed at t={s.t:.6g}: SolverError: {exc} (residual {exc.residual:.6g})"
             break
         # one pass each: the CFL number carries any NaN or infinity of v, and
         # the squared norm of d any of d

@@ -15,12 +15,14 @@ Sections and keys (all optional):
 Every [grid], [forcing] and [run] key is the ``Scenario`` field of that name,
 and every [params] key the ``PhysParams`` field (``lam`` for lambda).  A
 missing key takes that field's default, which is written there alone; the
-defaults of the last two sections are in parentheses.
+defaults of the last two sections are in parentheses.  Without [run] dt,
+``nematicflow lifting-check`` takes dt = 0.01 (``cli._cmd_lifting_check``).
 
 Unknown sections or keys are errors: configs are contracts, not suggestions.
 Every float must be finite, and a refused value is named by its key.  A
 negative max_abs_d_slack (a bound below |h| = 1, which the ring meets) and a
-dedpt_tol of 0 or less are refused, as no run could pass them.
+dedpt_tol of 0 or less are refused, as no run could pass them, and so are a
+negative r3_const (R3 >= 0) and a t_horizon of 0 or less.
 """
 
 from __future__ import annotations
@@ -114,15 +116,15 @@ def parse_config(path: str | Path) -> ParsedConfig:
     params = values.get("params", {})
     if "lambda" in params:
         params["lam"] = params.pop("lambda")
-    tolerances = values.get("tolerances", {})
-    for key, bad, need in (
-        ("max_abs_d_slack", lambda x: x < 0, "at least 0"),
-        ("dedpt_tol", lambda x: x <= 0, "positive"),
+    for section, key, bad, need in (
+        ("tolerances", "max_abs_d_slack", lambda x: x < 0, "at least 0"),
+        ("tolerances", "dedpt_tol", lambda x: x <= 0, "positive"),
+        ("majorant", "r3_const", lambda x: x < 0, "at least 0"),
+        ("majorant", "t_horizon", lambda x: x <= 0, "positive"),
     ):
-        if key in tolerances and bad(tolerances[key]):
-            raise ConfigError(
-                f"key '{key}' in section [tolerances] must be {need}, got {tolerances[key]:g}"
-            )
+        value = values.get(section, {}).get(key)
+        if value is not None and bad(value):
+            raise ConfigError(f"key '{key}' in section [{section}] must be {need}, got {value:g}")
 
     fields = {**values.get("grid", {}), **values.get("forcing", {}), **values.get("run", {})}
     try:
@@ -132,6 +134,6 @@ def parse_config(path: str | Path) -> ParsedConfig:
 
     return ParsedConfig(
         scenario=scenario,
-        tolerances=tolerances,
+        tolerances=values.get("tolerances", {}),
         majorant=values.get("majorant", {}),
     )

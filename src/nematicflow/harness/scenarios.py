@@ -143,11 +143,12 @@ def _angle_functions(sc: Scenario, grid: Grid):
 def _body_force(sc: Scenario, grid: Grid):
     if sc.a_g == 0.0:
         return None
-    X, Y = grid.mesh()
+    # separable: outer products of 1-D sines, each evaluated as on the mesh
+    xs, ys = grid.xs(), grid.ys()
     g0 = np.stack(
         [
-            np.sin(2.0 * np.pi * X / grid.lx) * np.sin(np.pi * Y / grid.ly),
-            np.sin(np.pi * X / grid.lx) * np.sin(2.0 * np.pi * Y / grid.ly),
+            np.outer(np.sin(2.0 * np.pi * xs / grid.lx), np.sin(np.pi * ys / grid.ly)),
+            np.outer(np.sin(np.pi * xs / grid.lx), np.sin(2.0 * np.pi * ys / grid.ly)),
         ]
     )
     a_g, gamma = sc.a_g, sc.gamma
@@ -168,7 +169,7 @@ def make_forcing(sc: Scenario) -> Forcing:
         )
     h, h_t, h_inf = _angle_functions(sc, grid)
     if sc.family == "autonomous":
-        return Forcing.autonomous_trace(grid, BoundaryTrace(grid, h(0.0)))
+        return Forcing(grid, BoundaryTrace(grid, h(0.0)))
     return Forcing(
         grid,
         h,

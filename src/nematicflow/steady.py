@@ -131,12 +131,14 @@ def _make_equilibrium(
     converged: bool,
     iterations: int,
     d_star_E: VectorField2D,
+    residual: float,
+    energy: float,
 ) -> Equilibrium:
     return Equilibrium(
         psi=psi,
         d_star_E=d_star_E,
-        residual=stationary_residual(psi, params.eps),
-        energy_E=energy_E(psi, params.eps),
+        residual=residual,
+        energy_E=energy,
         energy_script=energy_script(psi, d_star_E, params.eps),
         converged=converged,
         iterations=iterations,
@@ -156,10 +158,10 @@ def solve_gradient_flow(
 
     Each correction is one stabilized implicit step of infinite length (module
     docstring).  The residual is checked after every correction; the iterate
-    with the smallest one is returned, and the loop stops early once
-    ``STALL_ITERATIONS`` corrections in a row bring neither a new smallest
-    residual nor a new lowest energy.  ``iterations`` counts the corrections
-    made.
+    with the smallest one is returned with the residual and E the loop gave
+    it, and the loop stops early once ``STALL_ITERATIONS`` corrections in a
+    row bring neither a new smallest residual nor a new lowest energy.
+    ``iterations`` counts the corrections made.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -169,7 +171,7 @@ def solve_gradient_flow(
 
     stab = 1.0 / params.eps**2
     d = d_init.data.copy()
-    best, best_res, low_energy = d.copy(), np.inf, np.inf
+    best, best_res, best_energy, low_energy = d.copy(), np.inf, np.inf, np.inf
     it = stalled = 0
     while True:
         r = _stationary_defect(g, d, params.eps)
@@ -178,14 +180,16 @@ def solve_gradient_flow(
         stalled += 1
         if res < best_res:
             best[...] = d
-            best_res, stalled = res, 0
+            best_res, best_energy, stalled = res, energy, 0
         if energy < low_energy:
             low_energy, stalled = energy, 0
         if best_res <= tol or it >= GRADIENT_FLOW_MAX_ITER or stalled >= STALL_ITERATIONS:
             break
         d[:, 1:-1, 1:-1] -= heat_solve_interior(g, r / stab, 1.0 / stab)
         it += 1
-    return _make_equilibrium(VectorField2D(g, best), params, best_res <= tol, it, d_star_E)
+    return _make_equilibrium(
+        VectorField2D(g, best), params, best_res <= tol, it, d_star_E, best_res, best_energy
+    )
 
 
 def _linearization(grid: Grid, d: np.ndarray, eps: float):
@@ -295,8 +299,9 @@ def newton_refine(
         it += 1
     if it == 0:  # psi unchanged: e's residual and energies stand
         return replace(e, psi=VectorField2D(g, d), converged=res <= tol)
+    psi = VectorField2D(g, d)
     return _make_equilibrium(
-        VectorField2D(g, d), params, res <= tol, e.iterations + it, e.d_star_E
+        psi, params, res <= tol, e.iterations + it, e.d_star_E, res, energy_E(psi, params.eps)
     )
 
 

@@ -154,7 +154,7 @@ def make_state(amplitude=0.4, velocity=0.2, grid_n=16):
     from nematicflow.dynamics import make_divergence_free_velocity
 
     g = Grid(grid_n, grid_n)
-    forcing = Forcing.autonomous_trace(g, BoundaryTrace.constant(g, (1.0, 0.0)))
+    forcing = Forcing(g, BoundaryTrace.constant(g, (1.0, 0.0)))
     X, Y = g.mesh()
     chi = amplitude * 16 * X * (1 - X) * Y * (1 - Y)
     d0 = VectorField2D(g, np.stack([np.cos(chi), np.sin(chi)]))
@@ -188,7 +188,7 @@ class TestEnergyRecord:
         s_arc = boundary_arclength(g) / 4.0
         phi = 0.5 * np.sin(2 * np.pi * s_arc)
         trace = BoundaryTrace(g, np.stack([np.cos(phi), np.sin(phi)], axis=1))
-        forcing = Forcing.autonomous_trace(g, trace)
+        forcing = Forcing(g, trace)
         d0 = harmonic_extension(trace)
         for k in range(2):
             set_ring(d0.data[k], trace.values[:, k])

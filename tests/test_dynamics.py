@@ -30,7 +30,7 @@ from nematicflow.grid import (
 
 
 def constant_forcing(grid, vec=(1.0, 0.0)):
-    return Forcing.autonomous_trace(grid, BoundaryTrace.constant(grid, vec))
+    return Forcing(grid, BoundaryTrace.constant(grid, vec))
 
 
 def bump_director(grid, forcing, amplitude=0.5):
@@ -125,51 +125,53 @@ class TestForcing:
         with pytest.raises(ValueError, match="body force at t=0.75: .*non-finite"):
             forcing.body_force(0.75)
 
-    def test_static_trace_checked_once_at_construction(self):
+    def test_trace_is_static_and_its_own_h_inf(self):
         g = Grid(8, 8)
+        s_arc = np.arange(g.n_boundary) / g.n_boundary
+        phi = 0.4 * np.sin(2 * np.pi * s_arc)
+        trace = BoundaryTrace(g, np.stack([np.cos(phi), np.sin(phi)], axis=1))
+        forcing = Forcing(g, trace)
+        assert forcing.static_trace and forcing.h_inf is trace
+        for t in (0.0, 1e-3, 0.37, 1e6):
+            assert forcing.boundary(t).tobytes() == trace.values.tobytes()
+        assert not Forcing(g, lambda t: trace.values).static_trace
         with pytest.raises(ValueError, match="exceeds 1 at t=0"):
-            Forcing.autonomous_trace(g, BoundaryTrace.constant(g, (1.5, 0.0)))
+            Forcing(g, BoundaryTrace.constant(g, (1.5, 0.0)))
+        with pytest.raises(ValueError, match="its own h_inf"):
+            Forcing(g, trace, h_inf=trace)
 
-        trace = BoundaryTrace.constant(g, (1.0, 0.0))
-        reads = []
-
-        def h(t):
-            reads.append(t)
-            return trace.values
-
-        forcing = Forcing(g, h, static_trace=True)
-        assert reads == [0.0]
+    def test_static_trace_checked_once_at_construction(self, monkeypatch):
+        g = Grid(8, 8)
+        forcing = constant_forcing(g)
         d0 = bump_director(g, forcing, amplitude=0.2)
         s = init(VectorField2D.zeros(g), d0, forcing, PhysParams(), dt=1e-3)
-        n_reads = len(reads)
+        reads = []
+        boundary = forcing.boundary
+
+        def counting(t):
+            reads.append(t)
+            return boundary(t)
+
+        monkeypatch.setattr(forcing, "boundary", counting)
         summary = run(s, t_end=10 * s.dt, sample_every=1)
-        assert summary.n_steps == 10
-        assert len(reads) == n_reads  # the step loop never re-reads a static trace
+        assert summary.n_steps == 10 and not summary.aborted
+        assert reads == []  # neither the step nor the sample reads a static trace
 
-
-    def test_body_force_evaluated_once_per_time(self, monkeypatch):
+    def test_body_force_is_the_callable_at_each_time(self):
+        from nematicflow.diagnostics import _l2_sq
         from nematicflow.harness.scenarios import Scenario, generate_scenario
 
-        sc = Scenario(name="x", family="polynomial-decay", nx=16, ny=16, dt=2.5e-3,
-                      sample_every=5, seed=1)
+        sc = Scenario(name="x", family="polynomial-decay", nx=16, ny=16, dt=2.5e-3, seed=1)
         s = generate_scenario(sc).state
         forcing = s.forcing
         body = forcing._body
-        times = []
-
-        def counting(t):
-            times.append(t)
-            return body(t)
-
-        monkeypatch.setattr(forcing, "_body", counting)
-        summary = run(s, t_end=19.5 * s.dt, sample_every=5)
-        assert summary.n_steps == 20
-        # once per step, plus the initial sample; the step, the sample's |g|
-        # and its energy record share one evaluation
-        assert len(times) == 21
-        gf = forcing.body_force(summary.final.t)
-        assert len(times) == 21 and forcing.body_force(summary.final.t) is gf
-        assert not gf.data.flags.writeable
+        # g moves with t, so an answer kept from an earlier t would differ
+        for t in (0.25, 0.5, 0.25, 0.25, 3.0, 0.0):
+            assert np.array_equal(forcing.body_force(t).data, body(t))
+        summary = run(s, t_end=5.5 * s.dt, sample_every=1)
+        assert summary.n_steps == 6
+        expected = [np.sqrt(_l2_sq(s.v.grid, body(r.t))) for r in summary.records]
+        assert list(summary.aux["g_l2"]) == expected
 
 
 class TestInit:
@@ -259,7 +261,7 @@ class TestStep:
         s_arc = boundary_arclength(g) / (2 * (g.lx + g.ly))
         phi = 0.3 * np.sin(2 * np.pi * s_arc)
         trace = BoundaryTrace(g, np.stack([np.cos(phi), np.sin(phi)], axis=1))
-        forcing = Forcing.autonomous_trace(g, trace)
+        forcing = Forcing(g, trace)
         from nematicflow.linsolve import harmonic_extension
 
         d0 = harmonic_extension(trace)
@@ -324,10 +326,9 @@ class TestStep:
             trace = BoundaryTrace.constant(g, (1.0, 0.0))  # phi = 0 on the ring
             forcing = Forcing(
                 g,
-                lambda t: trace.values,
+                trace,
                 body_force_values=body_force,
                 director_source_values=director_source,
-                static_trace=True,
             )
             d0 = VectorField2D(g, d_exact(0.0))
             for k in range(2):
@@ -480,7 +481,7 @@ class TestRun:
                 arr[0, 5, 5] = np.nan
             return arr
 
-        forcing = Forcing(g, lambda t: trace.values, body_force_values=gfun, static_trace=True)
+        forcing = Forcing(g, trace, body_force_values=gfun)
         d0 = bump_director(g, forcing, amplitude=0.2)
         s = init(VectorField2D.zeros(g), d0, forcing, PhysParams(), dt=2e-2)
         summary = run(s, t_end=1.0, sample_every=1)
@@ -501,7 +502,7 @@ class TestRun:
                 arr[0, 5, 5] = np.nan
             return arr
 
-        forcing = Forcing(g, lambda t: trace.values, body_force_values=gfun, static_trace=True)
+        forcing = Forcing(g, trace, body_force_values=gfun)
         d0 = bump_director(g, forcing, amplitude=0.2)
         s = init(VectorField2D.zeros(g), d0, forcing, PhysParams(), dt=dt)
         summary = run(s, t_end=20 * dt, sample_every=1)
@@ -510,28 +511,6 @@ class TestRun:
         assert "body force at t=0.07: field contains non-finite values" in summary.abort_reason
         assert len(summary.records) == 7
         assert np.all(np.isfinite(summary.final.d.data))
-
-    def test_abort_on_solver_error(self, monkeypatch):
-        # a projection that fails its residual check inside step()
-        import nematicflow.dynamics as dyn
-        from nematicflow.linsolve import SolverError
-
-        g = Grid(16, 16)
-        forcing = constant_forcing(g)
-        d0 = bump_director(g, forcing, amplitude=0.5)
-        s = init(make_divergence_free_velocity(g, 3, 0.3), d0, forcing, PhysParams(), dt=1e-3)
-
-        def failing_projection(u):
-            raise SolverError("projection failed", 3.5)
-
-        monkeypatch.setattr(dyn, "project_divergence_free", failing_projection)
-        summary = run(s, t_end=5 * s.dt, sample_every=1)
-        assert summary.aborted
-        assert summary.n_steps == 0
-        assert "SolverError: projection failed" in summary.abort_reason
-        assert "residual" in summary.abort_reason
-        assert "(residual 3.5)" in summary.abort_reason
-        assert summary.final is s
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("name", ["v", "d"])

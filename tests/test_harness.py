@@ -52,6 +52,26 @@ class TestScenario:
             h = forcing.boundary(t)
             assert np.max(np.abs(h[:, 0] ** 2 + h[:, 1] ** 2 - 1.0)) < 1e-14
 
+    @pytest.mark.parametrize(
+        "nx,ny,lx,ly", [(8, 8, 1.0, 1.0), (13, 21, 1.0, 1.0), (24, 20, 1.0, 0.75),
+                        (17, 40, 2.0, 0.5), (64, 64, 1.0, 1.0), (96, 130, 1.0, 1.3)]
+    )
+    def test_body_force_equals_mesh_evaluation(self, nx, ny, lx, ly):
+        # the old mesh evaluation of g0 is the oracle, bit for bit
+        from nematicflow.harness.scenarios import _body_force
+
+        sc = small_scenario(nx=nx, ny=ny, lx=lx, ly=ly)
+        grid = sc.grid
+        X, Y = grid.mesh()
+        g0 = np.stack([
+            np.sin(2.0 * np.pi * X / lx) * np.sin(np.pi * Y / ly),
+            np.sin(np.pi * X / lx) * np.sin(2.0 * np.pi * Y / ly),
+        ])
+        g = _body_force(sc, grid)
+        for t in (0.0, 0.7):
+            expected = sc.a_g * (1.0 + t) ** (-(2.0 + sc.gamma) / 2.0) * g0
+            assert g(t).tobytes() == expected.tobytes()
+
     def test_generation_deterministic(self):
         sc = small_scenario()
         g1 = generate_scenario(sc)
@@ -275,6 +295,10 @@ class TestConfig:
             # the bound 1 + slack would lie below |h| = 1 on the ring
             ("max_abs_d_slack", "[tolerances]\nmax_abs_d_slack = -1\n"),
             ("dedpt_tol", "[tolerances]\ndedpt_tol = 0\n"),
+            # R3 = -5 used to run as R3 = 0, and t_horizon = -1 to integrate nothing
+            ("r3_const", "[majorant]\nr3_const = -5\n"),
+            ("t_horizon", "[majorant]\nt_horizon = -1\n"),
+            ("t_horizon", "[majorant]\nt_horizon = 0\n"),
         ],
     )
     def test_bad_run_key_refused_up_front(self, tmp_path, capsys, key, text):
@@ -282,7 +306,8 @@ class TestConfig:
         p.write_text(text if text.startswith("[grid]") else "[grid]\nnx = 16\nny = 16\n" + text)
         with pytest.raises(ConfigError, match=key):
             parse_config(p)
-        assert main(["run", str(p), "--out", str(tmp_path / "out")]) == 1
+        command = "majorant" if "[majorant]" in text else "run"
+        assert main([command, str(p), "--out", str(tmp_path / "out")]) == 1
         assert key in capsys.readouterr().err
 
     def test_empty_config_is_the_scenario_defaults(self, tmp_path):

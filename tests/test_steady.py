@@ -31,8 +31,7 @@ def angle_trace(grid, kappa=0.3):
 
 
 def record_energies(monkeypatch) -> list:
-    """The energy of each iterate of ``solve_gradient_flow``, in order, with
-    the returned equilibrium's own energy last."""
+    """The energy of each iterate of ``solve_gradient_flow``, in order."""
     seen = []
     original = steady.energy_E
 
@@ -182,9 +181,12 @@ class TestReferenceRelaxation:
         hist = record_energies(monkeypatch)
         eq = solve_gradient_flow(harmonic_extension(h_inf), d0, params, tol=1e-11)
         assert eq.converged
+        # one evaluation per iterate; the last iterate is the one returned,
+        # with the energy the loop computed for it
         assert hist[-1] == eq.energy_E
-        e = np.array(hist[:-1])
+        e = np.array(hist)
         assert len(e) == eq.iterations + 1
+        assert eq.energy_E == energy_E(eq.psi, params.eps)  # bit for bit
         assert np.all(np.diff(e) <= 1e-14 * (1 + np.abs(e[:-1])))
 
     def test_unreachable_tol_stops_at_smallest_residual(self, monkeypatch):
@@ -200,8 +202,12 @@ class TestReferenceRelaxation:
         eq = solve_gradient_flow(harmonic_extension(h_inf), d0, params, tol=1e-14)
         assert not eq.converged
         assert eq.iterations <= 100  # GRADIENT_FLOW_MAX_ITER is 400 000
-        # the last value is the re-evaluation for the returned iterate
-        assert eq.residual == min(seen[:-1]) == seen[-1]
+        # one evaluation per iterate, none again for the returned one
+        assert len(seen) == eq.iterations + 1
+        assert eq.residual == min(seen)
+        # the best iterate is not the last, and its own E is kept
+        assert eq.residual == stationary_residual(eq.psi, params.eps)  # bit for bit
+        assert eq.energy_E == energy_E(eq.psi, params.eps)
         assert eq.residual <= 1e-11
 
 
@@ -407,7 +413,10 @@ class TestMinimizerCheck:
         psi = VectorField2D.zeros(g)
         from nematicflow.steady import _make_equilibrium
 
-        eq = _make_equilibrium(psi, params, True, 0, harmonic_extension(trace))
+        eq = _make_equilibrium(
+            psi, params, True, 0, harmonic_extension(trace),
+            stationary_residual(psi, params.eps), energy_E(psi, params.eps),
+        )
         assert eq.residual < 1e-14
         monkeypatch.setattr(steady, "MINIMIZER_PROBES", 16)
         verdict = local_minimizer_check(eq, params, seed=0)
