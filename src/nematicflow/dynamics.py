@@ -12,19 +12,27 @@ the shifted director d - d_E carries a homogeneous trace and obeys
 
     (d - d_E)_t + v.grad d = eta lap(d - d_E) - eta f(d) - dt d_E.
 
-One step of the splitting scheme:
+One step from (v, d) at t to (v1, d1, pi1) at t1 = t + dt solves, at
+interior nodes, with lap_h and grad_h the 5-point and central stencils,
+f(d) = (|d|^2 - 1) d / eps^2, S the director source and g the body force:
 
-  1. advance the liftings to t+dt in the sine basis (a coefficient update
+  (D) (I - eta dt lap_h) d1 = d - dt (v.grad_h d + eta f(d)) + dt S(t1),
+      and d1 = h(t1) on the ring;
+  (V) (I - nu dt lap_h) u* = v - dt (v.grad_h v + lambda sigma(d1)) + dt g(t1),
+      and u* = 0 on the ring, where sigma_i(d) = sum_k lap_h d_k grad_i d_k;
+  (P) v1 = u* - grad_h pi1 with div_h v1 = 0, and v1 = 0 on the ring.
+
+The stress is taken on the new director.  A step runs in four stages:
+
+  1. advance the liftings to t1 in the sine basis (a coefficient update
      for the heat step of d_P, a division by the eigenvalues for the
      harmonic extension d_E); every lifting field is built only when read;
-  2. director update, diffusion implicit, advection/penalization explicit,
-     zero Dirichlet trace on the shifted unknown.  Its right-hand side
-     (d - d_E^n) - dt dt d_E equals d - d_E^{n+1}, so it reads the new d_E
-     only, and only by its sine coefficients: the solve subtracts them in
-     the sine basis and adds them back before its one back-transform;
-  3. velocity predictor with implicit viscosity, explicit advection and
-     elastic coupling evaluated on the *new* director;
-  4. exact discrete projection onto divergence-free fields.
+  2. (D), solved for the shifted unknown d1 - d_E(t1), whose trace is zero; as
+     lap_h d_E = 0 at interior nodes the solve reads d_E only by its sine
+     coefficients, subtracting them in the sine basis and adding them back
+     before its one back-transform;
+  3. (V), one implicit viscous solve;
+  4. (P), the exact discrete projection onto divergence-free fields.
 
 The autonomous datum h(t) = h_inf is given to ``Forcing`` as a ``BoundaryTrace``,
 a static trace: step 1 then only moves the liftings' clock.

@@ -168,22 +168,15 @@ def comparison_check(
     y = max(a[0], a[0] if y0 is None else y0)
     margin = np.inf
     witness = None
-    passed = True
-    for k in range(t.size - 1):
+    for k in range(t.size):
+        if k:  # advance Y from the last sample to this one
+            with np.errstate(over="ignore"):
+                y = y + (t[k] - t[k - 1]) * c * (y**3 + y + r[k - 1])
+            if not np.isfinite(y):
+                y = np.inf
         margin = min(margin, y - a[k])
         if a[k] > y * (1.0 + COMPARISON_SLACK) + 1e-300:
-            passed = False
             witness = float(t[k])
             break
-        dt = t[k + 1] - t[k]
-        with np.errstate(over="ignore"):
-            y = y + dt * c * (y**3 + y + r[k])
-        if not np.isfinite(y):
-            y = np.inf
-    if passed:
-        margin = min(margin, y - a[-1])
-        if a[-1] > y * (1.0 + COMPARISON_SLACK) + 1e-300:
-            passed = False
-            witness = float(t[-1])
-    return ComparisonVerdict(passed, c, witness, float(margin))
+    return ComparisonVerdict(witness is None, c, witness, float(margin))
 

@@ -1,7 +1,6 @@
 import logging
 import re
 from dataclasses import astuple, replace
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -21,12 +20,17 @@ from nematicflow.dynamics import (
 from nematicflow.grid import (
     BoundaryTrace,
     Grid,
+    ScalarField2D,
     VectorField2D,
     divergence,
     extract_ring,
+    row_stencils,
     set_ring,
+    stress_rows,
     trusted_field,
 )
+from nematicflow.lifting import parabolic_lift_step
+from nematicflow.linsolve import EPS, POISSON_BACKWARD_ERROR, heat_solve_interior
 
 
 def constant_forcing(grid, vec=(1.0, 0.0)):
@@ -41,6 +45,51 @@ def bump_director(grid, forcing, amplitude=0.5):
     for k in range(2):
         set_ring(d0.data[k], h0[:, k])
     return d0
+
+
+def manufactured_state(n, dt):
+    """Initial state on an n x n grid, and the exact director d(t), of a
+    manufactured solution: v = 0, pi = 0 and d = (cos phi, sin phi) with
+    phi = a e^{-t} sin(pi x) sin(pi y) solve the system under a director
+    source and a body force computed analytically."""
+    a = 0.5
+    p = PhysParams()
+    g = Grid(n, n)
+    X, Y = g.mesh()
+
+    def d_exact(t):
+        phi = a * np.exp(-t) * np.sin(np.pi * X) * np.sin(np.pi * Y)
+        return np.stack([np.cos(phi), np.sin(phi)])
+
+    def phi_derivs(t):
+        s = np.sin(np.pi * X) * np.sin(np.pi * Y)
+        phi = a * np.exp(-t) * s
+        phi_x = a * np.exp(-t) * np.pi * np.cos(np.pi * X) * np.sin(np.pi * Y)
+        phi_y = a * np.exp(-t) * np.pi * np.sin(np.pi * X) * np.cos(np.pi * Y)
+        return phi, -phi, phi_x, phi_y, -2 * np.pi**2 * phi
+
+    def director_source(t):
+        # S = d_t - eta*(lap d - f(d)); |d| = 1 so f(d) = 0
+        phi, phi_t, phi_x, phi_y, lap_phi = phi_derivs(t)
+        grad_sq = phi_x**2 + phi_y**2
+        c, s_ = np.cos(phi), np.sin(phi)
+        d_t = np.stack([-s_ * phi_t, c * phi_t])
+        lap_d = np.stack([-s_ * lap_phi - c * grad_sq, c * lap_phi - s_ * grad_sq])
+        return d_t - p.eta * lap_d
+
+    def body_force(t):
+        # g = lambda * (lap d . grad d) so that v = 0, pi = 0 is exact;
+        # lap d . dx d = lap_phi * phi_x (unit director algebra)
+        _, _, phi_x, phi_y, lap_phi = phi_derivs(t)
+        return p.lam * np.stack([lap_phi * phi_x, lap_phi * phi_y])
+
+    trace = BoundaryTrace.constant(g, (1.0, 0.0))  # phi = 0 on the ring
+    forcing = Forcing(
+        g, trace, body_force_values=body_force, director_source_values=director_source
+    )
+    d0 = VectorField2D(g, d_exact(0.0))
+    set_ring(d0.data, trace.values)
+    return init(VectorField2D.zeros(g), d0, forcing, p, dt=dt), d_exact
 
 
 class TestPhysParams:
@@ -237,20 +286,6 @@ class TestStep:
         assert norms(s1.v, "L2") < 1e-13
         assert np.max(np.abs(s1.d.data - s.d.data)) < 1e-13
 
-    def test_boundary_invariants_every_step(self):
-        g = Grid(16, 16)
-        forcing = constant_forcing(g)
-        d0 = bump_director(g, forcing)
-        v0 = make_divergence_free_velocity(g, 3, 0.3)
-        s = init(v0, d0, forcing, PhysParams())
-        h0 = forcing.boundary(0.0)
-        for _ in range(5):
-            s = step(s)
-            for k in range(2):
-                assert np.array_equal(extract_ring(s.v.data[k]), np.zeros(g.n_boundary))
-                assert np.array_equal(extract_ring(s.d.data[k]), h0[:, k])
-            assert np.max(np.abs(divergence(s.v).data[1:-1, 1:-1])) < 1e-10
-
     def test_pure_director_relaxation_matches_steady_solver(self):
         # v frozen at zero: the director must relax to the steady solver's
         # output on the same grid (cross-module oracle)
@@ -280,162 +315,175 @@ class TestStep:
         assert dist <= 1e-6
 
     def test_manufactured_solution_order(self):
-        # exact pair: v = 0, d = (cos phi, sin phi) with
-        # phi = a e^{-t} sin(pi x) sin(pi y); sources computed analytically.
-        a = 0.5
-        p = PhysParams()
-
-        def exact_angle(X, Y, t):
-            return a * np.exp(-t) * np.sin(np.pi * X) * np.sin(np.pi * Y)
-
         def run_level(n, dt, t_end=0.25):
-            g = Grid(n, n)
-            X, Y = g.mesh()
-
-            def d_exact(t):
-                phi = exact_angle(X, Y, t)
-                return np.stack([np.cos(phi), np.sin(phi)])
-
-            def phi_derivs(t):
-                s = np.sin(np.pi * X) * np.sin(np.pi * Y)
-                phi = a * np.exp(-t) * s
-                phi_t = -phi
-                phi_x = a * np.exp(-t) * np.pi * np.cos(np.pi * X) * np.sin(np.pi * Y)
-                phi_y = a * np.exp(-t) * np.pi * np.sin(np.pi * X) * np.cos(np.pi * Y)
-                lap_phi = -2 * np.pi**2 * phi
-                return phi, phi_t, phi_x, phi_y, lap_phi
-
-            def director_source(t):
-                # S = d_t - eta*(lap d - f(d)); |d| = 1 so f(d) = 0
-                phi, phi_t, phi_x, phi_y, lap_phi = phi_derivs(t)
-                grad_sq = phi_x**2 + phi_y**2
-                c, s_ = np.cos(phi), np.sin(phi)
-                d_t = np.stack([-s_ * phi_t, c * phi_t])
-                lap_d = np.stack(
-                    [-s_ * lap_phi - c * grad_sq, c * lap_phi - s_ * grad_sq]
-                )
-                return d_t - p.eta * lap_d
-
-            def body_force(t):
-                # g = lambda * (lap d . grad d) so that v = 0, pi = 0 is exact
-                phi, phi_t, phi_x, phi_y, lap_phi = phi_derivs(t)
-                grad_sq = phi_x**2 + phi_y**2
-                # lap d . dx d = lap_phi * phi_x (unit director algebra)
-                return p.lam * np.stack([lap_phi * phi_x, lap_phi * phi_y])
-
-            trace = BoundaryTrace.constant(g, (1.0, 0.0))  # phi = 0 on the ring
-            forcing = Forcing(
-                g,
-                trace,
-                body_force_values=body_force,
-                director_source_values=director_source,
-            )
-            d0 = VectorField2D(g, d_exact(0.0))
-            for k in range(2):
-                set_ring(d0.data[k], trace.values[:, k])
-            s = init(VectorField2D.zeros(g), d0, forcing, p, dt=dt)
-            n_steps = int(round(t_end / dt))
-            for _ in range(n_steps):
+            s, d_exact = manufactured_state(n, dt)
+            for _ in range(int(round(t_end / dt))):
                 s = step(s)
-            err_d = np.max(np.abs(s.d.data - d_exact(s.t)))
-            err_v = np.max(np.abs(s.v.data))
-            return err_d + err_v
+            return np.max(np.abs(s.d.data - d_exact(s.t))) + np.max(np.abs(s.v.data))
 
         e1 = run_level(16, 4e-3)
         e2 = run_level(32, 2e-3)
         assert e1 / e2 >= 1.6  # O(dt + h^2): halving both at least ~halves error
 
 
-def _reference_step(s, ring_contribution):
-    """One step assembled component by component.  d_P takes a zero-trace heat
-    solve of d_P + dt B(h) with the dense ring contribution B (the
-    ``ring_contribution`` oracle), not the sine-basis coefficient update, and
-    d_E comes from ``harmonic_extension`` separately."""
-    from nematicflow.linsolve import (
-        harmonic_extension,
-        heat_solve_interior,
-        project_divergence_free,
-    )
-
-    g = s.v.grid
-    p, dt = s.params, s.dt
+def step_backward_errors(s, s1):
+    """Backward errors of (D), (V) and (P) of the ``dynamics`` docstring on
+    the step from ``s`` to ``s1``, in units of (mx + my) eps (|A| max|x| +
+    max|b|), as ``poisson_backward_error``; |b| sums the magnitudes of b's
+    terms, which cancel where a source balances the stress.  (P) takes the
+    scale of the projection's multiplier solve, as
+    ``test_projection_divergence_at_rounding_scale``.  Test-local stencils,
+    no solve.  The forcing is read from ``s``; the rings must hold bit for bit.
+    """
+    g, p, dt = s.v.grid, s.params, s.dt
     hx, hy = g.hx, g.hy
-    t1 = s.t + dt
-    inner = (slice(1, -1), slice(1, -1))
+    v0, d0, v1, d1, pi = s.v.data, s.d.data, s1.v.data, s1.d.data, s1.pi.data
+    assert np.array_equal(extract_ring(d1), s.forcing.boundary(s1.t))
+    assert np.array_equal(extract_ring(v1), np.zeros((g.n_boundary, 2)))
+
+    def mid(w):
+        return w[..., 1:-1, 1:-1]
 
     def dx(w):
-        return (w[2:, 1:-1] - w[:-2, 1:-1]) / (2.0 * hx)
+        return (w[..., 2:, 1:-1] - w[..., :-2, 1:-1]) / (2.0 * hx)
 
     def dy(w):
-        return (w[1:-1, 2:] - w[1:-1, :-2]) / (2.0 * hy)
+        return (w[..., 1:-1, 2:] - w[..., 1:-1, :-2]) / (2.0 * hy)
 
     def lap(w):
-        return (w[2:, 1:-1] - 2.0 * w[1:-1, 1:-1] + w[:-2, 1:-1]) / hx**2 + (
-            w[1:-1, 2:] - 2.0 * w[1:-1, 1:-1] + w[1:-1, :-2]
+        return (w[..., 2:, 1:-1] - 2.0 * mid(w) + w[..., :-2, 1:-1]) / hx**2 + (
+            w[..., 1:-1, 2:] - 2.0 * mid(w) + w[..., 1:-1, :-2]
         ) / hy**2
 
-    trace = BoundaryTrace(g, s.forcing.boundary(t1))
-    lift = s.lifting
-    dE = harmonic_extension(trace)
-    dP = dE.copy()  # the ring is h(t1)
-    b = lift.dP.data[:, 1:-1, 1:-1] + dt * ring_contribution(g, trace.values)
-    dP.data[:, 1:-1, 1:-1] = heat_solve_interior(g, b, dt)
-    lift1 = SimpleNamespace(
-        dE=dE, dP=dP, t=t1,
-        dt_dP=VectorField2D(g, (dP.data - lift.dP.data) / dt),
-        dt_dE=VectorField2D(g, (dE.data - lift.dE.data) / dt),
+    def advect(w):
+        return mid(v0[0]) * dx(w) + mid(v0[1]) * dy(w)
+
+    def ratio(residual, data):
+        return np.max(np.abs(residual)) / ((g.nx + g.ny - 4) * EPS * data)
+
+    def implicit(coef, x, terms):  # (I - coef lap_h) x = sum(terms)
+        a_norm = 1.0 + coef * (4.0 / hx**2 + 4.0 / hy**2)
+        data = a_norm * np.max(np.abs(x)) + np.max(sum(map(np.abs, terms)))
+        return ratio(mid(x) - coef * lap(x) - sum(terms), data)
+
+    src, gf = s.forcing.director_source(s1.t), s.forcing.body_force(s1.t)
+    f = (mid(d0[0]) ** 2 + mid(d0[1]) ** 2 - 1.0) / p.eps**2 * mid(d0)
+    source = 0.0 if src is None else dt * mid(src)
+    r_d = implicit(p.eta * dt, d1, [mid(d0), -dt * advect(d0), -dt * p.eta * f, source])
+    u = v1.copy()  # u* = v1 + grad_h pi1
+    mid(u)[...] += np.stack([dx(pi), dy(pi)])
+    sigma = np.stack([np.sum(lap(d1) * dx(d1), axis=0), np.sum(lap(d1) * dy(d1), axis=0)])
+    force = 0.0 if gf is None else dt * mid(gf.data)
+    r_v = implicit(p.nu * dt, u, [mid(v0), -dt * advect(v0), -dt * p.lam * sigma, force])
+    lam = np.max(np.abs(pi - pi[0, 0]))
+    data = (1.0 / hx + 1.0 / hy) * np.max(np.abs(u)) + (hx**-2 + hy**-2) * lam
+    return r_d, r_v, ratio(dx(v1[0]) + dy(v1[1]), data)
+
+
+def _scenario(family, nx, ny, **kw):
+    from nematicflow.harness.scenarios import Scenario, generate_scenario
+
+    sc = Scenario(
+        name="x", family=family, nx=nx, ny=ny, a_h=0.3, a_g=0.2, kappa=0.3,
+        d0_perturbation=0.4, v0_amplitude=0.3, dt=2e-3, seed=4, **kw,
     )
-    v, d = s.v.data, s.d.data
-    gl = (d[0][inner] ** 2 + d[1][inner] ** 2 - 1.0) / p.eps**2
-    rhs_d = np.empty((2, g.nx - 2, g.ny - 2))
-    for k in range(2):
-        adv = v[0][inner] * dx(d[k]) + v[1][inner] * dy(d[k])
-        rhs_d[k] = (d[k][inner] - lift.dE.data[k][inner]) + dt * (
-            -adv - p.eta * gl * d[k][inner] - lift1.dt_dE.data[k][inner]
-        )
-    d_new = lift1.dE.data.copy()
-    d_new[:, 1:-1, 1:-1] += heat_solve_interior(g, rhs_d, p.eta * dt)
-    lap_d = [lap(d_new[k]) for k in range(2)]
-    stress = [
-        lap_d[0] * dx(d_new[0]) + lap_d[1] * dx(d_new[1]),
-        lap_d[0] * dy(d_new[0]) + lap_d[1] * dy(d_new[1]),
-    ]
-    gf = s.forcing.body_force(t1).data
-    rhs_v = np.empty((2, g.nx - 2, g.ny - 2))
-    for k in range(2):
-        adv = v[0][inner] * dx(v[k]) + v[1][inner] * dy(v[k])
-        rhs_v[k] = v[k][inner] + dt * (-adv - p.lam * stress[k]) + dt * gf[k][inner]
-    u_star = np.zeros((2, *g.shape))
-    u_star[:, 1:-1, 1:-1] = heat_solve_interior(g, rhs_v, p.nu * dt)
-    v_new, pi_new = project_divergence_free(VectorField2D(g, u_star))
-    return replace(s, t=t1, v=v_new, d=VectorField2D(g, d_new), pi=pi_new, lifting=lift1)
+    return generate_scenario(sc)
 
 
-class TestStepAgainstReference:
-    def test_twenty_steps_match_per_component_step(self, ring_contribution):
-        from nematicflow.harness.scenarios import Scenario, generate_scenario
-        from nematicflow.linsolve import EPS
+def decay_state():
+    """24 x 20 with ly = 0.8, a moving trace and a body force."""
+    return _scenario("polynomial-decay", 24, 20, ly=0.8).state
 
-        sc = Scenario(
-            name="x", family="polynomial-decay", nx=24, ny=20, ly=0.8, a_h=0.3,
-            a_g=0.2, kappa=0.3, d0_perturbation=0.4, v0_amplitude=0.3, dt=2e-3, seed=4,
-        )
-        s = ref = generate_scenario(sc).state
-        assert not s.forcing.static_trace and s.forcing.body_force(0.0) is not None
-        for _ in range(20):
-            s, ref = step(s), _reference_step(ref, ring_contribution)
-        assert s.t == ref.t
-        for name in ("v", "d", "pi"):
-            got, want = getattr(s, name).data, getattr(ref, name).data
-            assert np.max(np.abs(got - want)) <= 1e-12, name
-        for name in ("dE", "dP", "dt_dE"):
-            got, want = getattr(s.lifting, name).data, getattr(ref.lifting, name).data
-            assert np.max(np.abs(got - want)) <= 1e-12, name
-        # dt d_P is a difference of two back-transformed heat solutions over
-        # dt: its rounding scale is that of d_P, divided by dt
-        tol = EPS * (sc.nx + sc.ny - 4) * np.max(np.abs(s.lifting.dP.data)) / sc.dt
-        assert np.max(np.abs(s.lifting.dt_dP.data - ref.lifting.dt_dP.data)) <= tol
-        assert np.max(np.abs(s.lifting.dt_dP.data)) > 1e-3  # the trace moves
+
+def _at_rest_on_psi():
+    gen = _scenario("autonomous", 24, 20, ly=0.8)
+    zero = VectorField2D.zeros(gen.forcing.grid)
+    return init(zero, gen.reference.psi, gen.forcing, PhysParams(), dt=2e-3)
+
+
+def _static_16():
+    g = Grid(16, 16)
+    forcing = constant_forcing(g)
+    v0 = make_divergence_free_velocity(g, 3, 0.3)
+    return init(v0, bump_director(g, forcing), forcing, PhysParams())
+
+
+# every path step takes: case -> (initial state, steps)
+STEP_CASES = {
+    "decay": (decay_state, 20),
+    "static-trace": (lambda: _scenario("autonomous", 24, 20, ly=0.8).state, 10),
+    "director-source": (lambda: manufactured_state(16, 4e-3)[0], 10),
+    "odd-odd-33": (lambda: _scenario("polynomial-decay", 33, 33).state, 10),
+    "17x40": (lambda: _scenario("polynomial-decay", 17, 40, lx=2.0, ly=0.5).state, 10),
+    "at-rest-on-psi": (_at_rest_on_psi, 10),
+    "static-16": (_static_16, 5),
+}
+
+
+class TestStepBackwardErrors:
+    @pytest.mark.parametrize("case", STEP_CASES)
+    def test_each_step_satisfies_its_equations(self, case):
+        build, n_steps = STEP_CASES[case]
+        s = build()
+        lift = s.lifting
+        for _ in range(n_steps):
+            s1 = step(s)
+            assert max(step_backward_errors(s, s1)) <= POISSON_BACKWARD_ERROR
+            if not s.forcing.static_trace:  # the liftings advance by h(t1) and dt
+                lift = parabolic_lift_step(lift, s.forcing.boundary(s1.t), s.dt)
+                for name in ("h", "p", "p_prev", "e"):
+                    assert np.array_equal(getattr(s1.lifting, name), getattr(lift, name)), name
+            s = s1
+
+    # defect -> the relation it breaks: 0 (D), 1 (V) or 2 (P)
+    DEFECTS = {
+        "projection skipped": 2,
+        "director advection flipped": 0,
+        "stress dropped": 1,
+        "stress on d^n": 1,
+        "lagged d_E": 0,
+        "body force dropped": 1,
+    }
+
+    @pytest.mark.parametrize("defect", DEFECTS)
+    def test_each_planted_defect_breaks_its_equation(self, monkeypatch, defect):
+        import nematicflow.dynamics as dyn
+
+        s = decay_state()
+        stepped = s
+        seen = []  # the arguments a recording binding was called with
+        if defect == "projection skipped":
+            monkeypatch.setattr(
+                dyn, "project_divergence_free", lambda u: (u, ScalarField2D.zeros(u.grid))
+            )
+        elif defect == "director advection flipped":
+            # stress_rows reads grid's own binding, so only the advection flips
+            def flipped(field):
+                dx, dy, lap = row_stencils(field)
+                return -dx, -dy, lap
+
+            monkeypatch.setattr(dyn, "row_stencils", flipped)
+        elif defect == "stress dropped":
+            monkeypatch.setattr(dyn, "stress_rows", lambda d: np.zeros((2, d.grid.nx - 2, d.grid.ny)))
+        elif defect == "stress on d^n":
+            monkeypatch.setattr(dyn, "row_stencils", lambda f: seen.append(f) or row_stencils(f))
+            monkeypatch.setattr(dyn, "stress_rows", lambda d: stress_rows(seen[-1]))
+        elif defect == "lagged d_E":
+
+            def recording(lift, h, dt):
+                seen.append(lift.e)
+                return parabolic_lift_step(lift, h, dt)
+
+            def lagged(g, b, coef, harmonic=None):
+                return heat_solve_interior(g, b, coef, None if harmonic is None else seen[-1])
+
+            monkeypatch.setattr(dyn, "parabolic_lift_step", recording)
+            monkeypatch.setattr(dyn, "heat_solve_interior", lagged)
+        else:  # the step reads a copy of the state with no body force
+            f = s.forcing
+            stepped = replace(s, forcing=Forcing(f.grid, f.boundary, h_inf=f.h_inf))
+        ratios = step_backward_errors(s, step(stepped))
+        assert ratios[self.DEFECTS[defect]] > 1e6, ratios
 
 
 class TestRun:
