@@ -29,8 +29,11 @@ The stress is taken on the new director.  A step runs in four stages:
      harmonic extension d_E); every lifting field is built only when read;
   2. (D), solved for the shifted unknown d1 - d_E(t1), whose trace is zero; as
      lap_h d_E = 0 at interior nodes the solve reads d_E only by its sine
-     coefficients, subtracting them in the sine basis and adding them back
-     before its one back-transform;
+     coefficients e: the coefficients of d1 are those of the right-hand side
+     times 1 / (1 + eta dt lam) plus e times eta dt lam / (1 + eta dt lam),
+     before its one back-transform.  The explicit terms are folded: with
+     k = eta dt / eps^2 the right-hand side is d (1 + k - k |d|^2) -
+     dt (v.grad_h d - S);
   3. (V), one implicit viscous solve;
   4. (P), the exact discrete projection onto divergence-free fields.
 
@@ -211,6 +214,8 @@ def init(
     d0 = d0.copy()
     set_ring(d0.data, h0)  # pin the trace bitwise so shifted fields vanish exactly
     d0.data.flags.writeable = False  # as every stepped director
+    v0 = v0.copy()
+    set_ring(v0.data, np.zeros((g.n_boundary, 2)))  # no-slip bitwise, as every stepped v
 
     v_proj, pi0 = project_divergence_free(v0)
     lifting = init_lifting(BoundaryTrace(g, h0))
@@ -252,24 +257,38 @@ def step(s: SimState) -> SimState:
     # 2. director update on the shifted unknown (zero trace).  Its right-hand
     # side (d - d_E^n) - dt dt_dE equals d - d_E^{n+1}, so the solve reads
     # only the new d_E, by its sine coefficients; the ring is h(t1) exactly.
-    gl_fac = (d_rows[0] ** 2 + d_rows[1] ** 2 - 1.0) / p.eps**2
+    # With k = eta dt / eps^2 the right-hand side is
+    # d (1 + k - k |d|^2) - dt (v.grad_h d - S), one pass per term.
+    k = p.eta * dt / p.eps**2
+    mag_sq = d_rows[0] ** 2
+    mag_sq += d_rows[1] ** 2
+    rhs_d = d_rows * ((1.0 + k) - k * mag_sq)
     d_dx, d_dy, _ = row_stencils(s.d)
-    adv = v_rows[0] * d_dx + v_rows[1] * d_dy
-    rhs_d = d_rows + dt * (-adv - p.eta * gl_fac * d_rows)
+    expl = v_rows[0] * d_dx
+    expl += v_rows[1] * d_dy
     src = s.forcing.director_source(t1)
     if src is not None:
-        rhs_d += dt * src[:, 1:-1]
+        expl -= src[:, 1:-1]
+    expl *= dt
+    rhs_d -= expl
     interior = heat_solve_interior(g, rhs_d[..., 1:-1], p.eta * dt, lift1.e)
     d_new_data = with_trace(g, interior, lift1.h)
     d_new_data.flags.writeable = False
     d_new = trusted_field(VectorField2D, g, d_new_data)
 
-    # 3. velocity predictor, viscous term implicit, stress on the new director
-    adv = v_rows[0] * row_dx(v, hx) + v_rows[1] * row_dy(v, hy)
-    rhs_v = v_rows + dt * (-adv - p.lam * stress_rows(d_new))
+    # 3. velocity predictor, viscous term implicit, stress on the new director:
+    # the explicit terms lambda sigma + v.grad_h v - g are summed in one
+    # array, scaled by dt and subtracted from v once
+    expl = stress_rows(d_new)
+    expl *= p.lam
+    for v_comp, stencil in zip(v_rows, (row_dx(v, hx), row_dy(v, hy))):
+        stencil *= v_comp
+        expl += stencil
     gf = s.forcing.body_force(t1)
     if gf is not None:
-        rhs_v += dt * gf.data[:, 1:-1]
+        expl -= gf.data[:, 1:-1]
+    expl *= dt
+    rhs_v = v_rows - expl
     u_star = np.zeros((2, *g.shape))
     u_star[:, 1:-1, 1:-1] = heat_solve_interior(g, rhs_v[..., 1:-1], p.nu * dt)
 

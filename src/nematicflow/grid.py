@@ -288,9 +288,14 @@ def row_lap(data: np.ndarray, hx: float, hy: float) -> np.ndarray:
     f = _flat(data)
     n = (nx - 1) * ny
     c2 = 2.0 * f[..., ny:n]
-    out = (f[..., 2 * ny :] - c2 + f[..., : n - ny]) * hx**-2 + (
-        f[..., ny + 1 : n + 1] - c2 + f[..., ny - 1 : n - 1]
-    ) * hy**-2
+    # (a - c2 + b) hx^-2 + (c - c2 + e) hy^-2, in that order, in two buffers
+    out = f[..., 2 * ny :] - c2
+    out += f[..., : n - ny]
+    out *= hx**-2
+    y_part = np.subtract(f[..., ny + 1 : n + 1], c2, out=c2)
+    y_part += f[..., ny - 1 : n - 1]
+    y_part *= hy**-2
+    out += y_part
     return out.reshape(*data.shape[:-2], nx - 2, ny)
 
 

@@ -6,10 +6,11 @@ projection enforcing the discrete incompressibility constraint.
 Every constant-coefficient operator is a Kronecker sum of 1-D matrices, so
 it is solved exactly by diagonalizing each 1-D factor once per grid
 (tensor-product diagonalization: Lynch, Rice & Thomas, Numer. Math. 6,
-1964).  A solve is then two small matrix products into the eigenbasis, a
-diagonal scaling and two products back.  Each cache is an ``lru_cache``: the
-eigensystems ``_dirichlet_eigenvalues``, ``_heat_denominator`` (per coefficient)
-and ``_projection_eigensystem`` on the frozen ``Grid``, ``_sine_basis`` and
+1964).  A solve is then two small matrix products into the eigenbasis, one
+diagonal multiply and two products back, whose first matrix carries the
+transform's normalization.  Each cache is an ``lru_cache``: the eigensystems
+``_dirichlet_eigenvalues``, ``_heat_inverse`` (per coefficient) and
+``_projection_eigensystem`` on the frozen ``Grid``, ``_sine_basis`` and
 ``_edge_indices`` on its node counts; ``clear_cache`` empties all five.
 
 Every solve, the projection included, is diagonal in one discrete sine
@@ -63,10 +64,10 @@ from .grid import (
     Grid,
     ScalarField2D,
     VectorField2D,
-    interior_dx,
-    interior_dy,
     interior_lap,
     quad_weights,
+    row_dx,
+    row_dy,
     set_ring,
     trusted_field,
 )
@@ -118,7 +119,7 @@ def with_trace(grid: Grid, interior: np.ndarray, ring_values: np.ndarray) -> np.
 
 def clear_cache() -> None:
     """Empty every cache of this module, so the next solve on any grid starts cold."""
-    for cached in (_edge_indices, _dirichlet_eigenvalues, _heat_denominator, _sine_basis,
+    for cached in (_edge_indices, _dirichlet_eigenvalues, _heat_inverse, _sine_basis,
                    _projection_eigensystem):
         cached.cache_clear()
 
@@ -138,17 +139,22 @@ def _dirichlet_eigenvalues(grid: Grid) -> np.ndarray:
 
 
 @lru_cache(maxsize=32)
-def _heat_denominator(grid: Grid, coef: float) -> np.ndarray:
-    """1 + coef lam: the operator I - coef lap in the sine basis."""
-    return 1.0 + coef * _dirichlet_eigenvalues(grid)
+def _heat_inverse(grid: Grid, coef: float) -> tuple[np.ndarray, np.ndarray]:
+    """(1 / (1 + coef lam), coef lam / (1 + coef lam)): the inverse of the
+    operator I - coef lap in the sine basis, and one minus it."""
+    c_lam = coef * _dirichlet_eigenvalues(grid)
+    inv = 1.0 / (1.0 + c_lam)
+    return inv, c_lam * inv
 
 
 @lru_cache(maxsize=32)
 def _sine_basis(nx: int, ny: int):
-    """Sine-transform matrices S_jk = sin(jk pi / (m + 1)), jk reduced mod 2(m + 1)."""
+    """Sine-transform matrices S_jk = sin(jk pi / (m + 1)), jk reduced mod 2(m + 1),
+    and Sx scaled by 4 / ((mx + 1)(my + 1)), which makes Sx' c Sy the inverse
+    transform of Sx u Sy."""
     sx, sy = (_half_angle_sine(2 * (np.outer(j, j) % (2 * (j.size + 1))), j.size)
               for j in (np.arange(1, nx - 1), np.arange(1, ny - 1)))
-    return sx, sy, 4.0 / ((nx - 1) * (ny - 1))
+    return sx, sy, (4.0 / ((nx - 1) * (ny - 1))) * sx
 
 
 def sine_coefficients(grid: Grid, interior: np.ndarray) -> np.ndarray:
@@ -159,8 +165,8 @@ def sine_coefficients(grid: Grid, interior: np.ndarray) -> np.ndarray:
 
 def from_sine(grid: Grid, coef: np.ndarray) -> np.ndarray:
     """Interior values of (..., mx, my) sine coefficients; inverts ``sine_coefficients``."""
-    Sx, Sy, scale = _sine_basis(grid.nx, grid.ny)
-    return scale * (Sx @ coef @ Sy)
+    _, Sy, inverse_x = _sine_basis(grid.nx, grid.ny)
+    return inverse_x @ coef @ Sy
 
 
 def ring_transform(grid: Grid, ring_values: np.ndarray) -> np.ndarray:
@@ -228,14 +234,14 @@ def heat_solve_interior(
     of some ring data (``harmonic_coefficients``), u takes that ring data
     instead: u - u_E has a zero trace and, as lap u_E = 0 at interior nodes,
     solves (I - coef lap_0)(u - u_E) = b - u_E.  So the coefficients of u are
-    e + (b^ - e) / (1 + coef lam), and u_E is not formed on the grid.
+    e + (b^ - e) / (1 + coef lam) = b^ / (1 + coef lam) + e coef lam / (1 +
+    coef lam), and u_E is not formed on the grid.
     """
     bh = sine_coefficients(grid, b_int)
+    inv, rest = _heat_inverse(grid, coef)
+    bh *= inv
     if harmonic is not None:
-        bh -= harmonic
-    bh /= _heat_denominator(grid, coef)
-    if harmonic is not None:
-        bh += harmonic
+        bh += harmonic * rest
     return from_sine(grid, bh)
 
 
@@ -251,7 +257,7 @@ def heat_coefficient_step(grid: Grid, p: np.ndarray, bh: np.ndarray, dt: float) 
     interior of u and ``bh`` the ``ring_transform`` of the new ring data."""
     out = dt * bh
     out += p
-    out /= _heat_denominator(grid, dt)
+    out *= _heat_inverse(grid, dt)[0]
     return out
 
 
@@ -337,16 +343,21 @@ def project_divergence_free(u: VectorField2D) -> tuple[VectorField2D, ScalarFiel
     normalized to zero mean).
     """
     g = u.grid
-    div = interior_dx(u.data[0], g.hx) + interior_dy(u.data[1], g.hy)
+    # the stencils run on whole interior rows, contiguous, and are summed
+    # there; the solve reads the sum's interior columns
+    div = row_dx(u.data[0], g.hx)
+    div += row_dy(u.data[1], g.hy)
 
     qx, qy, inv, area = _projection_eigensystem(g)
     lam_pad = np.zeros(g.shape)
-    lam_pad[1:-1, 1:-1] = qx @ ((qx.T @ div @ qy) * inv) @ qy.T
+    lam_pad[1:-1, 1:-1] = qx @ ((qx.T @ div[:, 1:-1] @ qy) * inv) @ qy.T
 
     v = u.data.copy()
-    # v_int -= D^T lam, and D^T lam is minus the zero-extension central gradient
-    v[0, 1:-1, 1:-1] += interior_dx(lam_pad, g.hx)
-    v[1, 1:-1, 1:-1] += interior_dy(lam_pad, g.hy)
+    # v_int -= D^T lam, and D^T lam is minus the zero-extension central
+    # gradient.  Its x-difference is exactly zero on the ring columns, where
+    # lam is zero, so it is added on whole rows.
+    v[0, 1:-1] += row_dx(lam_pad, g.hx)
+    v[1, 1:-1, 1:-1] += row_dy(lam_pad, g.hy)[:, 1:-1]
 
     pi = np.sum(quad_weights(g) * lam_pad) / area - lam_pad
     return trusted_field(VectorField2D, g, v), trusted_field(ScalarField2D, g, pi)

@@ -21,12 +21,14 @@ from nematicflow.linsolve import (
     _projection_eigensystem,
     _projection_modes,
     _sine_basis,
+    from_sine,
     harmonic_extension,
     heat_solve_interior,
     heat_step,
     poisson_backward_error,
     project_divergence_free,
     ring_transform,
+    sine_coefficients,
     solve_poisson_dirichlet,
 )
 
@@ -349,6 +351,16 @@ class TestClosedFormBasis:
 
         lam = ref(nx, g.hx)[:, None] + ref(ny, g.hy)[None, :]
         assert np.max(np.abs(_dirichlet_eigenvalues(g) / lam - 1.0)) <= 4 * EPS
+
+    @pytest.mark.parametrize("nx, ny, lx, ly", [(66, 66, 1.0, 1.0), (33, 33, 1.0, 1.0),
+                                                (17, 40, 2.0, 0.5)])
+    def test_transform_pair_round_trip(self, nx, ny, lx, ly):
+        # from_sine carries the normalization 4 / ((mx + 1)(my + 1)) that
+        # makes it the inverse of sine_coefficients
+        g = Grid(nx, ny, lx, ly)
+        u = np.random.default_rng(nx + ny).standard_normal((2, nx - 2, ny - 2))
+        back = from_sine(g, sine_coefficients(g, u))
+        assert np.max(np.abs(back - u)) <= (nx + ny - 4) * EPS * np.max(np.abs(u))
 
     def test_sine_basis_orthogonal_at_254(self):
         # the integer reduction of jk keeps every argument below 2 pi; the
