@@ -8,9 +8,10 @@ First derivatives use second-order central differences in the interior and
 second-order one-sided stencils on the boundary ring; the Laplacian is the
 standard 5-point stencil, defined on interior nodes only.  The interior
 stencils live here alone: ``row_dx``, ``row_dy`` and ``row_lap`` evaluate
-them on the interior rows of a (..., nx, ny) stack, and ``interior_dx``,
-``interior_dy`` and ``interior_lap`` are those rows' interior columns;
-``row_stencils`` memoizes all three for a read-only director.  The
+them on the interior rows of a (..., nx, ny) stack, whose callers read the
+interior columns ``[..., 1:-1]``; ``interior_lap`` is those columns of
+``row_lap``, and ``row_stencils`` memoizes all three for a read-only
+director.  The
 public field constructors check shape and finiteness; ``trusted_field``
 builds fields from already checked data without checks.
 
@@ -297,16 +298,6 @@ def row_lap(data: np.ndarray, hx: float, hy: float) -> np.ndarray:
     y_part *= hy**-2
     out += y_part
     return out.reshape(*data.shape[:-2], nx - 2, ny)
-
-
-def interior_dx(data: np.ndarray, hx: float) -> np.ndarray:
-    """Central x-difference at interior nodes of a (..., nx, ny) stack."""
-    return row_dx(data, hx)[..., 1:-1]
-
-
-def interior_dy(data: np.ndarray, hy: float) -> np.ndarray:
-    """Central y-difference at interior nodes of a (..., nx, ny) stack."""
-    return row_dy(data, hy)[..., 1:-1]
 
 
 def interior_lap(data: np.ndarray, hx: float, hy: float) -> np.ndarray:

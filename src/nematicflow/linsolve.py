@@ -65,7 +65,6 @@ from .grid import (
     ScalarField2D,
     VectorField2D,
     interior_lap,
-    quad_weights,
     row_dx,
     row_dy,
     set_ring,
@@ -210,19 +209,18 @@ def _projection_modes(s: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
 
 
 @lru_cache(maxsize=32)
-def _projection_eigensystem(grid: Grid) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
-    """(Qx, Qy, inv, area) with D D^T = (Qx (x) Qy) diag(lx_i + ly_j) (Qx (x) Qy)^T.
+def _projection_eigensystem(grid: Grid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(Qx, Qy, -1 / (lx_i + ly_j)) with D D^T = (Qx (x) Qy) diag(lx_i + ly_j) (Qx (x) Qy)^T.
 
-    ``inv`` holds the reciprocal eigenvalues, zero on the null mode of
-    odd-odd grids, so applying it gives the minimum-norm solution.  ``area``
-    is the sum of the quadrature weights, which normalizes the pressure.
+    The negated reciprocal eigenvalues are zero on the null mode of odd-odd
+    grids, so applying them gives minus the minimum-norm solution.
     """
     (qx, lam_x), (qy, lam_y) = (_projection_modes(s, h) for s, h in
                                 zip(_sine_basis(grid.nx, grid.ny), (grid.hx, grid.hy)))
     total = lam_x[:, None] + lam_y[None, :]
-    inv = np.zeros_like(total)  # total is zero only on the odd-odd null mode
-    np.divide(1.0, total, out=inv, where=total != 0.0)
-    return qx, qy, inv, np.sum(quad_weights(grid))
+    neg_inv = np.zeros_like(total)  # total is zero only on the odd-odd null mode
+    np.divide(-1.0, total, out=neg_inv, where=total != 0.0)
+    return qx, qy, neg_inv
 
 
 def heat_solve_interior(
@@ -339,8 +337,8 @@ def project_divergence_free(u: VectorField2D) -> tuple[VectorField2D, ScalarFiel
     """Project onto discretely divergence-free fields, keeping ring values fixed.
 
     Returns (v, pi) with div_h v = 0 at interior nodes to solver precision and
-    v = u - grad pi in the interior (pi extended by zero on the ring, then
-    normalized to zero mean).
+    v = u - grad_h pi in the interior.  pi is minus the multiplier lam of the
+    normal equations, extended by zero on the ring.
     """
     g = u.grid
     # the stencils run on whole interior rows, contiguous, and are summed
@@ -348,16 +346,14 @@ def project_divergence_free(u: VectorField2D) -> tuple[VectorField2D, ScalarFiel
     div = row_dx(u.data[0], g.hx)
     div += row_dy(u.data[1], g.hy)
 
-    qx, qy, inv, area = _projection_eigensystem(g)
-    lam_pad = np.zeros(g.shape)
-    lam_pad[1:-1, 1:-1] = qx @ ((qx.T @ div[:, 1:-1] @ qy) * inv) @ qy.T
+    qx, qy, neg_inv = _projection_eigensystem(g)
+    pi = np.zeros(g.shape)
+    pi[1:-1, 1:-1] = qx @ ((qx.T @ div[:, 1:-1] @ qy) * neg_inv) @ qy.T
 
     v = u.data.copy()
-    # v_int -= D^T lam, and D^T lam is minus the zero-extension central
-    # gradient.  Its x-difference is exactly zero on the ring columns, where
-    # lam is zero, so it is added on whole rows.
-    v[0, 1:-1] += row_dx(lam_pad, g.hx)
-    v[1, 1:-1, 1:-1] += row_dy(lam_pad, g.hy)[:, 1:-1]
-
-    pi = np.sum(quad_weights(g) * lam_pad) / area - lam_pad
+    # v_int -= D^T lam = grad_h pi, the zero-extension central gradient.  Its
+    # x-difference is exactly zero on the ring columns, where pi is zero, so
+    # it is subtracted on whole rows.
+    v[0, 1:-1] -= row_dx(pi, g.hx)
+    v[1, 1:-1, 1:-1] -= row_dy(pi, g.hy)[:, 1:-1]
     return trusted_field(VectorField2D, g, v), trusted_field(ScalarField2D, g, pi)

@@ -288,12 +288,20 @@ class TestProjection:
         scale = np.max(np.abs(u))
         assert np.max(np.abs(v.data)) < 1e-11 * scale
 
-    def test_pi_zero_mean(self):
-        g = Grid(16, 16)
+    @pytest.mark.parametrize("nx, ny", [(16, 16), (9, 9), (12, 17)])
+    def test_pi_is_zero_on_the_ring_and_its_gradient_is_removed(self, nx, ny):
+        # pi is the multiplier itself, with no constant shifted in: +0.0 on
+        # the ring, and v = u - grad_h pi at interior nodes
+        g = Grid(nx, ny, 1.0, 1.3)
         u = self._random_interior(g, seed=4)
-        _, pi = project_divergence_free(u)
-        w = quad_weights(g)
-        assert abs(np.sum(w * pi.data)) < 1e-12
+        v, pi = project_divergence_free(u)
+        ring = extract_ring(pi.data)
+        assert np.array_equal(ring, np.zeros_like(ring)) and not np.signbit(ring).any()
+        grad = np.stack([(pi.data[2:, 1:-1] - pi.data[:-2, 1:-1]) / (2 * g.hx),
+                         (pi.data[1:-1, 2:] - pi.data[1:-1, :-2]) / (2 * g.hy)])
+        removed = u.data[:, 1:-1, 1:-1] - v.data[:, 1:-1, 1:-1]
+        scale = np.max(np.abs(u.data)) + np.max(np.abs(grad))
+        assert np.max(np.abs(removed - grad)) <= 4 * EPS * scale
 
     @pytest.mark.parametrize(
         "nx, ny, lx, ly",
@@ -317,8 +325,6 @@ class TestProjection:
         assert np.array_equal(v.data[:, :, [0, -1]], u.data[:, :, [0, -1]])
         pi_ref = np.zeros(g.shape)
         pi_ref[1:-1, 1:-1] = -lam.reshape(mx, my)
-        w = quad_weights(g)
-        pi_ref -= np.sum(w * pi_ref) / np.sum(w)
         assert np.max(np.abs(pi.data - pi_ref)) <= 1e-13 * np.max(np.abs(pi_ref))
 
 
