@@ -10,7 +10,8 @@ it is solved exactly by diagonalizing each 1-D factor once per grid
 diagonal multiply and two products back, whose first matrix carries the
 transform's normalization.  Each cache is an ``lru_cache``: the eigensystems
 ``_dirichlet_eigenvalues``, ``_heat_inverse`` (per coefficient) and
-``_projection_eigensystem`` on the frozen ``Grid``, ``_sine_basis`` and
+``_projection_eigensystem`` (the grid sign pattern and the reciprocal
+eigenvalues, no matrix) on the frozen ``Grid``, ``_sine_basis`` and
 ``_edge_indices`` on its node counts; ``clear_cache`` empties all five.
 
 Every solve, the projection included, is diagonal in one discrete sine
@@ -33,24 +34,30 @@ constrained least-squares problem
 
 whose normal equations read (D D^T) lam = D u with D the interior divergence
 acting on interior velocity unknowns.  With T = tridiag(-1, 0, 1) and
-K = T^T T / (4 h^2) in each direction, D D^T = Kx (x) I + I (x) Ky, so with
-Kx = Qx diag(lx) Qx^T and Ky = Qy diag(ly) Qy^T the solve is
+K = T^T T / (4 h^2) in each direction, D D^T = Kx (x) I + I (x) Ky.  With
+A = tridiag(1, 0, 1) and E = diag(+1, +1, -1, -1, +1, ...) acting on the grid
+index, T^T T = E A^2 E, and A is diagonal in the sine basis, so K =
+Q diag(mu) Q^T with Q = sqrt(2/(m+1)) E S and mu_k = cos^2(k pi/(m+1)) / h^2.
+The factors sqrt(2/(m+1)) of Qx and Qy, each taken twice, give the
+normalization 4 / ((mx+1)(my+1)) that ``from_sine`` carries, so the
+projection is one more sine-basis solve through the same transform pair,
 
-    lam = Qx ((Qx^T div Qy) / (lx_i + ly_j)) Qy^T.
+    lam = E o from_sine(sine_coefficients(E o D u) / (mu_x,i + mu_y,j)),
 
-With A = tridiag(1, 0, 1) and E = diag(+1, +1, -1, -1, +1, ...), T^T T =
-E A^2 E, and A is diagonal in the sine basis, so Q = sqrt(2/(m+1)) E S and
-K's eigenvalues are cos^2(k pi/(m+1)) / h^2.  Every sine and eigenvalue thus
-comes from one helper, sin(pi i / (2 (m+1))) for integer i: the sine matrix
-S with i = 2 (jk mod 2(m+1)), whose integer reduction keeps S orthogonal to
-a few eps; the Dirichlet eigenvalues 4 sin^2(k pi/(2(m+1))) / h^2 with
-i = k, which do not cancel as 2 - 2 cos does; and K's with i = |m+1 - 2k|,
-exactly zero at k = (m+1)/2.  So D D^T is singular exactly when nx and ny
-are both odd (one checkerboard mode on odd-odd nodes), with no rounding to
-remove.  Its reciprocal is set to zero, which yields the minimum-norm
-multiplier; with u = 0 on the ring the right-hand side is orthogonal to that
-mode, so the divergence of the result sits at rounding level rather than
-truncation error.
+where E o is the product with the sign pattern e_x e_y^T at interior nodes.
+The returned pressure is the multiplier itself, pi = -lam, zero on the ring:
+v = u - D^T lam = u - grad_h pi.
+
+Every sine and eigenvalue comes from one helper, sin(pi i / (2 (m+1))) for
+integer i: the sine matrix S with i = 2 (jk mod 2(m+1)), whose integer
+reduction keeps S orthogonal to a few eps; the Dirichlet eigenvalues
+4 sin^2(k pi/(2(m+1))) / h^2 with i = k, which do not cancel as 2 - 2 cos
+does; and mu with i = |m+1 - 2k|, exactly zero at k = (m+1)/2.  So D D^T is
+singular exactly when nx and ny are both odd (one checkerboard mode on
+odd-odd nodes), with no rounding to remove.  Its reciprocal is set to zero,
+which yields the minimum-norm multiplier; with u = 0 on the ring the
+right-hand side is orthogonal to that mode, so the divergence of the result
+sits at rounding level rather than truncation error.
 """
 
 from __future__ import annotations
@@ -198,29 +205,28 @@ def ring_transform(grid: Grid, ring_values: np.ndarray) -> np.ndarray:
     return cols @ rows
 
 
-def _projection_modes(s: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
-    """(Q, lam) with K = T^T T / (4 h^2) = Q diag(lam) Q^T, from the m x m sine
-    matrix ``s``: Q = sqrt(2/(m+1)) E s, lam_k = cos^2(k pi / (m + 1)) / h^2."""
-    m = s.shape[0]
+def _projection_modes(m: int, h: float) -> tuple[np.ndarray, np.ndarray]:
+    """(e, mu) with K = T^T T / (4 h^2) = Q diag(mu) Q^T for Q = sqrt(2/(m+1)) E S:
+    e is the diagonal (+1, +1, -1, -1, +1, ...) of E, acting on the grid
+    index, and mu_k = cos^2(k pi / (m + 1)) / h^2."""
     k = np.arange(1, m + 1)
-    signs = 1.0 - 2.0 * ((k - 1) // 2 % 2)  # E = diag(+1, +1, -1, -1, ...)
-    q = np.sqrt(2.0 / (m + 1)) * signs[:, None] * s
-    return q, (_half_angle_sine(np.abs(m + 1 - 2 * k), m) / h) ** 2
+    return 1.0 - 2.0 * ((k - 1) // 2 % 2), (_half_angle_sine(np.abs(m + 1 - 2 * k), m) / h) ** 2
 
 
 @lru_cache(maxsize=32)
-def _projection_eigensystem(grid: Grid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(Qx, Qy, -1 / (lx_i + ly_j)) with D D^T = (Qx (x) Qy) diag(lx_i + ly_j) (Qx (x) Qy)^T.
+def _projection_eigensystem(grid: Grid) -> tuple[np.ndarray, np.ndarray]:
+    """(E, -1 / (mu_x,i + mu_y,j)): the sign pattern e_x e_y^T on interior
+    nodes and the negated reciprocal eigenvalues of D D^T in the sine basis.
 
-    The negated reciprocal eigenvalues are zero on the null mode of odd-odd
-    grids, so applying them gives minus the minimum-norm solution.
+    The reciprocal is zero on the null mode of odd-odd grids, so applying it
+    gives minus the minimum-norm solution.
     """
-    (qx, lam_x), (qy, lam_y) = (_projection_modes(s, h) for s, h in
-                                zip(_sine_basis(grid.nx, grid.ny), (grid.hx, grid.hy)))
-    total = lam_x[:, None] + lam_y[None, :]
+    (ex, mu_x), (ey, mu_y) = (_projection_modes(n - 2, h)
+                              for n, h in ((grid.nx, grid.hx), (grid.ny, grid.hy)))
+    total = mu_x[:, None] + mu_y[None, :]
     neg_inv = np.zeros_like(total)  # total is zero only on the odd-odd null mode
     np.divide(-1.0, total, out=neg_inv, where=total != 0.0)
-    return qx, qy, neg_inv
+    return ex[:, None] * ey[None, :], neg_inv
 
 
 def heat_solve_interior(
@@ -346,9 +352,15 @@ def project_divergence_free(u: VectorField2D) -> tuple[VectorField2D, ScalarFiel
     div = row_dx(u.data[0], g.hx)
     div += row_dy(u.data[1], g.hy)
 
-    qx, qy, neg_inv = _projection_eigensystem(g)
+    # pi = -lam = E o from_sine(sine_coefficients(E o div) (-1 / mu)), the
+    # sign folded into the cached reciprocal
+    signs, neg_inv = _projection_eigensystem(g)
+    coef = sine_coefficients(g, signs * div[:, 1:-1])
+    coef *= neg_inv
+    pi_int = from_sine(g, coef)
+    pi_int *= signs
     pi = np.zeros(g.shape)
-    pi[1:-1, 1:-1] = qx @ ((qx.T @ div[:, 1:-1] @ qy) * neg_inv) @ qy.T
+    pi[1:-1, 1:-1] = pi_int
 
     v = u.data.copy()
     # v_int -= D^T lam = grad_h pi, the zero-extension central gradient.  Its

@@ -159,10 +159,11 @@ def test_decay_step_solves_twice_and_builds_liftings_only_at_samples(monkeypatch
         assert built == {"dE": at_sample, "dP": False, "dt_dP": at_sample, "dt_dE": at_sample}, s.t
 
 
-def test_moving_trace_step_makes_two_dense_transform_pairs(monkeypatch):
+def test_moving_trace_step_makes_three_dense_transform_pairs(monkeypatch):
     # one forward and one backward transform of a (2, mx, my) stack for each
-    # of the director and velocity solves; d_E enters the director solve in
-    # the sine basis, so nothing else is transformed
+    # of the director and velocity solves, and of the (mx, my) divergence for
+    # the projection; d_E enters the director solve in the sine basis, so
+    # nothing else is transformed
     sc = Scenario(name="decay", family="polynomial-decay", nx=16, ny=12, ly=0.75,
                   dt=2.5e-3, seed=1)
     s0 = generate_scenario(sc).state
@@ -184,8 +185,9 @@ def test_moving_trace_step_makes_two_dense_transform_pairs(monkeypatch):
     for _ in range(3):
         calls.clear()
         s = dynamics.step(s)
-        stack = (2, sc.nx - 2, sc.ny - 2)
-        assert sorted(calls) == [("from_sine", stack)] * 2 + [("sine_coefficients", stack)] * 2
+        mx, my = sc.nx - 2, sc.ny - 2
+        assert sorted(calls) == sorted([(name, shape) for name in ("sine_coefficients", "from_sine")
+                                        for shape in ((2, mx, my), (2, mx, my), (mx, my))])
 
 
 def _count_harmonic_extensions(monkeypatch) -> list:
