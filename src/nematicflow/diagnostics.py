@@ -143,11 +143,9 @@ def energy_record(state: "SimState", reference: VectorField2D | None = None) -> 
     gfield = state.forcing.body_force(state.t)
     r_t = 0.5 * nd**2 + nd + (0.0 if gfield is None else norms(gfield, "Hminus1") ** 2)
 
-    # on whole interior rows, as the projection takes it; the interior
-    # columns are read
-    div = row_dx(v[0], hx)
+    div = row_dx(v[0], hx)  # summed on whole interior rows, as the projection does
     div += row_dy(v[1], hy)
-    div = div[:, 1:-1]
+    div = np.ascontiguousarray(div[:, 1:-1])
     div_norm = float(np.sqrt(cell * np.vdot(div, div)))
 
     if reference is not None:

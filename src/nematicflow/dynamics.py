@@ -109,9 +109,10 @@ class Forcing:
     the director equation; it exists for manufactured-solution tests.
     ``boundary_rate`` is the analytic h_t when known (read by the hypothesis
     checker).  ``boundary(t)`` refuses a shape other than (nb, 2),
-    non-finite values and |h| > 1, and ``body_force(t)`` non-finite values,
-    at every t they are asked for; the constructor asks for h at t = 0, so
-    bad static data is refused up front.
+    non-finite values and |h| > 1, and ``body_force(t)`` and
+    ``director_source(t)`` a shape other than (2, nx, ny) and non-finite
+    values, naming the datum and t, at every t they are asked for; the
+    constructor asks for h at t = 0, so bad static data is refused up front.
     These are the run's entry points for outside data: the fields the step
     derives from them are not checked again.
     """
@@ -151,22 +152,26 @@ class Forcing:
             raise ValueError(f"|h| exceeds 1 at t={t:.6g}: max |h| = {mag:.6g}")
         return vals
 
-    def body_force(self, t: float) -> VectorField2D | None:
-        if self._body is None:
+    def _field(self, name: str, values: Callable | None, t: float) -> VectorField2D | None:
+        if values is None:
             return None
         try:
-            return VectorField2D(self.grid, self._body(t))
+            return VectorField2D(self.grid, values(t))
         except ValueError as exc:
-            raise ValueError(f"body force at t={t:.6g}: {exc}") from exc
+            raise ValueError(f"{name} at t={t:.6g}: {exc}") from exc
 
-    def director_source(self, t: float) -> np.ndarray | None:
-        if self._director_source is None:
-            return None
-        return np.asarray(self._director_source(t), dtype=float)
+    def body_force(self, t: float) -> VectorField2D | None:
+        return self._field("body force", self._body, t)
+
+    def director_source(self, t: float) -> VectorField2D | None:
+        return self._field("director source", self._director_source, t)
 
 
 @dataclass(frozen=True)
 class SimState:
+    """v, d and pressure pi at time t, with the liftings of the trace at t; pi is
+    the projection's multiplier, zero on the ring (``project_divergence_free``)."""
+
     t: float
     v: VectorField2D
     d: VectorField2D
@@ -268,7 +273,7 @@ def step(s: SimState) -> SimState:
     expl += v_rows[1] * d_dy
     src = s.forcing.director_source(t1)
     if src is not None:
-        expl -= src[:, 1:-1]
+        expl -= src.data[:, 1:-1]
     expl *= dt
     rhs_d -= expl
     interior = heat_solve_interior(g, rhs_d[..., 1:-1], p.eta * dt, lift1.e)

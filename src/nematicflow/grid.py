@@ -9,9 +9,8 @@ second-order one-sided stencils on the boundary ring; the Laplacian is the
 standard 5-point stencil, defined on interior nodes only.  The interior
 stencils live here alone: ``row_dx``, ``row_dy`` and ``row_lap`` evaluate
 them on the interior rows of a (..., nx, ny) stack, whose callers read the
-interior columns ``[..., 1:-1]``; ``interior_lap`` is those columns of
-``row_lap``, and ``row_stencils`` memoizes all three for a read-only
-director.  The
+interior columns ``[..., 1:-1]``; ``interior_lap`` is those of ``row_lap``,
+and ``row_stencils`` memoizes all three for a read-only director.  The
 public field constructors check shape and finiteness; ``trusted_field``
 builds fields from already checked data without checks.
 

@@ -10,9 +10,9 @@ it is solved exactly by diagonalizing each 1-D factor once per grid
 diagonal multiply and two products back, whose first matrix carries the
 transform's normalization.  Each cache is an ``lru_cache``: the eigensystems
 ``_dirichlet_eigenvalues``, ``_heat_inverse`` (per coefficient) and
-``_projection_eigensystem`` (the grid sign pattern and the reciprocal
-eigenvalues, no matrix) on the frozen ``Grid``, ``_sine_basis`` and
-``_edge_indices`` on its node counts; ``clear_cache`` empties all five.
+``_projection_eigensystem`` (a sign pattern, no matrix) on the frozen
+``Grid``, ``_sine_basis`` and ``_edge_indices`` on its node counts;
+``clear_cache`` empties all five.
 
 Every solve, the projection included, is diagonal in one discrete sine
 basis, applied as dense sine-transform matrices, which beat FFTs at these
@@ -33,21 +33,17 @@ constrained least-squares problem
     min |v - u|^2   s.t.   div_h v = 0 at every interior node,  v = u on the ring,
 
 whose normal equations read (D D^T) lam = D u with D the interior divergence
-acting on interior velocity unknowns.  With T = tridiag(-1, 0, 1) and
-K = T^T T / (4 h^2) in each direction, D D^T = Kx (x) I + I (x) Ky.  With
-A = tridiag(1, 0, 1) and E = diag(+1, +1, -1, -1, +1, ...) acting on the grid
-index, T^T T = E A^2 E, and A is diagonal in the sine basis, so K =
-Q diag(mu) Q^T with Q = sqrt(2/(m+1)) E S and mu_k = cos^2(k pi/(m+1)) / h^2.
-The factors sqrt(2/(m+1)) of Qx and Qy, each taken twice, give the
-normalization 4 / ((mx+1)(my+1)) that ``from_sine`` carries, so the
-projection is one more sine-basis solve through the same transform pair,
+acting on interior velocity unknowns.  With T = tridiag(-1, 0, 1), A =
+tridiag(1, 0, 1) and E = diag(+1, +1, -1, -1, +1, ...) on the grid index,
+T^T T = E A^2 E, and A is diagonal in the sine basis.  So D D^T = Kx (x) I +
+I (x) Ky with K = T^T T / (4 h^2) = Q diag(mu) Q^T, Q = sqrt(2/(m+1)) E S and
+mu_k = cos^2(k pi/(m+1)) / h^2.  Q's factors, taken twice in each direction,
+are the normalization of ``from_sine``, so the multiplier is one more solve
+through the transform pair, with E o the product with the sign pattern e_x e_y^T:
 
-    lam = E o from_sine(sine_coefficients(E o D u) / (mu_x,i + mu_y,j)),
+    lam = E o from_sine(sine_coefficients(E o D u) / (mu_x,i + mu_y,j)).
 
-where E o is the product with the sign pattern e_x e_y^T at interior nodes.
-The returned pressure is the multiplier itself, pi = -lam, zero on the ring:
-v = u - D^T lam = u - grad_h pi.
-
+The pressure returned is pi = -lam, zero on the ring: v = u - grad_h pi.
 Every sine and eigenvalue comes from one helper, sin(pi i / (2 (m+1))) for
 integer i: the sine matrix S with i = 2 (jk mod 2(m+1)), whose integer
 reduction keeps S orthogonal to a few eps; the Dirichlet eigenvalues
@@ -215,12 +211,8 @@ def _projection_modes(m: int, h: float) -> tuple[np.ndarray, np.ndarray]:
 
 @lru_cache(maxsize=32)
 def _projection_eigensystem(grid: Grid) -> tuple[np.ndarray, np.ndarray]:
-    """(E, -1 / (mu_x,i + mu_y,j)): the sign pattern e_x e_y^T on interior
-    nodes and the negated reciprocal eigenvalues of D D^T in the sine basis.
-
-    The reciprocal is zero on the null mode of odd-odd grids, so applying it
-    gives minus the minimum-norm solution.
-    """
+    """(E, -1 / (mu_x,i + mu_y,j)): the sign pattern e_x e_y^T at interior nodes
+    and the negated reciprocal eigenvalues of D D^T, zero on the null mode."""
     (ex, mu_x), (ey, mu_y) = (_projection_modes(n - 2, h)
                               for n, h in ((grid.nx, grid.hx), (grid.ny, grid.hy)))
     total = mu_x[:, None] + mu_y[None, :]
@@ -352,8 +344,7 @@ def project_divergence_free(u: VectorField2D) -> tuple[VectorField2D, ScalarFiel
     div = row_dx(u.data[0], g.hx)
     div += row_dy(u.data[1], g.hy)
 
-    # pi = -lam = E o from_sine(sine_coefficients(E o div) (-1 / mu)), the
-    # sign folded into the cached reciprocal
+    # pi = -lam, its sign folded into the cached reciprocal
     signs, neg_inv = _projection_eigensystem(g)
     coef = sine_coefficients(g, signs * div[:, 1:-1])
     coef *= neg_inv

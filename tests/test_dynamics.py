@@ -374,7 +374,7 @@ def step_backward_errors(s, s1):
 
     src, gf = s.forcing.director_source(s1.t), s.forcing.body_force(s1.t)
     f = (mid(d0[0]) ** 2 + mid(d0[1]) ** 2 - 1.0) / p.eps**2 * mid(d0)
-    source = 0.0 if src is None else dt * mid(src)
+    source = 0.0 if src is None else dt * mid(src.data)
     r_d = implicit(p.eta * dt, d1, [mid(d0), -dt * advect(d0), -dt * p.eta * f, source])
     u = v1.copy()  # u* = v1 + grad_h pi1
     mid(u)[...] += np.stack([dx(pi), dy(pi)])
@@ -567,6 +567,22 @@ class TestRun:
         assert "body force at t=0.07: field contains non-finite values" in summary.abort_reason
         assert len(summary.records) == 7
         assert np.all(np.isfinite(summary.final.d.data))
+
+    @pytest.mark.parametrize("bad, reason", [
+        (np.full((2, 16, 16), np.nan), "field contains non-finite values"),
+        (np.zeros((16, 16)), "data shape (16, 16) != (2, 16, 16)"),
+    ], ids=["nan", "shape"])
+    def test_bad_director_source_aborts_naming_it(self, bad, reason):
+        # the director source enters the step through the same check as the
+        # body force, so the run stops with the datum and t named
+        g = Grid(16, 16)
+        trace = BoundaryTrace.constant(g, (1.0, 0.0))
+        forcing = Forcing(g, trace, director_source_values=lambda t: bad)
+        d0 = bump_director(g, forcing, amplitude=0.2)
+        s = init(VectorField2D.zeros(g), d0, forcing, PhysParams(), dt=1e-2)
+        summary = run(s, t_end=5e-2, sample_every=1)
+        assert summary.aborted and summary.n_steps == 0
+        assert summary.abort_reason == f"step failed at t=0: director source at t=0.01: {reason}"
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("name", ["v", "d"])

@@ -9,6 +9,13 @@ and ``cls(...)`` inside a class to that class's ``__init__``; an import of
 an import is followed to the definition.  A call that cannot be resolved,
 such as a method call, is matched by its bare name.  The few options on
 ``ALLOWED`` are set from outside the package, each for the reason given.
+
+Likewise every top-level function and class is reached from the package: a
+module refers to it by name, another module through an import of it or as
+an attribute of its module, or a package ``__init__`` re-exports it.  One
+that only tests reach belongs in the tests.  The few names on
+``ALLOWED_UNREACHED`` are used from outside the package, each for the
+reason given.
 """
 
 import ast
@@ -30,6 +37,12 @@ ALLOWED = {
     ("_OnRead.__get__", "owner"): "the descriptor protocol passes it",
 }
 
+# (module, top-level name) -> why nothing in src/ refers to it
+ALLOWED_UNREACHED = {
+    ("nematicflow.linsolve", "clear_cache"): "the benchmark's cold start",
+    ("nematicflow.harness.io", "read_snapshot"): "the reader of the snapshot output format",
+}
+
 
 def _module_name(path: Path, root: Path) -> str:
     parts = path.relative_to(root).with_suffix("").parts
@@ -41,6 +54,7 @@ class _Scan(ast.NodeVisitor):
 
     def __init__(self, module: str, is_package: bool, modules: frozenset[str]):
         self.module = module
+        self.is_package = is_package
         # what a relative import of level 1 starts from
         self.package = module if is_package else module.rpartition(".")[0]
         self.modules = modules
@@ -57,6 +71,9 @@ class _Scan(ast.NodeVisitor):
         # (how the callee is named, positional arguments before any *args,
         # keyword names); resolved once the whole module is read
         self.raw_calls: list[tuple[tuple, int, set[str]]] = []
+        # every name read, and every attribute read off a name: (name,) or
+        # (name, attribute)
+        self.reads: set[tuple[str, ...]] = set()
 
     def visit_Import(self, node):
         for alias in node.names:  # import a.b binds a, import a.b as c binds a.b
@@ -109,6 +126,15 @@ class _Scan(ast.NodeVisitor):
         self.depth += 1
         self.generic_visit(node)
         self.depth -= 1
+
+    def visit_Name(self, node):
+        if isinstance(node.ctx, ast.Load):
+            self.reads.add((node.id,))
+
+    def visit_Attribute(self, node):
+        if isinstance(node.value, ast.Name):
+            self.reads.add((node.value.id, node.attr))
+        self.generic_visit(node)
 
     def visit_Call(self, node):
         func = node.func
@@ -180,6 +206,27 @@ def _unset(options, calls) -> list[tuple[str, str, int]]:
     ]
 
 
+def _unreached(scans) -> list[tuple[str, str]]:
+    """(module, name) of each top-level function or class that no module
+    refers to and no package ``__init__`` re-exports."""
+    reached = set()
+    for scan in scans.values():
+        for name, *attribute in scan.reads:
+            if not attribute and name in scan.top_level:
+                reached.add((scan.module, name))
+            elif name in scan.imports:
+                module, imported = scan.imports[name]
+                if imported is not None:  # f, imported from its module
+                    reached.add(_definition(scans, module, imported))
+                elif attribute:  # mod.f
+                    reached.add(_definition(scans, module, attribute[0]))
+        if scan.is_package:
+            reached.update(_definition(scans, module, name)
+                           for module, name in scan.imports.values() if name is not None)
+    return sorted((scan.module, name) for scan in scans.values() for name in scan.top_level
+                  if (scan.module, name) not in reached)
+
+
 @functools.lru_cache(maxsize=None)
 def _package() -> tuple[dict[str, _Scan], tuple]:
     root = PACKAGE.parent
@@ -202,6 +249,35 @@ def test_every_allowed_option_exists_and_is_unset():
     options = [option for scan in scans.values() for option in scan.options]
     unset = {(name, param) for name, param, _ in _unset(options, calls)}
     assert set(ALLOWED) <= unset, set(ALLOWED) - unset
+
+
+def test_every_top_level_definition_is_reached_from_the_package():
+    scans, _ = _package()
+    unreached = [key for key in _unreached(scans) if key not in ALLOWED_UNREACHED]
+    assert not unreached, f"functions and classes that nothing in src/ reaches: {unreached}"
+
+
+def test_every_allowed_unreached_name_exists_and_is_unreached():
+    # an entry whose definition is gone, or that src/ now reaches, is stale
+    unreached = set(_unreached(_package()[0]))
+    assert set(ALLOWED_UNREACHED) <= unreached, set(ALLOWED_UNREACHED) - unreached
+
+
+@pytest.mark.parametrize("source, unreached", [
+    ("", ["helper", "unused"]),
+    ("from .lib import helper as h\nh(1)\n", ["unused"]),  # an aliased import
+    ("from . import lib\nlib.helper(1)\n", ["unused"]),  # a module attribute
+    ("def helper(x):\n    return x\n\n\nhelper(1)\n", ["helper", "unused"]),  # another module's own
+])
+def test_reached_through_imports_attributes_and_reexports(source, unreached):
+    sources = {
+        "pkg": ("from .lib import Public\n", True),  # a re-export reaches Public
+        "pkg.lib": ("class Public:\n    pass\n\n\ndef helper(x):\n    return x\n\n\n"
+                    "def unused():\n    return 0\n", False),
+        "pkg.caller": (source, False),
+    }
+    scans = _scan_sources(sources)
+    assert [name for module, name in _unreached(scans) if module == "pkg.lib"] == unreached
 
 
 SYNTHETIC = {
