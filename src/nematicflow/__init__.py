@@ -8,7 +8,6 @@ from .grid import (
     Grid,
     ScalarField2D,
     VectorField2D,
-    bulk_potential_F,
     divergence,
     gradient,
     laplacian,

@@ -30,6 +30,7 @@ from .grid import (
     Grid,
     ScalarField2D,
     VectorField2D,
+    ginzburg_landau,
     row_dx,
     row_dy,
     row_stencils,
@@ -108,24 +109,20 @@ def energy_record(state: "SimState", reference: VectorField2D | None = None) -> 
     v = state.v.data
     hx, hy = g.hx, g.hy
     cell = hx * hy
-    w = quad_weights(g)
 
     d_hat = d - lift.dE.data
     # v is zero on the ring, where alone the trapezoid weights differ from
     # hx hy, so the sum runs over every node with the one weight
     kinetic = 0.5 * cell * float(np.vdot(v, v))
     elastic_hat = 0.5 * edge_seminorm_sq(g, d_hat)
-    mag_sq = d[0] ** 2 + d[1] ** 2
-    bulk = mag_sq - 1.0
-    potential = float(np.vdot(w * bulk, bulk)) / (4.0 * p.eps**2)
+    # the interior residual lap d - f(d) is formed from the lap d that the
+    # step has already evaluated.  The scheme makes lap d_E = 0 (harmonic
+    # extension) and lap d_P = dt d_P (backward-Euler heat step) at interior
+    # nodes, so it is also D2's residual lap(d - d_E) - f(d), and A_P's less
+    # dt d_P.
+    mag_sq, potential, res_stat = ginzburg_landau(g, d, row_stencils(state.d)[2][..., 1:-1], p.eps)
     e_hat = kinetic + elastic_hat + potential
 
-    # interior residual lap d - f(d), from the lap d that the step has already
-    # evaluated.  The scheme makes lap d_E = 0 (harmonic extension) and
-    # lap d_P = dt d_P (backward-Euler heat step) at interior nodes, so it is
-    # also D2's residual lap(d - d_E) - f(d), and A_P's less dt d_P.
-    f_int = (bulk[1:-1, 1:-1] / p.eps**2) * d[:, 1:-1, 1:-1]
-    res_stat = row_stencils(state.d)[2][..., 1:-1] - f_int
     res_stat_sq = float(np.vdot(res_stat, res_stat))
     if state.forcing.static_trace:  # d_P equals d_E bitwise
         res_tilde_sq = res_stat_sq

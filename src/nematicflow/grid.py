@@ -14,10 +14,10 @@ and ``row_stencils`` memoizes all three for a read-only director.  The
 public field constructors check shape and finiteness; ``trusted_field``
 builds fields from already checked data without checks.
 
-Besides the raw differences, this module provides the pointwise
-Ginzburg-Landau potential F(d) = (|d|^2 - 1)^2 / (4 eps^2), which relaxes the
-unit-length constraint on the director field; its gradient, the penalization
-f(d) = (|d|^2 - 1) d / eps^2, is formed where it is used.
+Besides the raw differences, ``ginzburg_landau`` integrates the potential
+F(d) = (|d|^2 - 1)^2 / (4 eps^2), which relaxes the unit-length constraint on
+the director field, and forms lap_h d - f(d) with its gradient, the
+penalization f(d) = (|d|^2 - 1) d / eps^2: the one place either is formed.
 """
 
 from __future__ import annotations
@@ -376,12 +376,20 @@ def stress_rows(d: "VectorField2D") -> np.ndarray:
     return out
 
 
-def bulk_potential_F(d: VectorField2D, eps: float) -> ScalarField2D:
-    """Pointwise potential (|d|^2 - 1)^2 / (4 eps^2); zero exactly on |d| = 1."""
-    if eps <= 0:
-        raise ValueError(f"eps must be positive, got {eps}")
-    sq = d.data[0] ** 2 + d.data[1] ** 2 - 1.0
-    return ScalarField2D(d.grid, sq**2 / (4.0 * eps**2))
+def ginzburg_landau(
+    grid: Grid, d: np.ndarray, lap: np.ndarray, eps: float
+) -> tuple[np.ndarray, float, np.ndarray]:
+    """(|d|^2, int F(d), lap_h d - f(d)) of a (2, nx, ny) director ``d``.
+
+    ``lap`` is the caller's 5-point Laplacian of d at interior nodes,
+    (2, nx-2, ny-2), and lap_h d - f(d) is taken there; int F(d) takes the
+    trapezoid weights.  The energy record and the steady solver both read
+    these, so they agree on energies and stationary residuals bit for bit.
+    """
+    mag_sq = d[0] ** 2 + d[1] ** 2
+    bulk = mag_sq - 1.0
+    potential = float(np.vdot(quad_weights(grid) * bulk, bulk)) / (4.0 * eps**2)
+    return mag_sq, potential, lap - (bulk[1:-1, 1:-1] / eps**2) * d[:, 1:-1, 1:-1]
 
 
 # ---------------------------------------------------------------------------
@@ -403,10 +411,6 @@ def _quad_weights_cached(grid: Grid) -> np.ndarray:
 def quad_weights(grid: Grid) -> np.ndarray:
     """Trapezoidal node weights on the full rectangle (cached, read-only)."""
     return _quad_weights_cached(grid)
-
-
-def integrate(f: ScalarField2D) -> float:
-    return float(np.sum(quad_weights(f.grid) * f.data))
 
 
 # ---------------------------------------------------------------------------

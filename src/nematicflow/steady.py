@@ -13,11 +13,14 @@ with d*_E the harmonic extension of h_inf, is the natural Lyapunov candidate;
 E and script_E differ by a quantity that depends only on the trace, so they
 rank equilibria identically.  Both are reported.
 
+The energies and the stationary defect R(d) = -lap_h d + f(d) at interior
+nodes come from ``grid.ginzburg_landau``, as the energy record's do, in one
+evaluation per iterate; the residual is the interior L2 norm of R.
+
 The solver relaxes into Newton's basin, then runs Newton-MINRES.  The
 relaxation is the stabilized linearly implicit scheme of Shen & Yang, DCDS-A
 28 (2010), with an infinite time step, as a defect correction:
 
-    R(d) = -lap_h d + f(d)   at interior nodes,
     d   <- d - (S - lap_h)^-1 R(d),     S = 1/eps^2.
 
 S = L/2, with L = max|f'| = 2/eps^2 on |d| <= 1, keeps E decreasing, and a
@@ -31,7 +34,8 @@ Knoll & Keyes, J. Comput. Phys. 193 (2004): J = -lap_h + f'(psi) is applied
 by the interior stencil plus the pointwise 2x2 block of f'.  J is symmetric
 but indefinite at saddles, so each step is solved by MINRES (Paige &
 Saunders, SINUM 12, 1975), preconditioned by the same (S - lap_h)^-1 solve,
-for at most ``NEWTON_MAX_ITER`` steps.  A local-minimizer check probes
+for at most ``NEWTON_MAX_ITER`` steps: k steps evaluate R k + 1 times, and
+none from a residual at the tolerance.  A local-minimizer check probes
 script_E along ``MINIMIZER_PROBES`` random smooth zero-trace directions of H1
 size at most ``MINIMIZER_DELTA`` and reports the smallest Rayleigh quotient
 of J among them.  The functions read these constants at call time.
@@ -47,11 +51,11 @@ from .diagnostics import edge_seminorm_sq
 from .grid import (
     Grid,
     VectorField2D,
-    bulk_potential_F,
     extract_ring,
-    integrate,
+    ginzburg_landau,
     interior_lap,
     random_sine_series,
+    trusted_field,
 )
 from .dynamics import PhysParams
 from .linsolve import EPS, heat_solve_interior
@@ -101,48 +105,17 @@ class Equilibrium:
     iterations: int
 
 
-def energy_E(psi: VectorField2D, eps: float) -> float:
-    return 0.5 * edge_seminorm_sq(psi.grid, psi.data) + integrate(bulk_potential_F(psi, eps))
+def _evaluate(grid: Grid, d: np.ndarray, eps: float) -> tuple[float, np.ndarray, float]:
+    """int F(d), lap_h d - f(d) at interior nodes and its interior L2 norm:
+    the shared ``ginzburg_landau`` on the 5-point Laplacian, normed as the
+    energy record norms it."""
+    _, potential, defect = ginzburg_landau(grid, d, interior_lap(d, grid.hx, grid.hy), eps)
+    return potential, defect, float(np.sqrt(grid.hx * grid.hy * float(np.vdot(defect, defect))))
 
 
 def energy_script(psi: VectorField2D, d_star_E: VectorField2D, eps: float) -> float:
-    diff = psi.data - d_star_E.data
-    return 0.5 * edge_seminorm_sq(psi.grid, diff) + integrate(bulk_potential_F(psi, eps))
-
-
-def _stationary_defect(grid: Grid, d: np.ndarray, eps: float) -> np.ndarray:
-    """-lap_h d + f(d) at interior nodes, shape (2, mx, my)."""
-    c = d[:, 1:-1, 1:-1]
-    return ((c[0] ** 2 + c[1] ** 2 - 1.0) / eps**2) * c - interior_lap(d, grid.hx, grid.hy)
-
-
-def _defect_norm(grid: Grid, r: np.ndarray) -> float:
-    return float(np.sqrt(grid.hx * grid.hy * np.sum(r**2)))
-
-
-def stationary_residual(psi: VectorField2D, eps: float) -> float:
-    """Interior L2 norm of -lap psi + f(psi)."""
-    return _defect_norm(psi.grid, _stationary_defect(psi.grid, psi.data, eps))
-
-
-def _make_equilibrium(
-    psi: VectorField2D,
-    params: PhysParams,
-    converged: bool,
-    iterations: int,
-    d_star_E: VectorField2D,
-    residual: float,
-    energy: float,
-) -> Equilibrium:
-    return Equilibrium(
-        psi=psi,
-        d_star_E=d_star_E,
-        residual=residual,
-        energy_E=energy,
-        energy_script=energy_script(psi, d_star_E, params.eps),
-        converged=converged,
-        iterations=iterations,
-    )
+    potential = _evaluate(psi.grid, psi.data, eps)[0]
+    return 0.5 * edge_seminorm_sq(psi.grid, psi.data - d_star_E.data) + potential
 
 
 def solve_gradient_flow(
@@ -154,41 +127,49 @@ def solve_gradient_flow(
     """Relax -lap d + f(d) = 0 with frozen trace until the residual meets tol.
 
     ``d_star_E`` is the harmonic extension of the trace h_inf to hold, which
-    ``d_init`` must carry; the result keeps it as its ``d_star_E``.
+    ``d_init`` must carry bit for bit: the corrections never write the ring,
+    and script_E's shift d - d_star_E vanishes there.  The result keeps
+    ``d_star_E``.
 
     Each correction is one stabilized implicit step of infinite length (module
-    docstring).  The residual is checked after every correction; the iterate
-    with the smallest one is returned with the residual and E the loop gave
-    it, and the loop stops early once ``STALL_ITERATIONS`` corrections in a
-    row bring neither a new smallest residual nor a new lowest energy.
-    ``iterations`` counts the corrections made.
+    docstring).  Every iterate is evaluated once, for its residual and E; the
+    iterate with the smallest residual is returned with the residual and
+    energies of that evaluation, and the loop stops early once
+    ``STALL_ITERATIONS`` corrections in a row bring neither a new smallest
+    residual nor a new lowest energy.  ``iterations`` counts the corrections
+    made.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
     g = d_init.grid
-    if np.max(np.abs(extract_ring(d_init.data) - extract_ring(d_star_E.data))) > 1e-10:
+    if not np.array_equal(extract_ring(d_init.data), extract_ring(d_star_E.data)):
         raise ValueError("d_init trace must equal h_inf")
 
     stab = 1.0 / params.eps**2
     d = d_init.data.copy()
-    best, best_res, best_energy, low_energy = d.copy(), np.inf, np.inf, np.inf
+    best, best_res, best_potential, low_energy = d.copy(), np.inf, np.inf, np.inf
     it = stalled = 0
     while True:
-        r = _stationary_defect(g, d, params.eps)
-        res = _defect_norm(g, r)
-        energy = energy_E(VectorField2D(g, d), params.eps)
+        potential, r, res = _evaluate(g, d, params.eps)
+        energy = 0.5 * edge_seminorm_sq(g, d) + potential
         stalled += 1
         if res < best_res:
             best[...] = d
-            best_res, best_energy, stalled = res, energy, 0
+            best_res, best_potential, stalled = res, potential, 0
         if energy < low_energy:
             low_energy, stalled = energy, 0
         if best_res <= tol or it >= GRADIENT_FLOW_MAX_ITER or stalled >= STALL_ITERATIONS:
             break
-        d[:, 1:-1, 1:-1] -= heat_solve_interior(g, r / stab, 1.0 / stab)
+        d[:, 1:-1, 1:-1] += heat_solve_interior(g, r / stab, 1.0 / stab)
         it += 1
-    return _make_equilibrium(
-        VectorField2D(g, best), params, best_res <= tol, it, d_star_E, best_res, best_energy
+    return Equilibrium(
+        psi=VectorField2D(g, best),
+        d_star_E=d_star_E,
+        residual=best_res,
+        energy_E=0.5 * edge_seminorm_sq(g, best) + best_potential,
+        energy_script=0.5 * edge_seminorm_sq(g, best - d_star_E.data) + best_potential,
+        converged=best_res <= tol,
+        iterations=it,
     )
 
 
@@ -290,18 +271,22 @@ def newton_refine(
     def precondition(r: np.ndarray) -> np.ndarray:
         return heat_solve_interior(g, r / stab, 1.0 / stab)
 
-    res = e.residual
+    if e.residual <= tol:  # psi unchanged: e's residual and energies stand
+        return replace(e, psi=VectorField2D(g, d), converged=True)
+    potential, r, res = _evaluate(g, d, params.eps)
     it = 0
     while res > tol and it < NEWTON_MAX_ITER:
-        r = _stationary_defect(g, d, params.eps)
-        d[:, 1:-1, 1:-1] += _minres(_linearization(g, d, params.eps), precondition, -r)
-        res = stationary_residual(VectorField2D(g, d), params.eps)
+        d[:, 1:-1, 1:-1] += _minres(_linearization(g, d, params.eps), precondition, r)
+        potential, r, res = _evaluate(g, d, params.eps)
         it += 1
-    if it == 0:  # psi unchanged: e's residual and energies stand
-        return replace(e, psi=VectorField2D(g, d), converged=res <= tol)
-    psi = VectorField2D(g, d)
-    return _make_equilibrium(
-        psi, params, res <= tol, e.iterations + it, e.d_star_E, res, energy_E(psi, params.eps)
+    return Equilibrium(
+        psi=VectorField2D(g, d),
+        d_star_E=e.d_star_E,
+        residual=res,
+        energy_E=0.5 * edge_seminorm_sq(g, d) + potential,
+        energy_script=0.5 * edge_seminorm_sq(g, d - e.d_star_E.data) + potential,
+        converged=res <= tol,
+        iterations=e.iterations + it,
     )
 
 
@@ -352,7 +337,8 @@ def local_minimizer_check(
         wint = w[:, 1:-1, 1:-1]
         ray = float(np.vdot(wint, jac(wint)) / np.vdot(wint, wint))
         min_rayleigh = min(min_rayleigh, ray)
-        gap = energy_script(VectorField2D(g, e.psi.data + w), e.d_star_E, params.eps) - base
+        probe = trusted_field(VectorField2D, g, e.psi.data + w)
+        gap = energy_script(probe, e.d_star_E, params.eps) - base
         if gap < min_gap:
             min_gap = gap
             witness = VectorField2D(g, w)

@@ -344,6 +344,24 @@ class TestEnergyRecordAgainstReference:
                 assert got[col] == pytest.approx(want[col], rel=1e-13, abs=0.0), col
         assert (got["r_t"] > 0) == (family != "autonomous")
 
+    @pytest.mark.parametrize("nx,ny,ly", [(64, 64, 1.0), (24, 20, 0.8), (96, 130, 1.3)])
+    def test_record_at_rest_on_psi_reads_the_equilibrium(self, nx, ny, ly):
+        # static trace h_inf, v = 0 and d = psi: the record's script energy
+        # and stationary residual are the equilibrium's, bit for bit, since
+        # both come from one evaluation of the Ginzburg-Landau functional
+        from nematicflow.harness.scenarios import Scenario, make_forcing, reference_equilibrium
+
+        sc = Scenario(name="x", family="autonomous", nx=nx, ny=ny, ly=ly, seed=1)
+        forcing = make_forcing(sc)
+        eq = reference_equilibrium(sc, forcing)
+        s = init(VectorField2D.zeros(sc.grid), eq.psi, forcing, sc.params)
+        assert not s.d.data.flags.writeable
+        assert np.array_equal(s.d.data, eq.psi.data)
+        rec = energy_record(s)
+        assert rec.kinetic == 0.0
+        assert rec.elastic_hat + rec.potential == eq.energy_script
+        assert rec.residual_stationary == eq.residual
+
 
 class TestConvergenceReport:
     def test_already_at_equilibrium_vacuous_pass(self):

@@ -10,14 +10,14 @@ from nematicflow.grid import (
     _ddx,
     _ddy,
     _lap_interior,
-    bulk_potential_F,
     boundary_indices,
     divergence,
     extract_ring,
+    ginzburg_landau,
     gradient,
-    integrate,
     interior_lap,
     laplacian,
+    quad_weights,
     random_sine_series,
     row_dx,
     row_dy,
@@ -247,9 +247,12 @@ def _stress(d):
     return out
 
 
-def _gl_f(d, eps):
-    """Oracle of the penalization f(d) = (|d|^2 - 1) d / eps^2, the gradient of F."""
-    return (d.data[0] ** 2 + d.data[1] ** 2 - 1.0) / eps**2 * d.data
+def _gl(d, eps):
+    """``ginzburg_landau`` of a director field with a zero Laplacian:
+    |d|^2, int F(d) and the penalization f(d) at interior nodes."""
+    g = d.grid
+    mag_sq, potential, defect = ginzburg_landau(g, d.data, np.zeros((2, g.nx - 2, g.ny - 2)), eps)
+    return mag_sq, potential, -defect
 
 
 class TestElasticStress:
@@ -304,38 +307,44 @@ class TestGinzburgLandau:
         g = Grid(8, 8)
         theta = np.linspace(0, 2 * np.pi, g.nx * g.ny).reshape(g.shape)
         d = VectorField2D(g, np.stack([np.cos(theta), np.sin(theta)]))
-        assert np.max(np.abs(_gl_f(d, 0.25))) < 1e-12
-        assert np.max(np.abs(bulk_potential_F(d, 0.25).data)) < 1e-12
+        mag_sq, potential, f = _gl(d, 0.25)
+        assert np.max(np.abs(mag_sq - 1.0)) < 1e-15
+        assert np.max(np.abs(f)) < 1e-12
+        assert abs(potential) < 1e-12
 
     def test_zero_vector(self):
-        g = Grid(8, 8)
-        d = VectorField2D.zeros(g)
-        assert np.max(np.abs(_gl_f(d, 1.0))) == 0.0
-        assert np.max(np.abs(bulk_potential_F(d, 1.0).data - 0.25)) < 1e-15
+        # F(0) = 1/(4 eps^2) everywhere: int F is the area over 4 eps^2
+        g = Grid(8, 9, 2.0, 0.75)
+        eps = 0.5
+        mag_sq, potential, f = _gl(VectorField2D.zeros(g), eps)
+        assert np.max(np.abs(f)) == 0.0
+        assert np.max(mag_sq) == 0.0
+        assert potential == pytest.approx(2.0 * 0.75 / (4.0 * eps**2), rel=1e-14)
 
     def test_pointwise_value(self):
+        # f(2, 0) = (4 - 1) (2, 0) / eps^2 = (6, 0) at eps = 1, and the
+        # routine returns the Laplacian it is given less f
         g = Grid(8, 8)
-        d = VectorField2D(g, np.stack([np.full(g.shape, 2.0), np.zeros(g.shape)]))
-        f = _gl_f(d, 1.0)
-        assert np.allclose(f[0], 6.0)
-        assert np.allclose(f[1], 0.0)
-
-    def test_eps_must_be_positive(self):
-        g = Grid(8, 8)
-        d = VectorField2D.zeros(g)
-        with pytest.raises(ValueError):
-            bulk_potential_F(d, -1.0)
+        d = np.stack([np.full(g.shape, 2.0), np.zeros(g.shape)])
+        lap = np.ones((2, g.nx - 2, g.ny - 2))
+        mag_sq, _, defect = ginzburg_landau(g, d, lap, 1.0)
+        assert np.all(mag_sq == 4.0)
+        assert np.all(defect[0] == -5.0)
+        assert np.all(defect[1] == 1.0)
 
     def test_f_is_gradient_of_F(self):
-        # central-difference oracle in the 2-vector argument
+        # central-difference oracle in the 2-vector argument, F read as int F
+        # of a constant director on the unit square
         eps = 0.5
         step = 1e-5
         base = np.array([0.3, -0.7])
         g = Grid(8, 8)
 
+        def constant(vec):
+            return VectorField2D(g, np.stack([np.full(g.shape, vec[0]), np.full(g.shape, vec[1])]))
+
         def F_at(vec):
-            d = VectorField2D(g, np.stack([np.full(g.shape, vec[0]), np.full(g.shape, vec[1])]))
-            return bulk_potential_F(d, eps).data[0, 0]
+            return _gl(constant(vec), eps)[1]
 
         grad_fd = np.array(
             [
@@ -343,17 +352,16 @@ class TestGinzburgLandau:
                 for e in (np.array([1.0, 0.0]), np.array([0.0, 1.0]))
             ]
         )
-        d = VectorField2D(g, np.stack([np.full(g.shape, base[0]), np.full(g.shape, base[1])]))
-        f = _gl_f(d, eps)
+        f = _gl(constant(base), eps)[2]
         exact = np.array([f[0][0, 0], f[1][0, 0]])
         assert np.max(np.abs(grad_fd - exact)) < 1e-6 * max(1.0, np.max(np.abs(exact)))
 
 
 class TestQuadrature:
     def test_integrate_constant(self):
+        # the trapezoid weights integrate a constant over the rectangle
         g = Grid(16, 16, 2.0, 0.5)
-        f = ScalarField2D(g, np.full(g.shape, 3.0))
-        assert integrate(f) == pytest.approx(3.0 * 2.0 * 0.5)
+        assert float(np.sum(quad_weights(g) * 3.0)) == pytest.approx(3.0 * 2.0 * 0.5)
 
 
 class TestFieldContainers:

@@ -1,26 +1,28 @@
 import numpy as np
 import pytest
 
+from nematicflow.diagnostics import edge_seminorm_sq
 from nematicflow.dynamics import PhysParams
 from nematicflow.grid import (
     BoundaryTrace,
     Grid,
     VectorField2D,
     boundary_arclength,
+    ginzburg_landau,
+    interior_lap,
     set_ring,
 )
 from nematicflow import steady
 from nematicflow.linsolve import harmonic_extension
 from nematicflow.steady import (
     DegenerateCriticalPointError,
+    Equilibrium,
     _linearization,
     _minres,
-    energy_E,
     energy_script,
     local_minimizer_check,
     newton_refine,
     solve_gradient_flow,
-    stationary_residual,
 )
 
 
@@ -30,16 +32,32 @@ def angle_trace(grid, kappa=0.3):
     return BoundaryTrace(grid, np.stack([np.cos(phi), np.sin(phi)], axis=1))
 
 
-def record_energies(monkeypatch) -> list:
-    """The energy of each iterate of ``solve_gradient_flow``, in order."""
+def energy_and_residual(grid, d, potential, defect):
+    """E = 1/2 |grad d|^2 + int F(d) and the interior L2 norm of the
+    stationary defect, formed from ``ginzburg_landau``'s output as the solver
+    forms them."""
+    energy = 0.5 * edge_seminorm_sq(grid, d) + potential
+    return energy, float(np.sqrt(grid.hx * grid.hy * float(np.vdot(defect, defect))))
+
+
+def evaluate(psi, eps):
+    """E and the stationary residual of a director, evaluated afresh."""
+    g, d = psi.grid, psi.data
+    _, potential, defect = ginzburg_landau(g, d, interior_lap(d, g.hx, g.hy), eps)
+    return energy_and_residual(g, d, potential, defect)
+
+
+def record_evaluations(monkeypatch) -> list:
+    """(E, residual) of each director the solver evaluates, in order."""
     seen = []
-    original = steady.energy_E
+    original = steady.ginzburg_landau
 
-    def recording(psi, eps):
-        seen.append(original(psi, eps))
-        return seen[-1]
+    def recording(grid, d, lap, eps):
+        out = original(grid, d, lap, eps)
+        seen.append(energy_and_residual(grid, d, out[1], out[2]))
+        return out
 
-    monkeypatch.setattr(steady, "energy_E", recording)
+    monkeypatch.setattr(steady, "ginzburg_landau", recording)
     return seen
 
 
@@ -67,10 +85,10 @@ class TestGradientFlow:
         g = Grid(16, 16)
         trace = angle_trace(g)
         d0 = unit_clipped_lift(trace)
-        hist = record_energies(monkeypatch)
+        seen = record_evaluations(monkeypatch)
         eq = solve_gradient_flow(harmonic_extension(trace), d0, PhysParams(), tol=1e-8)
         assert eq.converged
-        e = np.array(hist[:-1])
+        e = np.array([energy for energy, _ in seen[:-1]])
         assert np.all(np.diff(e) <= 1e-10 * (1 + np.abs(e[:-1])))
 
     def test_trace_compatibility_required(self):
@@ -78,6 +96,16 @@ class TestGradientFlow:
         trace = angle_trace(g)
         d0 = unit_clipped_lift(BoundaryTrace.constant(g, (1.0, 0.0)))
         with pytest.raises(ValueError, match="trace"):
+            solve_gradient_flow(harmonic_extension(trace), d0, PhysParams())
+
+    def test_trace_one_ulp_off_is_refused(self):
+        # the corrections never write the ring, so a start off h_inf by any
+        # amount would keep script_E's shift d - d*_E from vanishing there
+        g = Grid(16, 16)
+        trace = angle_trace(g)
+        d0 = unit_clipped_lift(trace)
+        d0.data[0, -1, 5] = np.nextafter(d0.data[0, -1, 5], 2.0)
+        with pytest.raises(ValueError, match="d_init trace must equal h_inf"):
             solve_gradient_flow(harmonic_extension(trace), d0, PhysParams())
 
     def test_residual_monotone_to_convergence(self, monkeypatch):
@@ -178,36 +206,28 @@ class TestReferenceRelaxation:
 
     def test_energy_non_increasing(self, monkeypatch):
         h_inf, d0, params = self.decay_start(64)
-        hist = record_energies(monkeypatch)
+        seen = record_evaluations(monkeypatch)
         eq = solve_gradient_flow(harmonic_extension(h_inf), d0, params, tol=1e-11)
         assert eq.converged
         # one evaluation per iterate; the last iterate is the one returned,
         # with the energy the loop computed for it
-        assert hist[-1] == eq.energy_E
-        e = np.array(hist)
+        e = np.array([energy for energy, _ in seen])
+        assert e[-1] == eq.energy_E
         assert len(e) == eq.iterations + 1
-        assert eq.energy_E == energy_E(eq.psi, params.eps)  # bit for bit
+        assert eq.energy_E == evaluate(eq.psi, params.eps)[0]  # bit for bit
         assert np.all(np.diff(e) <= 1e-14 * (1 + np.abs(e[:-1])))
 
     def test_unreachable_tol_stops_at_smallest_residual(self, monkeypatch):
         h_inf, d0, params = self.decay_start(64)
-        seen = []
-        original = steady._defect_norm
-
-        def recording(grid, r):
-            seen.append(original(grid, r))
-            return seen[-1]
-
-        monkeypatch.setattr(steady, "_defect_norm", recording)
+        seen = record_evaluations(monkeypatch)
         eq = solve_gradient_flow(harmonic_extension(h_inf), d0, params, tol=1e-14)
         assert not eq.converged
         assert eq.iterations <= 100  # GRADIENT_FLOW_MAX_ITER is 400 000
         # one evaluation per iterate, none again for the returned one
         assert len(seen) == eq.iterations + 1
-        assert eq.residual == min(seen)
+        assert eq.residual == min(residual for _, residual in seen)
         # the best iterate is not the last, and its own E is kept
-        assert eq.residual == stationary_residual(eq.psi, params.eps)  # bit for bit
-        assert eq.energy_E == energy_E(eq.psi, params.eps)
+        assert (eq.energy_E, eq.residual) == evaluate(eq.psi, params.eps)  # bit for bit
         assert eq.residual <= 1e-11
 
 
@@ -363,7 +383,7 @@ class TestEnergies:
         gaps = []
         for seed in range(3):
             psi = with_trace(seed)
-            gaps.append(energy_E(psi, params.eps) - energy_script(psi, d_star, params.eps))
+            gaps.append(evaluate(psi, params.eps)[0] - energy_script(psi, d_star, params.eps))
         assert max(gaps) - min(gaps) < 1e-10
 
     def test_critical_point_characterization(self):
@@ -411,11 +431,10 @@ class TestMinimizerCheck:
         params = PhysParams(eps=0.1)
         trace = BoundaryTrace.constant(g, (0.0, 0.0))
         psi = VectorField2D.zeros(g)
-        from nematicflow.steady import _make_equilibrium
-
-        eq = _make_equilibrium(
-            psi, params, True, 0, harmonic_extension(trace),
-            stationary_residual(psi, params.eps), energy_E(psi, params.eps),
+        d_star = harmonic_extension(trace)
+        energy, residual = evaluate(psi, params.eps)
+        eq = Equilibrium(
+            psi, d_star, residual, energy, energy_script(psi, d_star, params.eps), True, 0
         )
         assert eq.residual < 1e-14
         monkeypatch.setattr(steady, "MINIMIZER_PROBES", 16)
@@ -437,4 +456,4 @@ class TestResidual:
     def test_stationary_residual_zero_for_constant_unit(self):
         g = Grid(12, 12)
         d = VectorField2D(g, np.stack([np.ones(g.shape), np.zeros(g.shape)]))
-        assert stationary_residual(d, 0.25) < 1e-14
+        assert evaluate(d, 0.25)[1] < 1e-14

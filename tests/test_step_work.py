@@ -14,7 +14,9 @@ sine coefficients.
 
 Set-up is guarded the same way: it extends the asymptotic trace h_inf once,
 and that extension serves the relaxation's start, the equilibria's energies
-and the later readers of the reference; Newton's operator pads no array.
+and the later readers of the reference; it evaluates the Ginzburg-Landau
+functional once per iterate of the relaxation and of Newton, and Newton's
+operator pads no array.
 """
 
 import sys
@@ -24,6 +26,7 @@ import pytest
 
 from nematicflow import diagnostics, dynamics, grid, lifting, linsolve, steady
 from nematicflow.grid import VectorField2D
+from nematicflow.harness import scenarios
 from nematicflow.harness.scenarios import (
     Scenario,
     generate_scenario,
@@ -244,20 +247,51 @@ def test_newton_operator_pads_nothing(monkeypatch):
     assert verdict.kind == "minimizer-consistent"
 
 
+def _count_evaluations(monkeypatch) -> list:
+    """Patch the solver's binding of the shared ``ginzburg_landau``; the list
+    collects one entry per evaluation."""
+    calls = []
+    original = steady.ginzburg_landau
+
+    def counting(*args):
+        calls.append(1)
+        return original(*args)
+
+    monkeypatch.setattr(steady, "ginzburg_landau", counting)
+    return calls
+
+
+def test_setup_evaluates_each_iterate_once(monkeypatch):
+    # the relaxation evaluates each iterate once, and Newton once to start
+    # and once after each of its k steps: the residual that ends a step is
+    # the right-hand side of the next
+    sc = Scenario(name="setup", family="polynomial-decay", nx=16, ny=16, seed=1)
+    forcing = make_forcing(sc)
+    calls = _count_evaluations(monkeypatch)
+    at_newton = []
+    newton_refine = scenarios.newton_refine
+
+    def entering(e, *args, **kwargs):
+        at_newton.append((len(calls), e.iterations))
+        return newton_refine(e, *args, **kwargs)
+
+    monkeypatch.setattr(scenarios, "newton_refine", entering)
+    eq = reference_equilibrium(sc, forcing)
+    assert eq.converged
+    [(relaxation_calls, corrections)] = at_newton
+    assert relaxation_calls == corrections + 1
+    k = eq.iterations - corrections
+    assert k >= 2
+    assert len(calls) - relaxation_calls == k + 1
+
+
 def test_newton_at_tolerance_evaluates_nothing_again(monkeypatch):
     # a constant trace: the lift is the equilibrium to rounding, so Newton
     # takes no step and keeps the relaxation's residual and energies
     sc = Scenario(name="energy-law", family="autonomous", nx=16, ny=16, kappa=0.0, seed=1)
     forcing = make_forcing(sc)
-    defects = []
-    defect = steady._stationary_defect
-
-    def counting(*args):
-        defects.append(1)
-        return defect(*args)
-
-    monkeypatch.setattr(steady, "_stationary_defect", counting)
+    calls = _count_evaluations(monkeypatch)
     eq = reference_equilibrium(sc, forcing)
     assert eq.converged and eq.iterations == 0
     # the relaxation's one evaluation, which its equilibrium keeps
-    assert len(defects) == 1
+    assert len(calls) == 1
