@@ -12,22 +12,14 @@ from pathlib import Path
 
 import numpy as np
 
-from ..diagnostics import (
-    CSV_COLUMNS,
-    FIT_TAIL,
-    fit_decay_exponent,
-    read_records_csv,
-    write_csv,
-    write_records_csv,
-)
-from ..dynamics import run
-from ..lifting import DEDPT_TOL, appendix_diagnostics, evolve_lifting
+from ..diagnostics import CSV_COLUMNS, FIT_TAIL, fit_decay_exponent, read_records_csv, write_csv
+from ..lifting import DEDPT_TOL
 from ..majorant import MajorantProblem, solve_majorant
 from ..steady import local_minimizer_check
 from .config import ConfigError, parse_config
-from .io import output_root, write_manifest, write_snapshot
-from .presets import MAX_D_SLACK, PRESETS, divergence_check, max_principle_check, run_experiment
-from .scenarios import generate_scenario, make_forcing, reference_equilibrium
+from .io import output_root, write_snapshot
+from .presets import MAX_D_SLACK, PRESETS, build_lifting, build_trajectory, persist, run_experiment
+from .scenarios import make_forcing, reference_equilibrium
 
 
 def _out_dir(args, default_name: str) -> Path:
@@ -36,32 +28,17 @@ def _out_dir(args, default_name: str) -> Path:
     return out
 
 
+def _report(manifest) -> int:
+    """Print the lines the manifest holds; exit 2 if a check failed."""
+    print("\n".join(manifest.lines()))
+    return 0 if manifest.passed else 2
+
+
 def _cmd_run(args) -> int:
     parsed = parse_config(args.config)
     sc = parsed.scenario
-    out = _out_dir(args, sc.name)
-    gen = generate_scenario(sc)
-    summary = run(gen.state, sc.t_end, sample_every=sc.sample_every, reference=gen.reference.psi)
-    write_records_csv(out / "records.csv", summary.records)
-    write_snapshot(out / "final.snap", summary.final.d, summary.final.t)
-    write_snapshot(out / "equilibrium.snap", gen.reference.psi, float("inf"))
     slack = parsed.tolerances.get("max_abs_d_slack", MAX_D_SLACK)
-    checks = [
-        max_principle_check(summary.records, slack),
-        divergence_check(summary.records, sc.grid),
-    ]
-    ok = not summary.aborted and all(c.passed for c in checks)
-    lines = [
-        f"scenario: {sc.name}",
-        f"steps: {summary.n_steps}",
-        f"aborted: {summary.aborted}" + (f" ({summary.abort_reason})" if summary.aborted else ""),
-        f"max_cfl: {summary.max_cfl:.6g}",
-        *(c.line() for c in checks),
-        f"passed: {ok}",
-    ]
-    write_manifest(out / "manifest.txt", lines)
-    print("\n".join(lines))
-    return 0 if ok else 2
+    return _report(persist(lambda: build_trajectory(sc, True, slack), _out_dir(args, sc.name)))
 
 
 def _cmd_steady(args) -> int:
@@ -87,16 +64,10 @@ def _cmd_steady(args) -> int:
 def _cmd_lifting_check(args) -> int:
     parsed = parse_config(args.config)
     sc = parsed.scenario
-    out = _out_dir(args, f"{sc.name}-lifting")
     dt = sc.dt if sc.dt is not None else 0.01
-    report = appendix_diagnostics(
-        evolve_lifting(make_forcing(sc), sc.t_end, dt, sc.sample_every),
-        gamma=sc.gamma, dedpt_tol=parsed.tolerances.get("dedpt_tol", DEDPT_TOL),
-    )
-    write_csv(out / "lifting.csv", *report.table())
-    for chk in report.checks.values():
-        print(chk.line())
-    return 0 if report.passed() else 2
+    tol = parsed.tolerances.get("dedpt_tol", DEDPT_TOL)
+    out = _out_dir(args, f"{sc.name}-lifting")
+    return _report(persist(lambda: build_lifting(sc, dt, tol), out))
 
 
 def _cmd_majorant(args) -> int:
@@ -141,11 +112,7 @@ def _cmd_list_presets(_args) -> int:
 
 
 def _cmd_preset(args) -> int:
-    result, manifest = run_experiment(args.name, args.out)
-    for chk in result.checks:
-        print(chk.line())
-    print(f"outputs in {manifest.out_dir}")
-    return 0 if result.passed else 2
+    return _report(run_experiment(args.name, args.out)[1])
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -1,15 +1,19 @@
 """Prepackaged experiments: one preset per acceptance-grade property.
 
-Each preset builds its scenario, runs it, and evaluates quantitative checks:
-its own, with tolerances pinned here, and the rate, lifting and hypothesis
-checks that the library returns with theirs.  ``run_experiment`` adds
-persistence: records CSV, snapshots, and a manifest with one pass/fail line
-per check.
+``build_trajectory`` generates a scenario, runs it to t_end and adds the
+checks every trajectory gets: the maximum principle, the divergence after
+projection, and that no step failed before t_end.  ``build_lifting`` evolves
+the two liftings alone and returns the appendix checks.  A preset adds its
+own checks, with tolerances pinned here, and the library's rate and
+hypothesis checks with theirs; ``nematicflow run`` and ``lifting-check`` call
+the builders on a config's scenario.  ``persist``, the one writer, times a
+build and writes its outputs and a manifest, whose lines the CLI prints.
 """
 
 from __future__ import annotations
 
 import time
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -29,11 +33,17 @@ from ..diagnostics import (
 )
 from ..dynamics import RunSummary, run
 from ..grid import Grid, VectorField2D
-from ..lifting import appendix_diagnostics, evolve_lifting
+from ..lifting import DEDPT_TOL, appendix_diagnostics, evolve_lifting
 from ..majorant import MajorantProblem, solve_majorant
-from ..steady import Equilibrium, energy_script
+from ..steady import energy_script
 from .io import output_root, write_manifest, write_snapshot
-from .scenarios import Scenario, check_hypotheses, generate_scenario, make_forcing
+from .scenarios import (
+    GeneratedScenario,
+    Scenario,
+    check_hypotheses,
+    generate_scenario,
+    make_forcing,
+)
 
 MAX_D_SLACK = 5e-3  # maximum-principle overshoot allowance
 DIV_ROUNDING = 64  # divergence after projection allowed, in units of eps |D| max_k |v_k|
@@ -45,7 +55,7 @@ class ExperimentResult:
     checks: list[CheckResult]
     records: list[EnergyRecord] = field(default_factory=list)
     summary: RunSummary | None = None
-    equilibrium: Equilibrium | None = None
+    generated: GeneratedScenario | None = None  # what a trajectory started from
     extras: dict = field(default_factory=dict)
 
     @property
@@ -71,6 +81,34 @@ def divergence_check(records: list[EnergyRecord], grid: Grid) -> CheckResult:
 
 
 # ---------------------------------------------------------------------------
+# builders
+
+
+def build_trajectory(sc: Scenario, sample_distances: bool, max_d_slack: float) -> ExperimentResult:
+    """Generate ``sc`` and run it to t_end, sampling the distances to the
+    reference equilibrium if asked.  The result holds the checks every
+    trajectory gets: the maximum principle with ``max_d_slack``, the
+    divergence after projection, and that no step failed before t_end."""
+    gen = generate_scenario(sc)
+    reference = gen.reference.psi if sample_distances else None
+    summary = run(gen.state, sc.t_end, sc.sample_every, reference)
+    checks = [
+        max_principle_check(summary.records, max_d_slack),
+        divergence_check(summary.records, sc.grid),
+        check_le("run aborted before t_end", float(summary.aborted), 0.0),
+    ]
+    return ExperimentResult(sc.name, checks, summary.records, summary, gen)
+
+
+def build_lifting(sc: Scenario, dt: float, dedpt_tol: float) -> ExperimentResult:
+    """Evolve the two liftings alone under ``sc``'s trace, with step ``dt``,
+    and check the appendix decay estimates in ``report.checks`` order."""
+    samples = evolve_lifting(make_forcing(sc), sc.t_end, dt, sc.sample_every)
+    report = appendix_diagnostics(samples, sc.gamma, dedpt_tol)  # reads them one at a time
+    return ExperimentResult(sc.name, list(report.checks.values()), extras={"lifting": report})
+
+
+# ---------------------------------------------------------------------------
 # presets
 
 
@@ -88,9 +126,8 @@ def energy_law_autonomous() -> ExperimentResult:
         sample_every=1,
         seed=11,
     )
-    gen = generate_scenario(sc)
-    summary = run(gen.state, sc.t_end, sample_every=1)
-    recs = summary.records
+    res = build_trajectory(sc, False, MAX_D_SLACK)
+    recs, gen = res.records, res.generated
     e0 = recs[0].E_hat
     slack = 1e-8 * (1.0 + e0)
     dt = gen.state.dt
@@ -98,13 +135,12 @@ def energy_law_autonomous() -> ExperimentResult:
         energy_inequality_residual(recs[k], recs[k + 1], dt) for k in range(len(recs) - 1)
     ]
     increments = [recs[k + 1].E_hat - recs[k].E_hat for k in range(len(recs) - 1)]
-    checks = [
+    res.checks = [
         check_le("energy-inequality residual (max over steps)", max(residuals), slack),
         check_le("energy monotone (max increment)", max(increments), 1e-13 * (1.0 + e0)),
-        max_principle_check(recs, MAX_D_SLACK),
-        divergence_check(recs, sc.grid),
+        *res.checks,
     ]
-    return ExperimentResult(sc.name, checks, recs, summary, gen.reference)
+    return res
 
 
 def omega_limit() -> ExperimentResult:
@@ -121,10 +157,8 @@ def omega_limit() -> ExperimentResult:
         sample_every=20,
         seed=5,
     )
-    gen = generate_scenario(sc)
-    summary = run(gen.state, sc.t_end, sample_every=sc.sample_every, reference=gen.reference.psi)
-    recs = summary.records
-    final = summary.final
+    res = build_trajectory(sc, True, MAX_D_SLACK)
+    recs, gen, final = res.records, res.generated, res.summary.final
     dist = norms(
         VectorField2D(final.d.grid, final.d.data - gen.reference.psi.data), "L2"
     )
@@ -132,15 +166,14 @@ def omega_limit() -> ExperimentResult:
     grad_v = np.array([np.sqrt(max(r.norm_v_H1**2 - r.norm_v_L2**2, 0.0)) for r in recs])
     tail = grad_v[len(grad_v) // 2 :]
     tail_increase = float(np.max(np.diff(tail))) if tail.size > 1 else 0.0
-    checks = [
+    res.checks = [
         check_le("grad v at t_end", np.sqrt(edge_seminorm_sq(final.v.grid, final.v.data)), 1e-6),
         check_le("stationary residual at t_end", recs[-1].residual_stationary, 1e-5),
         check_le("L2 distance to steady solve", dist, 1e-4),
         check_le("grad v eventual monotonicity (max tail increase)", tail_increase, 1e-12),
-        max_principle_check(recs, MAX_D_SLACK),
-        divergence_check(recs, sc.grid),
+        *res.checks,
     ]
-    return ExperimentResult(sc.name, checks, recs, summary, gen.reference)
+    return res
 
 
 def rate_gamma2() -> ExperimentResult:
@@ -161,20 +194,19 @@ def rate_gamma2() -> ExperimentResult:
         sample_every=100,
         seed=13,
     )
-    gen = generate_scenario(sc)
-    summary = run(gen.state, sc.t_end, sample_every=sc.sample_every, reference=gen.reference.psi)
-    recs = summary.records
+    res = build_trajectory(sc, True, MAX_D_SLACK)
+    gen = res.generated
     report = convergence_report(
-        recs, summary.final.d, gen.reference, gen.rate, fit_window=(10.0, 120.0)
+        res.records, res.summary.final.d, gen.reference, gen.rate, fit_window=(10.0, 120.0)
     )
-    checks = [
+    res.checks = [
         check_le("H1 distance to steady state at t_end", report.dist_H1_final, 1e-3),
         report.rate,
-        max_principle_check(recs, MAX_D_SLACK),
-        divergence_check(recs, sc.grid),
+        *res.checks,
         *check_hypotheses(gen.forcing, sc.gamma),
     ]
-    return ExperimentResult(sc.name, checks, recs, summary, gen.reference, {"report": report})
+    res.extras["report"] = report
+    return res
 
 
 def lifting_check() -> ExperimentResult:
@@ -191,10 +223,7 @@ def lifting_check() -> ExperimentResult:
         sample_every=10,
         seed=2,
     )
-    samples = evolve_lifting(make_forcing(sc), sc.t_end, sc.dt, sc.sample_every)
-    report = appendix_diagnostics(samples, gamma=sc.gamma)  # reads them one at a time
-    checks = [report.checks[k] for k in ("A8", "A3", "A5", "A6", "A9", "dedpt")]
-    return ExperimentResult(sc.name, checks, extras={"lifting": report})
+    return build_lifting(sc, sc.dt, DEDPT_TOL)
 
 
 def minimizer_perturbation() -> ExperimentResult:
@@ -214,17 +243,15 @@ def minimizer_perturbation() -> ExperimentResult:
         sample_every=20,
         seed=3,
     )
-    gen = generate_scenario(sc)
-    psi_star = gen.reference
-    v0_norm = norms(gen.state.v, "L2")
+    res = build_trajectory(sc, True, MAX_D_SLACK)
+    gen, psi_star = res.generated, res.generated.reference
+    v0_norm = norms(gen.state.v, "L2")  # the run steps new states, so gen.state is the start
     d0_dist = norms(
         VectorField2D(sc.grid, gen.state.d.data - psi_star.psi.data), "H1"
     )
-    summary = run(gen.state, sc.t_end, sample_every=sc.sample_every, reference=psi_star.psi)
-    recs = summary.records
-    sup_dist = max(r.dist_d_H1 for r in recs)
-    script_final = energy_script(summary.final.d, psi_star.d_star_E, sc.params.eps)
-    checks = [
+    sup_dist = max(r.dist_d_H1 for r in res.records)
+    script_final = energy_script(res.summary.final.d, psi_star.d_star_E, sc.params.eps)
+    res.checks = [
         check_le("generated |v0|", v0_norm, sc.sigma1),
         check_le("generated |d0 - psi*|_H1", d0_dist, sc.sigma2),
         check_le("sup_t |d - psi*|_H1", sup_dist, 0.5),
@@ -233,10 +260,9 @@ def minimizer_perturbation() -> ExperimentResult:
             script_final - psi_star.energy_script,
             1e-6,
         ),
-        max_principle_check(recs, MAX_D_SLACK),
-        divergence_check(recs, sc.grid),
+        *res.checks,
     ]
-    return ExperimentResult(sc.name, checks, recs, summary, psi_star)
+    return res
 
 
 def majorant_closed_form() -> ExperimentResult:
@@ -271,36 +297,39 @@ class UnknownPresetError(KeyError):
 
 @dataclass
 class RunManifest:
-    name: str
-    passed: bool
-    checks: list[CheckResult]
+    result: ExperimentResult
     wall_clock: float
     outputs: list[str]
-    out_dir: Path
+
+    @property
+    def passed(self) -> bool:
+        return self.result.passed
 
     def lines(self) -> list[str]:
+        """The header, what a trajectory did (its steps, largest CFL number
+        and abort reason), one line per check, and the verdict last."""
+        res, summary = self.result, self.result.summary
         rows = [
-            f"preset: {self.name}",
+            f"name: {res.name}",
             f"code_version: {__version__}",
-            f"passed: {self.passed}",
             f"wall_clock_seconds: {self.wall_clock:.3f}",
             "outputs: " + ", ".join(self.outputs),
-            "checks:",
         ]
-        rows += ["  " + c.line() for c in self.checks]
-        return rows
+        if summary is not None:
+            rows += [
+                f"steps: {summary.n_steps}",
+                f"max_cfl: {summary.max_cfl:.6g}",
+                f"aborted: {summary.aborted}"
+                + (f" ({summary.abort_reason})" if summary.aborted else ""),
+            ]
+        return rows + [c.line() for c in res.checks] + [f"passed: {res.passed}"]
 
 
-def run_experiment(
-    name: str, out_dir: str | Path | None = None
-) -> tuple[ExperimentResult, RunManifest]:
-    """Execute a preset and persist records, snapshots and the manifest."""
-    if name not in PRESETS:
-        raise UnknownPresetError(name)
-    out = Path(out_dir) if out_dir is not None else output_root() / name
-    out.mkdir(parents=True, exist_ok=True)
+def persist(build: Callable[[], ExperimentResult], out: Path) -> RunManifest:
+    """Time ``build`` and write what its result holds into the directory
+    ``out``: records, snapshots, lifting or majorant series, and the manifest."""
     start = time.perf_counter()
-    result = PRESETS[name]()
+    result = build()
     elapsed = time.perf_counter() - start
 
     outputs = []
@@ -310,8 +339,8 @@ def run_experiment(
     if result.summary is not None:
         write_snapshot(out / "final.snap", result.summary.final.d, result.summary.final.t)
         outputs.append("final.snap")
-    if result.equilibrium is not None:
-        write_snapshot(out / "equilibrium.snap", result.equilibrium.psi, float("inf"))
+    if result.generated is not None:
+        write_snapshot(out / "equilibrium.snap", result.generated.reference.psi, float("inf"))
         outputs.append("equilibrium.snap")
     if "lifting" in result.extras:
         write_csv(out / "lifting.csv", *result.extras["lifting"].table())
@@ -321,13 +350,18 @@ def run_experiment(
         write_csv(out / "majorant.csv", ["t", "Y"], zip(sol.t, sol.y))
         outputs.append("majorant.csv")
 
-    manifest = RunManifest(
-        name=name,
-        passed=result.passed,
-        checks=result.checks,
-        wall_clock=elapsed,
-        outputs=outputs,
-        out_dir=out,
-    )
+    manifest = RunManifest(result, elapsed, outputs)
     write_manifest(out / "manifest.txt", manifest.lines())
-    return result, manifest
+    return manifest
+
+
+def run_experiment(
+    name: str, out_dir: str | Path | None = None
+) -> tuple[ExperimentResult, RunManifest]:
+    """Execute a preset and persist its outputs and manifest."""
+    if name not in PRESETS:
+        raise UnknownPresetError(name)
+    out = Path(out_dir) if out_dir is not None else output_root() / name
+    out.mkdir(parents=True, exist_ok=True)
+    manifest = persist(PRESETS[name], out)
+    return manifest.result, manifest

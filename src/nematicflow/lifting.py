@@ -230,9 +230,6 @@ class AppendixReport:
     grad_lap_dP: np.ndarray
     checks: dict[str, CheckResult]
 
-    def passed(self) -> bool:
-        return all(c.passed for c in self.checks.values())
-
     def table(self) -> tuple[list[str], list[list]]:
         """Header and rows of lifting.csv: the series, then every check's flag."""
         flags = [int(c.passed) for c in self.checks.values()]

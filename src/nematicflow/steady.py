@@ -313,7 +313,7 @@ def local_minimizer_check(
     if not e.converged:
         raise ValueError("equilibrium must be converged before probing")
     g = e.psi.grid
-    base = energy_script(e.psi, e.d_star_E, params.eps)
+    base = e.energy_script
     rng = np.random.default_rng(seed)
     jac = _linearization(g, e.psi.data, params.eps)
     cell = g.hx * g.hy

@@ -1,14 +1,23 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from nematicflow.diagnostics import EnergyRecord, CSV_COLUMNS, write_records_csv
+from nematicflow.diagnostics import CSV_COLUMNS, EnergyRecord, FitError, write_records_csv
 from nematicflow import dynamics
 from nematicflow.dynamics import run
 from nematicflow.grid import Grid, ScalarField2D, VectorField2D
 from nematicflow.harness.cli import main
 from nematicflow.harness.config import ConfigError, parse_config
 from nematicflow.harness.io import read_snapshot, write_snapshot
-from nematicflow.harness.presets import PRESETS, run_experiment
+from nematicflow.harness.presets import (
+    PRESETS,
+    energy_law_autonomous,
+    minimizer_perturbation,
+    omega_limit,
+    rate_gamma2,
+    run_experiment,
+)
 from nematicflow.harness.scenarios import (
     Scenario,
     check_hypotheses,
@@ -448,14 +457,81 @@ class TestCli:
         assert main(["lifting-check", str(cfg), "--out", str(out_dir)]) == 0
         header = (out_dir / "lifting.csv").read_text().splitlines()[0]
         assert header == "t,dPdE_H1,dt_dP,grad_lap_dP,A3,A5,A6,A8,A9,dedpt"
-        # each check's value, comparison and threshold, as ``preset`` prints them
+        # the manifest's lines, among them each check's value, comparison and
+        # threshold, as ``preset`` prints them
         out = capsys.readouterr().out.splitlines()
-        assert [line.split(":")[0] for line in out] == [
+        assert (out_dir / "manifest.txt").read_text().splitlines() == out
+        checks = [line for line in out if line.startswith(("PASS ", "FAIL "))]
+        assert [line.split(":")[0] for line in checks] == [
             "PASS A3 weighted-integral bound holds", "PASS A5 cumulative bound holds",
             "PASS A6 cumulative bound holds", "PASS A8 dt d_P squared decay exponent",
             "PASS A9 sliding-integral exponent", "PASS dedpt dt d_P at t_end",
         ]
-        assert out[-1].endswith("<= 0.001")
+        assert checks[-1].endswith("<= 0.001")
+
+    def test_preset_prints_the_lines_of_its_manifest(self, tmp_path, capsys):
+        out_dir = tmp_path / "out"
+        assert main(["preset", "majorant-closed-form", "--out", str(out_dir)]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert (out_dir / "manifest.txt").read_text().splitlines() == out
+        assert out[0] == "name: majorant-closed-form" and out[-1] == "passed: True"
+
+    def test_shipped_configs_parse_and_demo_lifting_check_passes(self, tmp_path, capsys):
+        configs = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.cfg"))
+        assert configs
+        for cfg in configs:
+            parse_config(cfg)
+        demo = next(cfg for cfg in configs if cfg.name == "demo.cfg")
+        assert main(["lifting-check", str(demo), "--out", str(tmp_path / "out")]) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == "passed: True"
+
+
+def _plant_abort(monkeypatch, after: int) -> None:
+    """Make ``dynamics.step`` raise from its ``after + 1``-th call on, as a
+    step on bad data does."""
+    original = dynamics.step
+    calls = []
+
+    def failing(s):
+        calls.append(s.t)
+        if len(calls) > after:
+            raise ValueError("planted step failure")
+        return original(s)
+
+    monkeypatch.setattr(dynamics, "step", failing)
+
+
+class TestAbortedRun:
+    @pytest.mark.parametrize(
+        "preset", [energy_law_autonomous, omega_limit, minimizer_perturbation],
+        ids=lambda f: f.__name__,
+    )
+    def test_preset_fails(self, monkeypatch, preset):
+        _plant_abort(monkeypatch, 5)
+        result = preset()
+        assert result.summary.aborted and result.summary.n_steps == 5
+        assert not result.passed
+        line = next(c.line() for c in result.checks if c.name == "run aborted before t_end")
+        assert line == "FAIL run aborted before t_end: 1 <= 0"
+
+    def test_rate_preset_cannot_pass(self, monkeypatch):
+        # five steps leave no sample in the rate fit's window t in [10, 120]
+        _plant_abort(monkeypatch, 5)
+        with pytest.raises(FitError, match="fewer than 4 samples"):
+            rate_gamma2()
+
+    def test_run_exits_2_and_names_the_reason(self, tmp_path, capsys, monkeypatch):
+        cfg = tmp_path / "demo.cfg"
+        cfg.write_text(CONFIG_OK)
+        out_dir = tmp_path / "out"
+        _plant_abort(monkeypatch, 5)
+        assert main(["run", str(cfg), "--out", str(out_dir)]) == 2
+        manifest = (out_dir / "manifest.txt").read_text().splitlines()
+        assert capsys.readouterr().out.splitlines() == manifest
+        assert "steps: 5" in manifest
+        assert "aborted: True (step failed at t=0.025: planted step failure)" in manifest
+        assert "FAIL run aborted before t_end: 1 <= 0" in manifest
+        assert manifest[-1] == "passed: False"
 
 
 class TestRunExperiment:

@@ -16,7 +16,8 @@ Set-up is guarded the same way: it extends the asymptotic trace h_inf once,
 and that extension serves the relaxation's start, the equilibria's energies
 and the later readers of the reference; it evaluates the Ginzburg-Landau
 functional once per iterate of the relaxation and of Newton, and Newton's
-operator pads no array.
+operator pads no array.  The local-minimizer check evaluates it once per probe
+and reads the equilibrium's own script energy as its base.
 """
 
 import sys
@@ -295,3 +296,12 @@ def test_newton_at_tolerance_evaluates_nothing_again(monkeypatch):
     assert eq.converged and eq.iterations == 0
     # the relaxation's one evaluation, which its equilibrium keeps
     assert len(calls) == 1
+
+
+def test_minimizer_check_evaluates_each_probe_once(monkeypatch):
+    sc = Scenario(name="setup", family="polynomial-decay", nx=16, ny=16, seed=1)
+    eq = reference_equilibrium(sc, make_forcing(sc))
+    calls = _count_evaluations(monkeypatch)
+    verdict = steady.local_minimizer_check(eq, sc.params, seed=sc.seed)
+    assert verdict.kind == "minimizer-consistent"
+    assert len(calls) == steady.MINIMIZER_PROBES
