@@ -486,15 +486,14 @@ class TestCli:
         assert capsys.readouterr().out.splitlines()[-1] == "passed: True"
 
 
-def _plant_abort(monkeypatch, after: int) -> None:
-    """Make ``dynamics.step`` raise from its ``after + 1``-th call on, as a
-    step on bad data does."""
+def _plant_abort(monkeypatch) -> None:
+    """Make ``dynamics.step`` raise after 5 steps, as a step on bad data does."""
     original = dynamics.step
     calls = []
 
     def failing(s):
-        calls.append(s.t)
-        if len(calls) > after:
+        calls.append(1)
+        if len(calls) > 5:
             raise ValueError("planted step failure")
         return original(s)
 
@@ -507,7 +506,7 @@ class TestAbortedRun:
         ids=lambda f: f.__name__,
     )
     def test_preset_fails(self, monkeypatch, preset):
-        _plant_abort(monkeypatch, 5)
+        _plant_abort(monkeypatch)
         result = preset()
         assert result.summary.aborted and result.summary.n_steps == 5
         assert not result.passed
@@ -516,7 +515,7 @@ class TestAbortedRun:
 
     def test_rate_preset_cannot_pass(self, monkeypatch):
         # five steps leave no sample in the rate fit's window t in [10, 120]
-        _plant_abort(monkeypatch, 5)
+        _plant_abort(monkeypatch)
         with pytest.raises(FitError, match="fewer than 4 samples"):
             rate_gamma2()
 
@@ -524,7 +523,7 @@ class TestAbortedRun:
         cfg = tmp_path / "demo.cfg"
         cfg.write_text(CONFIG_OK)
         out_dir = tmp_path / "out"
-        _plant_abort(monkeypatch, 5)
+        _plant_abort(monkeypatch)
         assert main(["run", str(cfg), "--out", str(out_dir)]) == 2
         manifest = (out_dir / "manifest.txt").read_text().splitlines()
         assert capsys.readouterr().out.splitlines() == manifest
