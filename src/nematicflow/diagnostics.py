@@ -270,7 +270,8 @@ def fit_decay_exponent(
     """Least-squares slope of log(value) against log(1+t) over the sample tail.
 
     Returns (exponent, r2) where value ~ C (1+t)^(-exponent) on the window.
-    """
+    A NaN or infinity in the window raises ``ValueError``, not the ``FitError``
+    that callers read as decay below the rounding floor."""
     t = np.asarray(t, float)
     values = np.asarray(values, float)
     if not (0.0 < tail_fraction <= 1.0):
@@ -281,6 +282,8 @@ def fit_decay_exponent(
     start = n - max(4, int(np.ceil(tail_fraction * n)))
     tt = t[start:]
     vv = values[start:]
+    if not (np.all(np.isfinite(tt)) and np.all(np.isfinite(vv))):
+        raise ValueError("non-finite samples in fit window")
     if np.any(vv <= 0):
         raise FitError(
             "non-positive values in fit window; decay may be below the "

@@ -24,16 +24,16 @@ f(d) = (|d|^2 - 1) d / eps^2, S the director source and g the body force:
 
 The stress is taken on the new director.  A step runs in four stages:
 
-  1. advance the liftings to t1 in the sine basis (a coefficient update
-     for the heat step of d_P, a division by the eigenvalues for the
-     harmonic extension d_E); every lifting field is built only when read;
-  2. (D), solved for the shifted unknown d1 - d_E(t1), whose trace is zero; as
-     lap_h d_E = 0 at interior nodes the solve reads d_E only by its sine
-     coefficients e: the coefficients of d1 are those of the right-hand side
-     times 1 / (1 + eta dt lam) plus e times eta dt lam / (1 + eta dt lam),
-     before its one back-transform.  The explicit terms are folded: with
-     k = eta dt / eps^2 the right-hand side is d (1 + k - k |d|^2) -
-     dt (v.grad_h d - S);
+  1. advance the liftings to t1 in the sine basis: the transform B^ of the
+     new trace's ring contribution, and the coefficient update of the heat
+     step of d_P; every lifting field is built only when read;
+  2. (D), one implicit solve that takes the trace h(t1) by its B^, as the
+     heat step of d_P does: lap_h d1 = lap_0 d1 + B(h(t1)) at interior
+     nodes, so with c = eta dt and b^ the coefficients of the right-hand
+     side, those of d1 are (b^ + c B^) / (1 + c lam)
+     (``heat_coefficient_step``), before its one back-transform.  The
+     explicit terms are folded: with k = eta dt / eps^2 the right-hand side
+     is d (1 + k - k |d|^2) - dt (v.grad_h d - S);
   3. (V), one implicit viscous solve;
   4. (P), the exact discrete projection onto divergence-free fields.
 
@@ -259,9 +259,8 @@ def step(s: SimState) -> SimState:
     else:
         lift1 = parabolic_lift_step(s.lifting, s.forcing.boundary(t1), dt)
 
-    # 2. director update on the shifted unknown (zero trace).  Its right-hand
-    # side (d - d_E^n) - dt dt_dE equals d - d_E^{n+1}, so the solve reads
-    # only the new d_E, by its sine coefficients; the ring is h(t1) exactly.
+    # 2. director update: the solve takes the new trace by its ring
+    # transform, as the heat step of d_P does; the ring is h(t1) exactly.
     # With k = eta dt / eps^2 the right-hand side is
     # d (1 + k - k |d|^2) - dt (v.grad_h d - S), one pass per term.
     k = p.eta * dt / p.eps**2
@@ -276,7 +275,7 @@ def step(s: SimState) -> SimState:
         expl -= src.data[:, 1:-1]
     expl *= dt
     rhs_d -= expl
-    interior = heat_solve_interior(g, rhs_d[..., 1:-1], p.eta * dt, lift1.e)
+    interior = heat_solve_interior(g, rhs_d[..., 1:-1], p.eta * dt, lift1.bh)
     d_new_data = with_trace(g, interior, lift1.h)
     d_new_data.flags.writeable = False
     d_new = trusted_field(VectorField2D, g, d_new_data)

@@ -195,6 +195,8 @@ def rate_gamma2() -> ExperimentResult:
         seed=13,
     )
     res = build_trajectory(sc, True, MAX_D_SLACK)
+    if res.summary.aborted:  # the fit window may hold no sample; the shared checks fail
+        return res
     gen = res.generated
     report = convergence_report(
         res.records, res.summary.final.d, gen.reference, gen.rate, fit_window=(10.0, 120.0)

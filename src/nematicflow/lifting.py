@@ -7,15 +7,14 @@ extension of the *initial* trace.  The shifted unknowns d - d_E and d - d_P
 then carry homogeneous traces, which is what makes the energy bookkeeping of
 the coupled system clean.
 
-Both are advanced in the discrete sine basis, where the heat step is a
-diagonal update of the coefficients of d_P and the harmonic extension a
-division of the ring data's coefficients by the eigenvalues.  A
-``LiftingState`` holds only the ring values h and h_prev of the last two
-levels and the sine coefficients p, p_prev (d_P) and e (d_E); the time
-stepper reads e and h.  Each lifting field is built by one fixed rule when
-first read: d_E from (e, h), d_P from (p, h), dt d_P from
-((p - p_prev)/dt, (h - h_prev)/dt), and dt d_E as the harmonic extension of
-(h - h_prev)/dt, since d_E is linear in its trace.
+Both are advanced in the discrete sine basis.  A ``LiftingState`` holds only
+the ring values h and h_prev of the last two levels, the sine coefficients
+p, p_prev of d_P and the transform B^ of h (``ring_transform``); the time
+stepper reads B^ and h.  The heat step of d_P is the update
+(p + dt B^) / (1 + dt lam) that the director solve makes too.  Each lifting
+field is built by one fixed rule when first read: d_E from (B^ / lam, h),
+d_P from (p, h), dt d_P from ((p - p_prev)/dt, (h - h_prev)/dt), and dt d_E
+as the harmonic extension of (h - h_prev)/dt, since d_E is linear in its trace.
 
 The two liftings are linked by the discrete identity
 -lap(d_P - d_E) = -dt d_P (the backward-Euler step makes this exact at
@@ -106,13 +105,13 @@ def _field(grid: Grid, coef: np.ndarray, ring: np.ndarray) -> np.ndarray:
 class LiftingState:
     """Both liftings at one time level: the (nb, 2) ring values ``h`` and
     ``h_prev`` of this level and the last, the sine coefficients ``p`` and
-    ``p_prev`` of d_P's interior at both and ``e`` of d_E's at this one, and
-    the step ``dt`` between the levels (inf at t = 0, where both liftings
-    stand still).  ``dE``, ``dP``, ``dt_dP`` and ``dt_dE`` are built on first
-    read by the rules in the module docstring, unless given.
+    ``p_prev`` of d_P's interior at both, the ``ring_transform`` ``bh`` of
+    ``h``, and the step ``dt`` between the levels (inf at t = 0, where both
+    liftings stand still).  ``dE``, ``dP``, ``dt_dP`` and ``dt_dE`` are
+    built on first read by the rules in the module docstring, unless given.
 
     ``p_prev`` is kept although, in exact arithmetic, the heat step makes
-    (p - p_prev)/dt equal lam (e - p).  Formed that way, dt d_P would
+    (p - p_prev)/dt equal B^ - lam p.  Formed that way, dt d_P would
     satisfy the lifting identity -lap(d_P - d_E) = -dt d_P for any p, so
     the identity checks would no longer test the heat step.
     """
@@ -124,8 +123,8 @@ class LiftingState:
     h_prev: np.ndarray = field(repr=False)
     p: np.ndarray = field(repr=False)
     p_prev: np.ndarray = field(repr=False)
-    e: np.ndarray = field(repr=False)
-    dE: VectorField2D = _OnRead(lambda s: _field(s.grid, s.e, s.h))
+    bh: np.ndarray = field(repr=False)
+    dE: VectorField2D = _OnRead(lambda s: _field(s.grid, harmonic_coefficients(s.grid, s.bh), s.h))
     dP: VectorField2D = _OnRead(lambda s: _field(s.grid, s.p, s.h))
     dt_dP: VectorField2D = _OnRead(
         lambda s: _field(s.grid, (s.p - s.p_prev) / s.dt, (s.h - s.h_prev) / s.dt)
@@ -137,11 +136,12 @@ class LiftingState:
 
 def init_lifting(d0_trace: BoundaryTrace) -> LiftingState:
     """Initial lifting state: d_P(0) equals the harmonic extension of the
-    initial trace, and both liftings stand still."""
+    initial trace, bitwise, and both liftings stand still."""
     g = d0_trace.grid
     h = d0_trace.values.copy()
-    e = harmonic_coefficients(g, ring_transform(g, h))
-    return LiftingState(grid=g, t=0.0, dt=float("inf"), h=h, h_prev=h, p=e, p_prev=e, e=e)
+    bh = ring_transform(g, h)
+    p = harmonic_coefficients(g, bh)  # the coefficients dE reads, so d_P = d_E
+    return LiftingState(grid=g, t=0.0, dt=float("inf"), h=h, h_prev=h, p=p, p_prev=p, bh=bh)
 
 
 def parabolic_lift_step(state: LiftingState, ring_next: np.ndarray, dt: float) -> LiftingState:
@@ -151,9 +151,10 @@ def parabolic_lift_step(state: LiftingState, ring_next: np.ndarray, dt: float) -
     ``ring_next`` holds the (nb, 2) ring values h(t + dt), already checked
     (``Forcing.boundary``, or ``BoundaryTrace``).  Both liftings take its ring
     contribution through the sine transform B^ (``ring_transform``, rank
-    four).  d_P advances by its coefficients, p_new = (p + dt B^) / (1 + dt
-    lam) (``heat_coefficient_step``, the step of ``heat_step``), and d_E's
-    are e = B^ / lam (``harmonic_coefficients``).  No field is formed here.
+    four), which the new state keeps.  d_P advances by its coefficients,
+    p_new = (p + dt B^) / (1 + dt lam) (``heat_coefficient_step``, the step
+    of ``heat_step``); d_E keeps B^ itself, divided by lam only when read.
+    No field is formed here.
     """
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
@@ -162,8 +163,7 @@ def parabolic_lift_step(state: LiftingState, ring_next: np.ndarray, dt: float) -
     bh = ring_transform(g, h1)
     return LiftingState(
         grid=g, t=state.t + dt, dt=dt, h=h1, h_prev=state.h,
-        p=heat_coefficient_step(g, state.p, bh, dt), p_prev=state.p,
-        e=harmonic_coefficients(g, bh),
+        p=heat_coefficient_step(g, state.p, bh, dt), p_prev=state.p, bh=bh,
     )
 
 

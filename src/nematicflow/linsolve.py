@@ -8,9 +8,9 @@ it is solved exactly by diagonalizing each 1-D factor once per grid
 (tensor-product diagonalization: Lynch, Rice & Thomas, Numer. Math. 6,
 1964).  A solve is then two small matrix products into the eigenbasis, one
 diagonal multiply and two products back, whose first matrix carries the
-transform's normalization.  Each cache is an ``lru_cache``: the eigensystems
-``_dirichlet_eigenvalues``, ``_heat_inverse`` (per coefficient) and
-``_projection_eigensystem`` (a sign pattern, no matrix) on the frozen
+transform's normalization.  Each cache is an ``lru_cache``: the eigenvalues
+``_dirichlet_eigenvalues``, the diagonal ``_heat_inverse`` (per coefficient)
+and ``_projection_eigensystem`` (a sign pattern, no matrix) on the frozen
 ``Grid``, ``_sine_basis`` and ``_edge_indices`` on its node counts;
 ``clear_cache`` empties all five.
 
@@ -20,9 +20,9 @@ sizes.  Dirichlet ring data enter only the first and last interior rows and
 columns, so their transform is a rank-four product (``ring_transform``).
 Every solve with ring data goes through it: a Poisson solve or a harmonic
 extension is one back-transform of coefficients divided by the eigenvalues
-of the 5-point Laplacian, a heat step with a trace is one coefficient update
-(``heat_coefficient_step``, or ``heat_solve_interior`` given the
-coefficients of the trace's harmonic extension) and one back-transform.
+of the 5-point Laplacian, and a heat step with a trace is one coefficient
+update (p^ + coef B^) / (1 + coef lam) (``heat_coefficient_step``, which
+``heat_solve_interior`` applies when given B^) and one back-transform.
 Neither the ring contribution nor the harmonic extension is formed on the
 grid.
 
@@ -141,12 +141,9 @@ def _dirichlet_eigenvalues(grid: Grid) -> np.ndarray:
 
 
 @lru_cache(maxsize=32)
-def _heat_inverse(grid: Grid, coef: float) -> tuple[np.ndarray, np.ndarray]:
-    """(1 / (1 + coef lam), coef lam / (1 + coef lam)): the inverse of the
-    operator I - coef lap in the sine basis, and one minus it."""
-    c_lam = coef * _dirichlet_eigenvalues(grid)
-    inv = 1.0 / (1.0 + c_lam)
-    return inv, c_lam * inv
+def _heat_inverse(grid: Grid, coef: float) -> np.ndarray:
+    """1 / (1 + coef lam): the inverse of the operator I - coef lap in the sine basis."""
+    return 1.0 / (1.0 + coef * _dirichlet_eigenvalues(grid))
 
 
 @lru_cache(maxsize=32)
@@ -221,26 +218,6 @@ def _projection_eigensystem(grid: Grid) -> tuple[np.ndarray, np.ndarray]:
     return ex[:, None] * ey[None, :], neg_inv
 
 
-def heat_solve_interior(
-    grid: Grid, b_int: np.ndarray, coef: float, harmonic: np.ndarray | None = None
-) -> np.ndarray:
-    """Interior solution of (I - coef*lap) u = b with zero Dirichlet trace.
-
-    Given ``harmonic``, the sine coefficients e of the harmonic extension u_E
-    of some ring data (``harmonic_coefficients``), u takes that ring data
-    instead: u - u_E has a zero trace and, as lap u_E = 0 at interior nodes,
-    solves (I - coef lap_0)(u - u_E) = b - u_E.  So the coefficients of u are
-    e + (b^ - e) / (1 + coef lam) = b^ / (1 + coef lam) + e coef lam / (1 +
-    coef lam), and u_E is not formed on the grid.
-    """
-    bh = sine_coefficients(grid, b_int)
-    inv, rest = _heat_inverse(grid, coef)
-    bh *= inv
-    if harmonic is not None:
-        bh += harmonic * rest
-    return from_sine(grid, bh)
-
-
 def harmonic_coefficients(grid: Grid, bh: np.ndarray) -> np.ndarray:
     """Sine coefficients B^ / lam of the interior of the harmonic extension
     of ring data whose ``ring_transform`` is ``bh``: -lap_0 u = B(h)."""
@@ -253,8 +230,25 @@ def heat_coefficient_step(grid: Grid, p: np.ndarray, bh: np.ndarray, dt: float) 
     interior of u and ``bh`` the ``ring_transform`` of the new ring data."""
     out = dt * bh
     out += p
-    out *= _heat_inverse(grid, dt)[0]
+    out *= _heat_inverse(grid, dt)
     return out
+
+
+def heat_solve_interior(
+    grid: Grid, b_int: np.ndarray, coef: float, ring_hat: np.ndarray | None = None
+) -> np.ndarray:
+    """Interior solution of (I - coef*lap) u = b with zero Dirichlet trace.
+
+    Given ``ring_hat``, the ``ring_transform`` B^ of some ring data, u takes
+    that ring data instead: its coefficients are (b^ + coef B^) / (1 + coef
+    lam), the step of ``heat_coefficient_step``.
+    """
+    b_hat = sine_coefficients(grid, b_int)
+    if ring_hat is None:
+        b_hat *= _heat_inverse(grid, coef)
+    else:
+        b_hat = heat_coefficient_step(grid, b_hat, ring_hat, coef)
+    return from_sine(grid, b_hat)
 
 
 # ---------------------------------------------------------------------------
@@ -313,9 +307,8 @@ def heat_step(u: VectorField2D, trace: BoundaryTrace, dt: float) -> VectorField2
     g = u.grid
     if trace.grid != g:
         raise ValueError("trace grid mismatch")
-    p = sine_coefficients(g, u.data[:, 1:-1, 1:-1])
-    coef = heat_coefficient_step(g, p, ring_transform(g, trace.values), dt)
-    return trusted_field(VectorField2D, g, with_trace(g, from_sine(g, coef), trace.values))
+    interior = heat_solve_interior(g, u.data[:, 1:-1, 1:-1], dt, ring_transform(g, trace.values))
+    return trusted_field(VectorField2D, g, with_trace(g, interior, trace.values))
 
 
 def harmonic_extension(trace: BoundaryTrace) -> VectorField2D:

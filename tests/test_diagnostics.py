@@ -98,6 +98,16 @@ class TestFitDecayExponent:
         with pytest.raises(FitError):
             fit_decay_exponent(t, vals, tail_fraction=1.0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_window_rejected_as_broken_data(self, bad):
+        # not a FitError, which callers count as decay below the rounding floor
+        t = np.linspace(0, 10, 50)
+        vals = np.exp(-t)
+        vals[-3] = bad
+        with pytest.raises(ValueError, match="non-finite") as info:
+            fit_decay_exponent(t, vals, tail_fraction=0.5)
+        assert not isinstance(info.value, FitError)
+
     def test_bad_tail_fraction(self):
         with pytest.raises(ValueError):
             fit_decay_exponent(np.arange(10.0), np.ones(10), tail_fraction=0.0)

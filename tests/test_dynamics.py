@@ -320,6 +320,40 @@ class TestStep:
         dist = norms(VectorField2D(g, s.d.data - eq.psi.data), "L2")
         assert dist <= 1e-6
 
+    def test_director_solve_matches_the_harmonic_extension_split(self, monkeypatch):
+        # oracle: the director's sine coefficients formed through d_E's,
+        # e = B^ / lam, as b^ / (1 + c lam) + e c lam / (1 + c lam); the step
+        # forms (b^ + c B^) / (1 + c lam).  Moving trace, non-square grid.
+        import nematicflow.dynamics as dyn
+        from nematicflow.linsolve import from_sine, ring_transform, sine_coefficients
+
+        solves = []
+
+        def recording(g, b, coef, ring_hat=None):
+            solves.append((b.copy(), coef))
+            return heat_solve_interior(g, b, coef, ring_hat)
+
+        monkeypatch.setattr(dyn, "heat_solve_interior", recording)
+        s = decay_state()
+        g = s.d.grid
+        lam_x, lam_y = (4.0 / h**2 * np.sin(np.arange(1, n - 1) * np.pi / (2 * (n - 1))) ** 2
+                        for n, h in ((g.nx, g.hx), (g.ny, g.hy)))
+        lam = lam_x[:, None] + lam_y[None, :]
+        for _ in range(3):
+            solves.clear()
+            s1 = step(s)
+            (b, c), _velocity = solves
+            h1 = s.forcing.boundary(s1.t)
+            e = ring_transform(g, h1) / lam
+            oracle = from_sine(g, sine_coefficients(g, b) / (1.0 + c * lam)
+                               + e * (c * lam) / (1.0 + c * lam))
+            d1 = s1.d.data
+            # measured at most 3 eps relative
+            assert np.max(np.abs(d1[:, 1:-1, 1:-1] - oracle)) <= 8.0 * EPS * np.max(np.abs(d1))
+            for k in range(2):
+                assert extract_ring(d1[k]).tobytes() == h1[:, k].tobytes()
+            s = s1
+
     def test_manufactured_solution_order(self):
         def run_level(n, dt, t_end=0.25):
             s, d_exact = manufactured_state(n, dt)
@@ -439,7 +473,7 @@ class TestStepBackwardErrors:
             assert max(step_backward_errors(s, s1)) <= POISSON_BACKWARD_ERROR
             if not s.forcing.static_trace:  # the liftings advance by h(t1) and dt
                 lift = parabolic_lift_step(lift, s.forcing.boundary(s1.t), s.dt)
-                for name in ("h", "p", "p_prev", "e"):
+                for name in ("h", "p", "p_prev", "bh"):
                     assert np.array_equal(getattr(s1.lifting, name), getattr(lift, name)), name
             s = s1
 
@@ -477,13 +511,14 @@ class TestStepBackwardErrors:
             monkeypatch.setattr(dyn, "row_stencils", lambda f: seen.append(f) or row_stencils(f))
             monkeypatch.setattr(dyn, "stress_rows", lambda d: stress_rows(seen[-1]))
         elif defect == "lagged d_E":
+            # the director solve takes the previous level's trace transform
 
             def recording(lift, h, dt):
-                seen.append(lift.e)
+                seen.append(lift.bh)
                 return parabolic_lift_step(lift, h, dt)
 
-            def lagged(g, b, coef, harmonic=None):
-                return heat_solve_interior(g, b, coef, None if harmonic is None else seen[-1])
+            def lagged(g, b, coef, ring_hat=None):
+                return heat_solve_interior(g, b, coef, None if ring_hat is None else seen[-1])
 
             monkeypatch.setattr(dyn, "parabolic_lift_step", recording)
             monkeypatch.setattr(dyn, "heat_solve_interior", lagged)

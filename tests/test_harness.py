@@ -3,7 +3,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from nematicflow.diagnostics import CSV_COLUMNS, EnergyRecord, FitError, write_records_csv
+from nematicflow.diagnostics import CSV_COLUMNS, EnergyRecord, write_records_csv
 from nematicflow import dynamics
 from nematicflow.dynamics import run
 from nematicflow.grid import Grid, ScalarField2D, VectorField2D
@@ -360,6 +360,16 @@ class TestCli:
         out = capsys.readouterr().out
         assert out.startswith("3.000")
 
+    def test_fit_rate_refuses_a_nan_column(self, tmp_path, capsys):
+        recs = [EnergyRecord(**{**dict.fromkeys(CSV_COLUMNS, float("nan")), "t": float(k)})
+                for k in range(10)]
+        p = tmp_path / "series.csv"
+        write_records_csv(p, recs)
+        assert main(["fit-rate", str(p), "dist_d_L2"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "non-finite samples in fit window" in captured.err
+
     def test_fit_rate_unknown_column(self, tmp_path, capsys):
         p = tmp_path / "series.csv"
         write_records_csv(p, [])
@@ -502,7 +512,7 @@ def _plant_abort(monkeypatch) -> None:
 
 class TestAbortedRun:
     @pytest.mark.parametrize(
-        "preset", [energy_law_autonomous, omega_limit, minimizer_perturbation],
+        "preset", [energy_law_autonomous, omega_limit, rate_gamma2, minimizer_perturbation],
         ids=lambda f: f.__name__,
     )
     def test_preset_fails(self, monkeypatch, preset):
@@ -513,11 +523,13 @@ class TestAbortedRun:
         line = next(c.line() for c in result.checks if c.name == "run aborted before t_end")
         assert line == "FAIL run aborted before t_end: 1 <= 0"
 
-    def test_rate_preset_cannot_pass(self, monkeypatch):
+    def test_rate_preset_exits_2(self, tmp_path, capsys, monkeypatch):
         # five steps leave no sample in the rate fit's window t in [10, 120]
         _plant_abort(monkeypatch)
-        with pytest.raises(FitError, match="fewer than 4 samples"):
-            rate_gamma2()
+        assert main(["preset", "rate-gamma2", "--out", str(tmp_path)]) == 2
+        manifest = (tmp_path / "manifest.txt").read_text().splitlines()
+        assert "FAIL run aborted before t_end: 1 <= 0" in manifest
+        assert manifest[-1] == "passed: False"
 
     def test_run_exits_2_and_names_the_reason(self, tmp_path, capsys, monkeypatch):
         cfg = tmp_path / "demo.cfg"

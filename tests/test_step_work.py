@@ -9,8 +9,9 @@ step's advection, and fields derived from checked data are not re-checked.
 No stencil is applied to a lifting: the samples take lap d_E = 0 and
 lap d_P = dt d_P from the scheme.  With a moving trace, the lifting update
 stays in the sine basis and builds d_E, dt d_P and dt d_E only for the
-states that are sampled, and d_P never; the director solve reads d_E by its
-sine coefficients.
+states that are sampled, and d_P never; the director solve takes the trace
+by its ring transform, through the coefficient update of d_P's heat step,
+and forms no coefficients of d_E.
 
 Set-up is guarded the same way: it extends the asymptotic trace h_inf once,
 and that extension serves the relaxation's start, the equilibria's energies
@@ -166,15 +167,16 @@ def test_decay_step_solves_twice_and_builds_liftings_only_at_samples(monkeypatch
 def test_moving_trace_step_makes_three_dense_transform_pairs(monkeypatch):
     # one forward and one backward transform of a (2, mx, my) stack for each
     # of the director and velocity solves, and of the (mx, my) divergence for
-    # the projection; d_E enters the director solve in the sine basis, so
-    # nothing else is transformed
+    # the projection; the trace enters the director solve by its ring
+    # transform, so nothing else is transformed, and d_E's coefficients are
+    # not formed
     sc = Scenario(name="decay", family="polynomial-decay", nx=16, ny=12, ly=0.75,
                   dt=2.5e-3, seed=1)
     s0 = generate_scenario(sc).state
     assert not s0.forcing.static_trace
 
     calls = []
-    for name in ("sine_coefficients", "from_sine"):
+    for name in ("sine_coefficients", "from_sine", "harmonic_coefficients"):
         original = getattr(linsolve, name)
 
         def counting(g, a, _fn=original, _name=name):
@@ -192,6 +194,7 @@ def test_moving_trace_step_makes_three_dense_transform_pairs(monkeypatch):
         mx, my = sc.nx - 2, sc.ny - 2
         assert sorted(calls) == sorted([(name, shape) for name in ("sine_coefficients", "from_sine")
                                         for shape in ((2, mx, my), (2, mx, my), (mx, my))])
+        assert not any(name == "harmonic_coefficients" for name, _ in calls)
 
 
 def _count_harmonic_extensions(monkeypatch) -> list:
