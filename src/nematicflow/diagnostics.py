@@ -257,11 +257,10 @@ def uniform_gronwall_check(
     )
 
 
-class FitError(ValueError):
-    """Decay-rate fit rejected (non-positive values in the fitted window)."""
-
-
 FIT_TAIL = 0.5  # share of the samples a decay fit takes by default: the last half
+# Largest magnitude at which a fit window counts as decayed below rounding,
+# the solver-noise floor of squared quantities; its exponent reads infinite.
+DECAY_FLOOR = 1e-18
 
 
 def fit_decay_exponent(
@@ -270,25 +269,27 @@ def fit_decay_exponent(
     """Least-squares slope of log(value) against log(1+t) over the sample tail.
 
     Returns (exponent, r2) where value ~ C (1+t)^(-exponent) on the window.
-    A NaN or infinity in the window raises ``ValueError``, not the ``FitError``
-    that callers read as decay below the rounding floor."""
+    This is the one rule every decay verdict reads: a window whose values all
+    lie within ``DECAY_FLOOR`` of zero has decayed below rounding and returns
+    (inf, nan).  Fewer than 4 samples or a NaN or an infinity raise
+    ``ValueError``, and so does a zero or negative value in a window above
+    the floor: a short or broken window is an error, never a pass."""
     t = np.asarray(t, float)
     values = np.asarray(values, float)
     if not (0.0 < tail_fraction <= 1.0):
         raise ValueError(f"tail_fraction must lie in (0, 1], got {tail_fraction}")
     n = t.size
     if n < 4:
-        raise FitError("need at least 4 samples to fit a decay exponent")
+        raise ValueError(f"need at least 4 samples to fit a decay exponent, got {n}")
     start = n - max(4, int(np.ceil(tail_fraction * n)))
     tt = t[start:]
     vv = values[start:]
     if not (np.all(np.isfinite(tt)) and np.all(np.isfinite(vv))):
         raise ValueError("non-finite samples in fit window")
+    if float(np.max(np.abs(vv))) <= DECAY_FLOOR:
+        return float("inf"), float("nan")
     if np.any(vv <= 0):
-        raise FitError(
-            "non-positive values in fit window; decay may be below the "
-            "floating-point floor -- clip the window"
-        )
+        raise ValueError(f"non-positive values in a fit window above the decay floor {DECAY_FLOOR}")
     x = np.log1p(tt)
     ly = np.log(vv)
     slope, intercept = np.polyfit(x, ly, 1)
@@ -362,6 +363,8 @@ def convergence_report(
     fit to samples with t in [lo, hi], which keeps the log-log regression clear
     of both the initial transient and any late-time floor where the signal
     sinks below discretization noise; without it the fit takes the last half.
+    The window is judged by ``fit_decay_exponent``'s rule: one at
+    ``DECAY_FLOOR`` reads infinite decay, a short or broken one raises.
     """
     if not records:
         raise ValueError("records must be nonempty")
@@ -377,14 +380,8 @@ def convergence_report(
     if fit_window is not None:
         lo, hi = fit_window
         mask = (t >= lo) & (t <= hi)
-        if mask.sum() < 4:
-            raise FitError("fit window contains fewer than 4 samples")
         t, dist, frac = t[mask], dist[mask], 1.0
-
-    try:
-        exp_dist, r2_dist = fit_decay_exponent(t, dist, frac)
-    except FitError:
-        exp_dist, r2_dist = float("inf"), float("nan")
+    exp_dist, r2_dist = fit_decay_exponent(t, dist, frac)
 
     predicted = rate.predicted_exponent
     check = check_ge(

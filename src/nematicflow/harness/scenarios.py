@@ -26,7 +26,6 @@ logger = logging.getLogger(__name__)
 
 from ..diagnostics import (
     CheckResult,
-    FitError,
     RateModel,
     _l2_sq,
     check_ge,
@@ -302,9 +301,10 @@ RING_BLOCK = 16
 def check_hypotheses(forcing: Forcing, gamma: float) -> list[CheckResult]:
     """Verify, at 240 times on [0, 60], that the generated
     family decays at least as fast as each hypothesis requires; each exponent
-    is fitted on the first 60% of the times and may fall short of the
-    required one by ``HYPOTHESIS_SLACK``.  An autonomous forcing has neither a
-    ``boundary_rate`` nor a body force, so it gets no checks.
+    is fitted on the first 60% of the times by ``fit_decay_exponent``'s rule
+    and may fall short of the required one by ``HYPOTHESIS_SLACK``.  An
+    autonomous forcing has neither a ``boundary_rate`` nor a body force, so
+    it gets no checks.
 
     Integral hypotheses compare against (1+t)^(-1-gamma): integrating the
     pointwise bound (1+t)^(-2-gamma) over [t, inf) gains exactly one power,
@@ -332,10 +332,7 @@ def check_hypotheses(forcing: Forcing, gamma: float) -> list[CheckResult]:
 
     def exponent(vals):
         hi = int(0.6 * t.size)
-        try:
-            return fit_decay_exponent(t[:hi], vals[:hi], tail_fraction=1.0)[0]
-        except FitError:
-            return float("inf")
+        return fit_decay_exponent(t[:hi], vals[:hi], tail_fraction=1.0)[0]
 
     def check(name, exp, required):
         checks.append(check_ge(f"hypothesis {name} exponent", exp, required - HYPOTHESIS_SLACK))

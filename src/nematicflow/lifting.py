@@ -38,8 +38,8 @@ from typing import TYPE_CHECKING, Iterable, Iterator
 import numpy as np
 
 from .diagnostics import (
+    DECAY_FLOOR,
     CheckResult,
-    FitError,
     _l2_sq,
     check_ge,
     check_le,
@@ -268,7 +268,7 @@ def lifting_series(states: Iterable[LiftingState]) -> dict[str, np.ndarray]:
         grid = s.grid
         samples.append(lifting_sample(s))
     if not samples:
-        raise InsufficientDataError("no lifting samples")
+        raise ValueError("no lifting samples")
     ser = {k: np.array([x[k] for x in samples]) for k in samples[0]}
     l2_sq, semi_sq, _ = boundary_norms_sq(grid, ser.pop("ring"))
     ser["ht_h12_sq"] = l2_sq + semi_sq
@@ -291,11 +291,12 @@ def _bound_holds(y: np.ndarray, bound: np.ndarray) -> bool:
     Fails when no finite constant works on the sampled window, or when the
     ratio y/bound is still growing at the end of the window (the bound would
     eventually be violated on a longer horizon): the last-quarter ratio must
-    stay within 1.5x the maximum seen earlier.  Where the bound vanishes on
-    the last half of the window, y must vanish too.
+    stay within 1.5x the maximum seen earlier.  "Vanishes" means at most
+    ``DECAY_FLOOR`` times max(1, max y), the floor of the exponent fits:
+    where the bound vanishes on the last half of the window, y must too.
     """
     n = y.size
-    atol = 1e-18 * max(1.0, float(np.max(y)))
+    atol = DECAY_FLOOR * max(1.0, float(np.max(y)))
     tail = bound[n - max(4, int(np.ceil(0.5 * n))) :]
     pos = bound > atol
     if float(np.sum(tail**2)) <= atol**2 or not np.any(pos):
@@ -305,10 +306,6 @@ def _bound_holds(y: np.ndarray, bound: np.ndarray) -> bool:
         return False
     q = max(1, (3 * n) // 4)
     return q >= n or bool(np.max(ratio[q:]) <= 1.5 * float(np.max(ratio[:q])) + atol)
-
-
-class InsufficientDataError(ValueError):
-    pass
 
 
 def appendix_diagnostics(
@@ -324,14 +321,17 @@ def appendix_diagnostics(
     cumulative bounds on |dt d_P|^2 + |d_P - d_E|_{H2}^2 and on the time
     integral of |grad lap d_P|^2, the (1+t)^(-2-2gamma) pointwise decay, the
     (1+t)^(-1-2gamma) tail-integral decay, and that dt d_P vanishes at the
-    final time.  ``history`` is read once, by ``lifting_series``.
+    final time.  ``history`` is read once, by ``lifting_series``.  The two
+    exponents follow ``fit_decay_exponent``'s rule: a window at
+    ``DECAY_FLOOR`` reads infinite decay, and one above it that holds a zero
+    or a negative value raises ``ValueError``, as do fewer than 16 samples.
     """
     if gamma <= 0:
         raise ValueError(f"gamma must be positive, got {gamma}")
     ser = lifting_series(history)
     t = ser["t"]
     if t.size < 16:
-        raise InsufficientDataError(f"need at least 16 lifting samples, got {t.size}")
+        raise ValueError(f"need at least 16 lifting samples, got {t.size}")
     cum_ht = _cumtrapz(t, ser["ht_h12_sq"])
     cum_g = _cumtrapz(t, ser["grad_lap_dP"] ** 2)
 
@@ -348,12 +348,12 @@ def appendix_diagnostics(
         "A6": bound("A6 cumulative", cum_g, cum_ht),
     }
     # (A8)-type: |dt dP(t)|^2 decays at least like (1+t)^(-2-2gamma)
-    exp8 = _safe_exponent(t, ser["dt_dP"] ** 2)
+    exp8 = fit_decay_exponent(t, ser["dt_dP"] ** 2)[0]
     checks["A8"] = check_ge("A8 dt d_P squared decay exponent", exp8, 2 + 2 * gamma - LIFTING_SLACK)
     # (A9)-type: int_{t/2}^t |grad lap dP|^2 decays at least like (1+t)^(-1-2gamma)
     sliding = cum_g - np.interp(t / 2.0, t, cum_g)
     half = t >= max(t[-1] * 0.2, t[1])
-    exp9 = _safe_exponent(t[half], sliding[half])
+    exp9 = fit_decay_exponent(t[half], sliding[half])[0]
     checks["A9"] = check_ge("A9 sliding-integral exponent", exp9, 1 + 2 * gamma - LIFTING_SLACK)
     checks["dedpt"] = check_le("dedpt dt d_P at t_end", float(ser["dt_dP"][-1]), dedpt_tol)
     return AppendixReport(t, ser["dPdE_h1"], ser["dt_dP"], ser["grad_lap_dP"], checks)
@@ -363,16 +363,3 @@ def _cumtrapz(t: np.ndarray, y: np.ndarray) -> np.ndarray:
     out = np.zeros_like(y)
     out[1:] = np.cumsum(0.5 * np.diff(t) * (y[1:] + y[:-1]))
     return out
-
-
-def _safe_exponent(t: np.ndarray, values: np.ndarray) -> float:
-    """Fitted decay exponent, with quantities at the solver-noise floor 1e-18
-    (squared residual tolerances) counting as infinitely fast decay."""
-    if float(np.max(values)) <= 1e-18:
-        return float("inf")
-    try:
-        exp, _ = fit_decay_exponent(t, values)
-        return exp
-    except FitError:
-        return float("inf")
-

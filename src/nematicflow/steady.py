@@ -114,7 +114,8 @@ def _evaluate(grid: Grid, d: np.ndarray, eps: float) -> tuple[float, np.ndarray,
 
 
 def energy_script(psi: VectorField2D, d_star_E: VectorField2D, eps: float) -> float:
-    potential = _evaluate(psi.grid, psi.data, eps)[0]
+    # int F(d) does not read the Laplacian, so a zero one stands in for it
+    potential = ginzburg_landau(psi.grid, psi.data, 0.0, eps)[1]
     return 0.5 * edge_seminorm_sq(psi.grid, psi.data - d_star_E.data) + potential
 
 

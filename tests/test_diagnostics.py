@@ -3,11 +3,13 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nematicflow.diagnostics import (
     CSV_COLUMNS,
+    DECAY_FLOOR,
     EnergyRecord,
-    FitError,
     energy_inequality_residual,
     energy_record,
     fit_decay_exponent,
@@ -95,18 +97,43 @@ class TestFitDecayExponent:
     def test_nonpositive_rejected(self):
         t = np.linspace(0, 10, 50)
         vals = np.exp(-t) - 1e-3
-        with pytest.raises(FitError):
+        with pytest.raises(ValueError, match="non-positive"):
             fit_decay_exponent(t, vals, tail_fraction=1.0)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_window_rejected_as_broken_data(self, bad):
-        # not a FitError, which callers count as decay below the rounding floor
         t = np.linspace(0, 10, 50)
         vals = np.exp(-t)
         vals[-3] = bad
-        with pytest.raises(ValueError, match="non-finite") as info:
+        with pytest.raises(ValueError, match="non-finite"):
             fit_decay_exponent(t, vals, tail_fraction=0.5)
-        assert not isinstance(info.value, FitError)
+
+    @settings(derandomize=True, deadline=None, max_examples=300, database=None)
+    @given(
+        st.lists(
+            st.sampled_from(
+                [0.0, -0.0, DECAY_FLOOR, 0.5 * DECAY_FLOOR, -DECAY_FLOOR,
+                 np.nextafter(DECAY_FLOOR, 1.0), -1.0, np.nan, np.inf, -np.inf]
+            )
+            | st.floats(1e-300, 1e3),
+            max_size=8,
+        )
+    )
+    def test_every_window_gets_one_of_three_verdicts(self, window):
+        # a finite exponent, (inf, nan) exactly at the floor, or ValueError
+        vals = np.array(window, float)
+        finite = vals.size >= 4 and bool(np.all(np.isfinite(vals)))
+        at_floor = finite and float(np.max(np.abs(vals))) <= DECAY_FLOOR
+        try:
+            exp, r2 = fit_decay_exponent(np.linspace(0.0, 10.0, vals.size), vals, tail_fraction=1.0)
+        except ValueError:
+            assert not finite or (not at_floor and bool(np.any(vals <= 0)))
+            return
+        assert finite and (exp == np.inf) == at_floor
+        if at_floor:
+            assert np.isnan(r2)
+        else:
+            assert bool(np.all(vals > 0)) and np.isfinite(exp) and np.isfinite(r2)
 
     def test_bad_tail_fraction(self):
         with pytest.raises(ValueError):
@@ -393,6 +420,31 @@ class TestConvergenceReport:
         # nothing moved, so no distance is positive and the fit reads infinite decay
         assert rep.rate.passed
         assert rep.dist_L2_final < 1e-12
+
+    @staticmethod
+    def _report(dist):
+        from nematicflow.diagnostics import RateModel, convergence_report
+        from nematicflow.linsolve import harmonic_extension
+        from nematicflow.steady import Equilibrium
+
+        # a unit constant trace extends to an exact equilibrium
+        psi = harmonic_extension(BoundaryTrace.constant(Grid(8, 8), (1.0, 0.0)))
+        eq = Equilibrium(psi, psi, 0.0, 0.0, 0.0, True, 0)
+        recs = [
+            EnergyRecord(**{**dict.fromkeys(CSV_COLUMNS, 0.0), "t": float(k), "dist_d_L2": x})
+            for k, x in enumerate(dist)
+        ]
+        return convergence_report(recs, psi, eq, RateModel.for_gamma(2.0))
+
+    def test_three_records_raise(self):
+        # too short to fit, not infinitely fast decay
+        with pytest.raises(ValueError, match="at least 4 samples"):
+            self._report([0.3, 0.3, 0.3])
+
+    def test_growing_distance_ending_in_zero_raises(self):
+        dist = [1e-3 * (1.0 + k) for k in range(19)] + [0.0]
+        with pytest.raises(ValueError, match="non-positive"):
+            self._report(dist)
 
     def test_empty_records_rejected(self):
         from nematicflow.diagnostics import RateModel, convergence_report

@@ -3,7 +3,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from nematicflow.diagnostics import CSV_COLUMNS, EnergyRecord, write_records_csv
+from nematicflow.diagnostics import CSV_COLUMNS, DECAY_FLOOR, EnergyRecord, write_records_csv
 from nematicflow import dynamics
 from nematicflow.dynamics import run
 from nematicflow.grid import Grid, ScalarField2D, VectorField2D
@@ -346,29 +346,42 @@ class TestCli:
         for name in PRESETS:
             assert name in out
 
-    def test_fit_rate_planted(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "scale, printed",
+        [(5.0, "3.000 (r2=1.000000)\n"), (DECAY_FLOOR, "inf (r2=nan)\n")],
+        ids=["power-law", "at-floor"],
+    )
+    def test_fit_rate_planted(self, tmp_path, capsys, scale, printed):
         t = np.linspace(0, 50, 120)
         recs = []
         for tt in t:
             vals = dict.fromkeys(CSV_COLUMNS, 0.0)
             vals["t"] = tt
-            vals["dist_d_L2"] = 5.0 * (1 + tt) ** -3.0
+            vals["dist_d_L2"] = scale * (1 + tt) ** -3.0
             recs.append(EnergyRecord(**vals))
         p = tmp_path / "series.csv"
         write_records_csv(p, recs)
         assert main(["fit-rate", str(p), "dist_d_L2", "--tail", "1.0"]) == 0
-        out = capsys.readouterr().out
-        assert out.startswith("3.000")
+        assert capsys.readouterr().out == printed
 
-    def test_fit_rate_refuses_a_nan_column(self, tmp_path, capsys):
-        recs = [EnergyRecord(**{**dict.fromkeys(CSV_COLUMNS, float("nan")), "t": float(k)})
-                for k in range(10)]
+    @pytest.mark.parametrize(
+        "column, reason",
+        [
+            ([float("nan")] * 10, "non-finite samples in fit window"),
+            ([1.0, 0.5, 0.25], "need at least 4 samples"),
+            ([(-0.5) ** k for k in range(10)], "non-positive values"),
+        ],
+        ids=["nan", "3-rows", "mixed-sign"],
+    )
+    def test_fit_rate_refuses_a_broken_column(self, tmp_path, capsys, column, reason):
+        recs = [EnergyRecord(**{**dict.fromkeys(CSV_COLUMNS, 0.0), "t": float(k), "dist_d_L2": x})
+                for k, x in enumerate(column)]
         p = tmp_path / "series.csv"
         write_records_csv(p, recs)
         assert main(["fit-rate", str(p), "dist_d_L2"]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "non-finite samples in fit window" in captured.err
+        assert reason in captured.err
 
     def test_fit_rate_unknown_column(self, tmp_path, capsys):
         p = tmp_path / "series.csv"

@@ -17,7 +17,6 @@ from nematicflow.grid import (
     interior_lap,
 )
 from nematicflow.lifting import (
-    InsufficientDataError,
     LiftingState,
     appendix_diagnostics,
     evolve_lifting,
@@ -239,6 +238,21 @@ class TestAppendixDiagnostics:
         a8 = report.checks["A8"]
         assert abs(a8.value - 6.0) <= 0.05
 
+    def test_growth_that_ends_in_an_exact_zero_is_not_a_pass(self):
+        # |dt d_P|^2 grows like (1+t)^2 and reads 0 at the last sample: the
+        # window is above the decay floor, so the zero is broken data
+        g = Grid(16, 16)
+        base = init_lifting(BoundaryTrace.constant(g, (0.0, 0.0)))
+        bump = np.zeros((2, *g.shape))
+        bump[0, 1:-1, 1:-1] = 1.0
+        ts = np.linspace(0.0, 20.0, 64)
+        history = [
+            replace(base, t=float(t), dt_dP=VectorField2D(g, (1.0 + t) * (t < ts[-1]) * bump))
+            for t in ts
+        ]
+        with pytest.raises(ValueError, match="non-positive"):
+            appendix_diagnostics(history, gamma=2.0)
+
     def test_gamma2_family_decay(self):
         g = Grid(16, 16)
         h = decaying_boundary(g, gamma=2.0)
@@ -251,9 +265,9 @@ class TestAppendixDiagnostics:
     def test_history_too_short(self):
         g = Grid(8, 8)
         history = evolve_lifting(Forcing(g, lambda t: BoundaryTrace.constant(g, (1, 0)).values), 0.5, 0.1)
-        with pytest.raises(InsufficientDataError):
+        with pytest.raises(ValueError, match="need at least 16 lifting samples"):
             appendix_diagnostics(history, gamma=1.0)
-        with pytest.raises(InsufficientDataError):
+        with pytest.raises(ValueError, match="no lifting samples"):
             appendix_diagnostics(iter([]), gamma=1.0)
 
     def test_series_keys(self):
